@@ -17,6 +17,8 @@ as a machine-precision oracle.
 
 Summing the blocks over the pair-number distribution and normalizing yields
 a Werner state whose singlet weight is 1 / (2*((1-eta)*tanh g)^2 + 1).
+:func:`two_photon_state` returns that closed form; :func:`pair_number_series`
+sums the blocks themselves, over whole grids of points, as its check.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .fock import (
     outer_product,
     partial_trace,
 )
+from .metrics import werner_state
 from .source import GainChannelParams, n_pair_singlet
 
 # Brute-force cost grows like the square of the expansion size; four pairs
@@ -47,6 +50,9 @@ BRUTE_FORCE_MAX_PAIRS = 4
 SERIES_MIN_TERMS = 50
 SERIES_TAIL_TOL = 1e-12
 _SERIES_HARD_CAP = 5_000_000
+# Terms per temporary array in the series sums; bounds their memory at any
+# truncation.
+_SERIES_CHUNK = 1 << 18
 
 # Occupations (1H, 1V, 2H, 2V) with one photon per spatial mode, in the
 # polarization order HH, HV, VH, VV.
@@ -194,80 +200,212 @@ def singlet_weight(params: GainChannelParams) -> float:
     return 1.0 / (2.0 * params.gamma_tilde**2 + 1.0)
 
 
-def _series_tail_bound(x: float, n_last: int) -> float:
-    """Upper bound on sum_{n > n_last} n*(n+1)^2*x^n, covering every entry
-    coefficient of the block series. Returns inf while the bounding ratio
-    is >= 1."""
-    ratio = x * (1.0 + 1.0 / n_last) ** 3
-    if ratio >= 1.0:
-        return math.inf
-    a_last = n_last * (n_last + 1.0) ** 2 * x**n_last
-    return a_last * ratio / (1.0 - ratio)
-
-
-def two_photon_state(
-    params: GainChannelParams,
-    n_max: int | None = None,
-    tail_tol: float = SERIES_TAIL_TOL,
-) -> DensityMatrix:
-    """Post-selected two-photon state at gain g, summed over pair numbers.
-
-    Weighs each pair-number block by (n+1) * tanh(g)^(2n) / cosh(g)^4 and
-    normalizes; the blocks add incoherently because different pair numbers
-    shed different photon counts into the traced-out modes. The result is a
-    Werner matrix whose singlet weight matches :func:`singlet_weight` up to
-    the truncation tail.
-
-    With ``n_max=None`` the truncation grows (from at least 50 terms) until
-    the analytic tail bound drops below ``tail_tol`` relative to the
-    accumulated trace. An explicit ``n_max`` is used as given and checked;
-    if the tail bound still exceeds the tolerance a ``ConvergenceError``
-    reports it.
-    """
+def require_two_photon_params(params: GainChannelParams) -> None:
+    """Raise ``ValueError`` unless the coincidence state is defined at params:
+    an open channel, 0 < eta < 1, and pairs emitted, g > 0."""
     _require_open_channel(params.eta)
     if params.g == 0.0:
         raise ValueError("no pairs are emitted at g = 0; coincidence state undefined")
 
-    x = params.gamma_tilde**2
-    gamma2 = params.gamma**2
-    c4 = params.cosh_g**4
 
-    def relative_tail(n_hi: int) -> float:
-        trace_series = _trace_series_partial(x, n_hi)
-        if trace_series <= 0.0:
-            return math.inf
-        return _series_tail_bound(x, n_hi) / (3.0 * trace_series)
+def two_photon_state(params: GainChannelParams) -> DensityMatrix:
+    """Post-selected two-photon state at gain g, summed over pair numbers.
 
-    if n_max is not None:
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
-        n_terms = n_max
-    else:
-        n_terms = SERIES_MIN_TERMS
-        while relative_tail(n_terms) > tail_tol and n_terms < _SERIES_HARD_CAP:
-            n_terms *= 2
+    Weighing each pair-number block by (n+1) * tanh(g)^(2n) / cosh(g)^4 and
+    normalizing gives, in closed form, the Werner state with singlet weight
+    :func:`singlet_weight`; that is what this returns, at every gain and
+    transmittivity. :func:`pair_number_series` sums the blocks themselves
+    and serves as the independent check.
+    """
+    require_two_photon_params(params)
+    return werner_state(singlet_weight(params))
 
-    tail_rel = relative_tail(n_terms)
-    if tail_rel > tail_tol:
-        raise ConvergenceError(
-            f"series truncated at {n_terms} terms; relative tail bound "
-            f"{tail_rel:.3e} exceeds tolerance {tail_tol:.1e}",
-            diagnostics={"n_terms": n_terms, "relative_tail_bound": tail_rel},
+
+@dataclass(frozen=True)
+class PairSeries:
+    """Pair-number series of the post-selected block at an array of points.
+
+    Per point: the number of terms summed, the relative tail bound at that
+    truncation, and the trace-normalized block entries (corner, middle, off)
+    laid out as in :func:`_closed_block_coefficients`. The entries are NaN
+    where the tail bound exceeds ``tail_tol``.
+    """
+
+    n_terms: np.ndarray
+    relative_tail_bound: np.ndarray
+    tail_tol: float
+    corner: np.ndarray
+    middle: np.ndarray
+    off: np.ndarray
+
+    @property
+    def p(self) -> np.ndarray:
+        """Singlet weight r22 + r33 - r11 - r44 of each summed block."""
+        return self.middle + self.middle - self.corner - self.corner
+
+    def error(self, i: int) -> ConvergenceError | None:
+        """The ``ConvergenceError`` of point i, or None if it converged."""
+        tail = float(self.relative_tail_bound[i])
+        if tail <= self.tail_tol:
+            return None
+        n_terms = int(self.n_terms[i])
+        return ConvergenceError(
+            f"series check truncated at {n_terms} terms; relative tail bound "
+            f"{tail:.3e} exceeds tolerance {self.tail_tol:.1e}",
+            diagnostics={"n_terms": n_terms, "relative_tail_bound": tail},
         )
 
-    n = np.arange(1, n_terms + 1, dtype=float)
-    corner, middle, off = _closed_block_coefficients(n, params.eta)
-    w = (n + 1.0) * gamma2**n / c4
-    corner_s, middle_s, off_s = float(w @ corner), float(w @ middle), float(w @ off)
-    trace = 2.0 * (corner_s + middle_s)
-    block = _assemble_block(corner_s / trace, middle_s / trace, off_s / trace)
+
+def pair_number_series(
+    g,
+    eta,
+    n_max: int | None = None,
+    tail_tol: float = SERIES_TAIL_TOL,
+) -> PairSeries:
+    """Sum the pair-number series of the two-photon block over arrays of
+    (g, eta) points.
+
+    Weighs each pair-number block by (n+1) * tanh(g)^(2n) / cosh(g)^4 and
+    normalizes; the blocks add incoherently because different pair numbers
+    shed different photon counts into the traced-out modes.
+
+    With ``n_max=None`` each point's truncation starts at 50 terms and
+    doubles, up to exactly ``_SERIES_HARD_CAP``, until the analytic tail
+    bound drops below ``tail_tol`` relative to the accumulated trace. An
+    explicit ``n_max`` is used as given at every point. Points that end
+    above the tolerance are reported by :meth:`PairSeries.error`, not
+    raised, so one call serves a whole grid. Every point must pass
+    :func:`require_two_photon_params`.
+    """
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    points = [GainChannelParams(g=a, eta=b) for a, b in zip(g, eta, strict=True)]
+    for params in points:
+        require_two_photon_params(params)
+    # The per-point scalars come from the same math-library calls as
+    # singlet_weight: numpy's vectorized tanh and cosh can differ in the last
+    # bit, which the series raises to powers in the thousands.
+    x = np.array([p.gamma_tilde**2 for p in points], dtype=float)
+    gamma2 = np.array([p.gamma**2 for p in points], dtype=float)
+    c4 = np.array([_cosh4(p.g) for p in points], dtype=float)
+    etas = np.array([p.eta for p in points], dtype=float)
+
+    n_terms = np.zeros(len(points), dtype=np.int64)
+    tail = np.full(len(points), math.inf)
+    pending = np.arange(len(points))
+    n = SERIES_MIN_TERMS if n_max is None else n_max
+    while pending.size:
+        final = n_max is not None or n == _SERIES_HARD_CAP
+        n_terms[pending] = n
+        tail[pending] = _relative_tail(x[pending], n, None if final else tail_tol)
+        if final:
+            break
+        pending = pending[tail[pending] > tail_tol]
+        n = min(2 * n, _SERIES_HARD_CAP)
+
+    corner, middle, off = (np.full(len(points), math.nan) for _ in range(3))
+    converged = tail <= tail_tol
+    for n in np.unique(n_terms[converged]):
+        group = np.flatnonzero(converged & (n_terms == n))
+        sums = _block_sums(etas[group], gamma2[group], c4[group], int(n))
+        trace = 2.0 * (sums[0] + sums[1])
+        corner[group], middle[group], off[group] = (s / trace for s in sums)
+    return PairSeries(n_terms, tail, tail_tol, corner, middle, off)
+
+
+def pair_number_series_state(
+    params: GainChannelParams,
+    n_max: int | None = None,
+    tail_tol: float = SERIES_TAIL_TOL,
+) -> DensityMatrix:
+    """:func:`pair_number_series` at one point, as a density matrix.
+
+    Raises the point's ``ConvergenceError`` when the tail bound at the
+    truncation exceeds ``tail_tol``.
+    """
+    series = pair_number_series([params.g], [params.eta], n_max, tail_tol)
+    error = series.error(0)
+    if error is not None:
+        raise error
+    block = _assemble_block(series.corner[0], series.middle[0], series.off[0])
     return DensityMatrix(TWO_PHOTON_BASIS, block)
 
 
-def _trace_series_partial(x: float, n_hi: int) -> float:
-    """Partial sum of n^2*(n+1)*x^n: the block-trace series in pure-x units."""
-    n = np.arange(1, n_hi + 1, dtype=float)
-    return float(np.sum(n * n * (n + 1.0) * np.power(x, n)))
+def _cosh4(g: float) -> float:
+    """cosh(g)^4, or 1 where that overflows: the factor is common to every
+    pair-number weight and cancels when the block is normalized."""
+    try:
+        c4 = math.cosh(g) ** 4
+    except OverflowError:
+        return 1.0
+    return c4 if math.isfinite(c4) else 1.0
+
+
+def _term_chunks(n_rows: int, n_terms: int):
+    """(row slice, pair numbers) pieces of an n_rows x n_terms sum that hold
+    about ``_SERIES_CHUNK`` terms each; long rows are split along n."""
+    if n_terms <= _SERIES_CHUNK:
+        n = np.arange(1, n_terms + 1, dtype=float)
+        step = _SERIES_CHUNK // n_terms
+        for lo in range(0, n_rows, step):
+            yield slice(lo, lo + step), n
+        return
+    for row in range(n_rows):
+        for lo in range(1, n_terms + 1, _SERIES_CHUNK):
+            hi = min(lo + _SERIES_CHUNK, n_terms + 1)
+            yield slice(row, row + 1), np.arange(lo, hi, dtype=float)
+
+
+def _series_tail_bound(x: np.ndarray, n_last: int) -> np.ndarray:
+    """Upper bound on sum_{n > n_last} n*(n+1)^2*x^n, covering every entry
+    coefficient of the block series. inf where the bounding ratio is >= 1."""
+    ratio = x * (1.0 + 1.0 / n_last) ** 3
+    bound = np.full(x.shape, math.inf)
+    ok = ratio < 1.0
+    a_last = n_last * (n_last + 1.0) ** 2 * x[ok] ** n_last
+    bound[ok] = a_last * ratio[ok] / (1.0 - ratio[ok])
+    return bound
+
+
+def _relative_tail(x: np.ndarray, n_terms: int, skip_above: float | None = None):
+    """Tail bound after n_terms terms relative to the accumulated trace.
+
+    The trace's partial sum of n^2*(n+1)*x^n is formed only where the bound
+    is finite. With ``skip_above`` given, it is also skipped, and the point
+    reported as inf, where the bound exceeds ``skip_above`` even relative
+    to the full series 2x(1+2x)/(1-x)^4: every partial sum is smaller, so
+    such a point is above ``skip_above`` either way.
+    """
+    rel = _series_tail_bound(x, n_terms)
+    need = np.isfinite(rel)
+    if skip_above is not None:
+        with np.errstate(divide="ignore"):
+            full = 2.0 * x * (1.0 + 2.0 * x) / (1.0 - x) ** 4
+        # the margin covers rounding in both sums
+        need &= rel <= 3.0 * skip_above * full * (1.0 + 1e-6)
+        rel[~need] = math.inf
+    rows_needed = np.flatnonzero(need)
+    trace = np.zeros(rows_needed.size)
+    for rows, n in _term_chunks(rows_needed.size, n_terms):
+        x_rows = x[rows_needed[rows], None]
+        trace[rows] += np.sum(n * n * (n + 1.0) * np.power(x_rows, n), axis=1)
+    with np.errstate(divide="ignore"):
+        rel[need] = np.where(trace > 0.0, rel[need] / (3.0 * trace), math.inf)
+    return rel
+
+
+def _block_sums(eta: np.ndarray, gamma2: np.ndarray, c4: np.ndarray, n_terms: int):
+    """Pair-number-weighted sums of the (corner, middle, off) coefficients
+    over n = 1..n_terms, one per point."""
+    sums = tuple(np.zeros(eta.size) for _ in range(3))
+    for rows, n in _term_chunks(eta.size, n_terms):
+        w = (n + 1.0) * np.power(gamma2[rows, None], n) / c4[rows, None]
+        coefficients = _closed_block_coefficients(n, eta[rows, None])
+        for total, c in zip(sums, coefficients):
+            # stacked (1, n) @ (n, 1) products: one BLAS dot per row, summed in
+            # the same order as a one-dimensional dot of that row
+            total[rows] += (w[:, None, :] @ c[:, :, None])[:, 0, 0]
+    return sums
 
 
 def _binom(a: int, k: int) -> int:

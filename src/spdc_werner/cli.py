@@ -28,14 +28,16 @@ from .calibration import (
 )
 from .channel import (
     BRUTE_FORCE_MAX_PAIRS,
+    pair_number_series,
     post_select_two_photon,
+    require_two_photon_params,
     singlet_weight,
     transmitted_reduced_state,
     two_photon_block_closed,
     two_photon_state,
 )
 from .errors import ConvergenceError, FitError
-from .metrics import metrics_report
+from .metrics import WernerDescriptor, metrics_report
 from .source import GainChannelParams
 from .tomography import (
     ml_reconstruction,
@@ -91,6 +93,13 @@ def _parse_ints(text: str) -> list[int]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _warn_hl(params: GainChannelParams) -> None:
     level = transmitted_photons_per_mode(params)
     if level > HL_WARN_THRESHOLD:
@@ -102,28 +111,45 @@ def _warn_hl(params: GainChannelParams) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    rows = []
-    failed = False
+    # Each point is validated on its own; the series check then runs over
+    # every valid point in one call. Rows and errors keep the grid order.
+    grid = []
     for g in args.g:
         for eta in args.eta:
             try:
                 params = GainChannelParams(g=g, eta=eta)
-                rho = two_photon_state(params, n_max=args.nmax)
-                report = metrics_report(rho)
-                rows.append(
-                    {
-                        "g": g,
-                        "eta": eta,
-                        "p_theory": singlet_weight(params),
-                        "p_series": report["p"],
-                        "tangle": report["tangle"],
-                        "linear_entropy": report["linear_entropy"],
-                        "witness": report["witness"],
-                    }
-                )
-            except (ValueError, ConvergenceError) as exc:
-                failed = True
-                print(f"error: g={g} eta={eta}: {exc}", file=sys.stderr)
+                require_two_photon_params(params)
+                grid.append((g, eta, WernerDescriptor(singlet_weight(params))))
+            except ValueError as exc:
+                grid.append((g, eta, exc))
+    valid = [(g, eta) for g, eta, werner in grid
+             if isinstance(werner, WernerDescriptor)]
+    series = pair_number_series(
+        [g for g, _ in valid], [eta for _, eta in valid], n_max=args.nmax
+    )
+    checks = iter(zip(series.p, map(series.error, range(len(valid)))))
+    rows = []
+    failed = False
+    for g, eta, werner in grid:
+        if isinstance(werner, ValueError):
+            error = werner
+        else:
+            p_series, error = next(checks)
+        if error is not None:
+            failed = True
+            print(f"error: g={g} eta={eta}: {error}", file=sys.stderr)
+            continue
+        rows.append(
+            {
+                "g": g,
+                "eta": eta,
+                "p_theory": werner.p,
+                "p_series": float(p_series),
+                "tangle": werner.tangle,
+                "linear_entropy": werner.linear_entropy,
+                "witness": werner.witness_value,
+            }
+        )
     out = _resolve_out(args.out)
     if args.format == "json":
         _emit(_dump_json(rows), out)
@@ -139,7 +165,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_matrix(args) -> int:
     params = GainChannelParams(g=args.g, eta=args.eta)
     _warn_hl(params)
-    rho = two_photon_state(params, n_max=args.nmax)
+    rho = two_photon_state(params)
     payload = rho.to_dict()
     payload["g"] = args.g
     payload["eta"] = args.eta
@@ -172,7 +198,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_tomo_simulate(args) -> int:
     params = GainChannelParams(g=args.g, eta=args.eta)
     _warn_hl(params)
-    rho = two_photon_state(params, n_max=args.nmax)
+    rho = two_photon_state(params)
     settings = (
         witness_settings() if args.settings == "witness"
         else standard_tomography_settings()
@@ -241,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated gain values")
     sweep.add_argument("--eta", type=_parse_floats, required=True,
                        help="comma-separated transmittivities")
-    sweep.add_argument("--nmax", type=int, default=None,
-                       help="series truncation (default: automatic)")
+    sweep.add_argument("--nmax", type=_positive_int, default=None,
+                       help="truncation of the p_series check (default: automatic)")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(func=_cmd_sweep)
@@ -250,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = sub.add_parser("matrix", help="export one two-photon state as JSON")
     matrix.add_argument("--g", type=float, required=True)
     matrix.add_argument("--eta", type=float, required=True)
-    matrix.add_argument("--nmax", type=int, default=None)
     matrix.add_argument("--out", default=None)
     matrix.set_defaults(func=_cmd_matrix)
 
@@ -270,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = tomo_sub.add_parser("simulate", help="draw counts from a theory state")
     simulate.add_argument("--g", type=float, required=True)
     simulate.add_argument("--eta", type=float, required=True)
-    simulate.add_argument("--nmax", type=int, default=None)
     simulate.add_argument("--counts-per-setting", type=int, required=True)
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--settings", choices=("tomography", "witness"),

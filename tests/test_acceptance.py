@@ -12,6 +12,7 @@ import pytest
 
 from spdc_werner.calibration import fit_gain, synthetic_calibration_points
 from spdc_werner.channel import (
+    pair_number_series_state,
     post_select_two_photon,
     singlet_weight,
     transmitted_reduced_state,
@@ -60,17 +61,19 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_werner_limit_identity():
+    # two_photon_state is the closed form itself, so the identity is checked
+    # against the pair-number series summed block by block.
     worst = 0.0
     weights = []
     for g in (0.1, 0.3, 0.5, 1.0, 1.5):
         for eta in (0.001, 0.01, 0.05):
             params = GainChannelParams(g=g, eta=eta)
-            rho = two_photon_state(params)
+            rho = pair_number_series_state(params)
             reference = werner_state(singlet_weight(params))
             worst = max(worst, float(np.max(np.abs(rho.entries - reference.entries))))
             weights.append(singlet_weight_extract(rho))
     saturated = singlet_weight_extract(
-        two_photon_state(GainChannelParams(g=20.0, eta=1e-4))
+        pair_number_series_state(GainChannelParams(g=20.0, eta=1e-4))
     )
     ok = (
         worst <= 1e-8

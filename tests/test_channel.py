@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from spdc_werner import channel
 from spdc_werner.channel import (
     LossCoefficients,
     apply_beamsplitters,
+    pair_number_series,
+    pair_number_series_state,
     post_select_two_photon,
     singlet_weight,
     transmitted_reduced_state,
@@ -232,17 +237,159 @@ class TestGainSummedState:
         with pytest.raises(ValueError):
             two_photon_state(GainChannelParams(g=0.0, eta=0.01))
 
+    # The two truncation tests below exercise the pair-number series check,
+    # which owns n_max and ConvergenceError.
     def test_insufficient_truncation_raises_with_tail_bound(self):
         with pytest.raises(ConvergenceError) as err:
-            two_photon_state(GainChannelParams(g=1.0, eta=0.001), n_max=5)
+            pair_number_series_state(GainChannelParams(g=1.0, eta=0.001), n_max=5)
         assert "relative_tail_bound" in err.value.diagnostics
 
     def test_explicit_truncation_accepted_when_converged(self):
         params = GainChannelParams(g=0.2, eta=0.01)
-        rho = two_photon_state(params, n_max=400)
+        rho = pair_number_series_state(params, n_max=400)
         assert singlet_weight_extract(rho) == pytest.approx(
             singlet_weight(params), abs=1e-10
         )
+
+
+# The edge grid: g from far below to far above saturation, eta from
+# near-total loss to near-lossless.
+EDGE_G = (1e-8, 1e-3, 0.5, 2.0, 8.0, 15.0, 30.0)
+EDGE_ETA = (1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-12)
+
+
+class TestClosedFormRoute:
+    @pytest.mark.parametrize("g", EDGE_G)
+    @pytest.mark.parametrize("eta", EDGE_ETA)
+    def test_edge_grid_gives_valid_werner_state(self, g, eta):
+        rho = two_photon_state(GainChannelParams(g=g, eta=eta))
+        p = singlet_weight_extract(rho)
+        assert 1.0 / 3.0 <= p <= 1.0
+        np.testing.assert_allclose(rho.entries, werner_state(p).entries, atol=1e-15)
+
+    @given(
+        g=st.one_of(
+            st.floats(min_value=1e-300, max_value=1e-3),
+            st.floats(min_value=5.0, max_value=1e6),
+        ),
+        eta=st.one_of(
+            st.floats(min_value=1e-300, max_value=1e-3),
+            st.floats(min_value=0.999, max_value=1.0, exclude_max=True),
+        ),
+    )
+    def test_domain_edges_match_werner_of_singlet_weight(self, g, eta):
+        params = GainChannelParams(g=g, eta=eta)
+        p = singlet_weight(params)
+        assert 1.0 / 3.0 <= p <= 1.0
+        np.testing.assert_array_equal(
+            two_photon_state(params).entries, werner_state(p).entries
+        )
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_closed_channel_rejected(self, eta):
+        with pytest.raises(ValueError):
+            two_photon_state(GainChannelParams(g=0.5, eta=eta))
+
+
+class TestPairNumberSeries:
+    @pytest.mark.parametrize("g", [0.1, 0.3, 0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("eta", [0.001, 0.01, 0.05, 0.5])
+    def test_sums_to_werner_identity(self, g, eta):
+        params = GainChannelParams(g=g, eta=eta)
+        rho = pair_number_series_state(params)
+        reference = werner_state(singlet_weight(params))
+        np.testing.assert_allclose(rho.entries, reference.entries, atol=1e-12)
+
+    # Truncations reached by the rule (start at 50, double, stop at a 1e-12
+    # relative tail bound) before it moved into the series check.
+    @pytest.mark.parametrize(
+        "g,eta,n_terms",
+        [
+            (1e-8, 0.5, 50),
+            (0.1, 0.01, 50),
+            (1.0, 0.001, 100),
+            (1.313, 0.016, 200),
+            (3.0, 0.01, 1600),
+            (8.0, 0.01, 3200),
+            (20.0, 1e-4, 204800),
+        ],
+    )
+    def test_truncation_rule_unchanged(self, g, eta, n_terms):
+        series = pair_number_series([g], [eta])
+        assert series.n_terms[0] == n_terms
+        assert series.error(0) is None
+
+    @pytest.mark.parametrize("g", [200.0, 800.0])
+    def test_gain_past_cosh_overflow(self, g):
+        params = GainChannelParams(g=g, eta=0.5)
+        rho = pair_number_series_state(params)
+        reference = werner_state(singlet_weight(params))
+        np.testing.assert_allclose(rho.entries, reference.entries, atol=1e-12)
+
+    def test_hard_cap_is_exact(self):
+        with pytest.raises(ConvergenceError) as err:
+            pair_number_series_state(GainChannelParams(g=8.0, eta=1e-6))
+        assert err.value.diagnostics["n_terms"] == 5_000_000
+        assert err.value.diagnostics["relative_tail_bound"] > 1e-12
+        assert "series check" in str(err.value)
+
+    def test_grid_matches_pointwise_calls(self):
+        gs = [0.05, 0.7, 2.5, 15.0, 0.7]
+        etas = [0.3, 0.01, 0.9, 1e-6, 0.3]
+        series = pair_number_series(gs, etas)
+        assert series.error(3) is not None
+        for i, (g, eta) in enumerate(zip(gs, etas)):
+            single = pair_number_series([g], [eta])
+            assert single.n_terms[0] == series.n_terms[i]
+            assert single.relative_tail_bound[0] == series.relative_tail_bound[i]
+            np.testing.assert_array_equal(single.p[0], series.p[i])
+            if series.error(i) is None:
+                rho = pair_number_series_state(GainChannelParams(g=g, eta=eta))
+                assert singlet_weight_extract(rho) == series.p[i]
+
+    def test_explicit_truncation_applies_to_every_point(self):
+        series = pair_number_series([0.2, 1.0], [0.01, 0.001], n_max=60)
+        assert list(series.n_terms) == [60, 60]
+        assert series.error(0) is None
+        assert series.error(1).diagnostics["n_terms"] == 60
+
+    def test_bounded_chunks_give_the_same_sums(self, monkeypatch):
+        gs, etas = [0.3, 2.0, 3.0, 6.0], [0.01, 0.1, 0.01, 0.001]
+        whole = pair_number_series(gs, etas)
+        # rows split across chunks, and single rows split along n
+        monkeypatch.setattr(channel, "_SERIES_CHUNK", 64)
+        chunked = pair_number_series(gs, etas)
+        np.testing.assert_array_equal(chunked.n_terms, whole.n_terms)
+        np.testing.assert_allclose(chunked.p, whole.p, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            chunked.relative_tail_bound, whole.relative_tail_bound, rtol=1e-12
+        )
+
+    # Cases on both sides of the skip, and of the tolerance.
+    @pytest.mark.parametrize(
+        "one_minus_x,n",
+        [
+            (0.1, 50), (0.1, 3200), (0.01, 3200), (1e-3, 3200),
+            (1e-3, 204800), (1e-4, 204800), (1e-4, 5_000_000), (2e-6, 5_000_000),
+        ],
+    )
+    def test_skipped_partial_sums_never_change_the_outcome(self, one_minus_x, n):
+        x = np.array([1.0 - one_minus_x])
+        exact = channel._relative_tail(x, n)
+        skipped = channel._relative_tail(x, n, skip_above=1e-12)
+        if np.isfinite(skipped[0]):
+            assert skipped[0] == exact[0]
+        else:
+            assert exact[0] > 1e-12
+
+    @pytest.mark.parametrize("g,eta", [(0.0, 0.1), (0.5, 0.0), (0.5, 1.0)])
+    def test_invalid_points_rejected(self, g, eta):
+        with pytest.raises(ValueError):
+            pair_number_series([0.3, g], [0.1, eta])
+
+    def test_nonpositive_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            pair_number_series([0.3], [0.1], n_max=0)
 
 
 class TestSingletWeight:

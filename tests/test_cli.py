@@ -1,12 +1,23 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
+from spdc_werner.channel import pair_number_series_state
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
-from spdc_werner.metrics import fidelity, werner_state
+from spdc_werner.metrics import (
+    WernerDescriptor,
+    concurrence_tangle,
+    fidelity,
+    linear_entropy,
+    singlet_weight_extract,
+    werner_state,
+    witness_expectation,
+)
+from spdc_werner.source import GainChannelParams
 
 
 def run(argv):
@@ -50,6 +61,65 @@ class TestSweep:
         assert len(lines) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_edge_grid_fails_only_the_series_check_at_high_gain_low_loss(
+        self, tmp_path, capsys
+    ):
+        gs = [1e-8, 1e-3, 0.5, 2.0, 8.0, 15.0, 30.0]
+        etas = [1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-12]
+        out = tmp_path / "edge.csv"
+        assert run(["sweep", "--g", ",".join(map(repr, gs)),
+                    "--eta", ",".join(map(repr, etas)), "--out", str(out)]) == 1
+        failing = {(g, eta) for g in (8.0, 15.0, 30.0) for eta in (1e-12, 1e-6)}
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == len(failing)
+        for line in err_lines:
+            g_text, eta_text, message = re.fullmatch(
+                r"error: g=(\S+) eta=(\S+): (.*)", line).groups()
+            assert (float(g_text), float(eta_text)) in failing
+            assert message.startswith("series check truncated at 5000000 terms")
+        rows = [tuple(float(x) for x in line.split(",")[:2])
+                for line in out.read_text().strip().splitlines()[1:]]
+        assert rows == [(g, eta) for g in gs for eta in etas
+                        if (g, eta) not in failing]
+
+    def test_rows_match_series_check_and_werner_metrics(self, tmp_path):
+        gs = [0.05, 0.7, 2.5, 8.0]
+        etas = [0.005, 0.3, 0.9]
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--g", ",".join(map(repr, gs)),
+                    "--eta", ",".join(map(repr, etas)),
+                    "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert [(r["g"], r["eta"]) for r in rows] == [(g, e) for g in gs for e in etas]
+        for row in rows:
+            params = GainChannelParams(g=row["g"], eta=row["eta"])
+            series = pair_number_series_state(params)
+            assert row["p_series"] == singlet_weight_extract(series)
+            werner = WernerDescriptor(row["p_theory"])
+            assert row["tangle"] == werner.tangle
+            assert row["linear_entropy"] == werner.linear_entropy
+            assert row["witness"] == werner.witness_value
+            # criterion 3: the analytic values agree with the spectral ones
+            rho = werner_state(row["p_theory"])
+            assert abs(row["tangle"] - concurrence_tangle(rho)[1]) <= 1e-10
+            assert abs(row["linear_entropy"] - linear_entropy(rho)) <= 1e-12
+            assert abs(row["witness"] - witness_expectation(rho)) <= 1e-12
+
+    def test_nmax_sets_the_series_truncation(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        # g=0.2 converges within 400 terms, g=3 does not
+        assert run(["sweep", "--g", "0.2,3", "--eta", "0.01", "--nmax", "400",
+                    "--out", str(out)]) == 1
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.2,0.01,")
+        err = capsys.readouterr().err
+        assert "error: g=3.0 eta=0.01: series check truncated at 400 terms" in err
+
+    def test_nonpositive_nmax_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", "--g", "0.5", "--eta", "0.01", "--nmax", "0"])
+        assert err.value.code == 2
+
 
 class TestMatrix:
     def test_schema_and_content(self, tmp_path):
@@ -67,6 +137,19 @@ class TestMatrix:
         assert run(["matrix", "--g", "0.5", "--eta", "0.01",
                     "--out", "nested/rho.json"]) == 0
         assert (tmp_path / "nested" / "rho.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["matrix"],
+        ["tomo", "simulate", "--counts-per-setting", "10", "--seed", "1",
+         "--out", "counts.csv"],
+    ])
+    def test_nmax_is_rejected(self, command, tmp_path, monkeypatch):
+        # the closed-form state has no truncation to set
+        monkeypatch.setenv("SPDC_WERNER_OUTDIR", str(tmp_path))
+        with pytest.raises(SystemExit) as err:
+            run(command + ["--g", "0.5", "--eta", "0.01", "--nmax", "100"])
+        assert err.value.code == 2
+        assert not list(tmp_path.iterdir())
 
 
 class TestOracleCheck:
