@@ -12,15 +12,14 @@ source; the gain at the highest measured power is reported as g_max.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import _csv
 from .errors import FitError
 from .source import GainChannelParams
 
@@ -61,10 +60,12 @@ class CalibrationPoint:
     detector: int
 
     def __post_init__(self):
-        if self.pump_power < 0:
-            raise ValueError(f"pump power must be non-negative, got {self.pump_power}")
-        if self.rate < 0:
-            raise ValueError(f"rate must be non-negative, got {self.rate}")
+        if not (math.isfinite(self.pump_power) and self.pump_power >= 0):
+            raise ValueError(
+                f"pump power must be finite and non-negative, got {self.pump_power}"
+            )
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"rate must be finite and non-negative, got {self.rate}")
         if self.detector not in (1, 2):
             raise ValueError(f"detector must be 1 or 2, got {self.detector}")
 
@@ -199,30 +200,16 @@ def synthetic_calibration_points(
 _CSV_FIELDS = ("power", "rate", "detector")
 
 
+def _calibration_point(row: list[str]) -> CalibrationPoint:
+    power, rate, detector = row
+    return CalibrationPoint(float(power), float(rate), int(detector))
+
+
 def write_calibration_csv(points: Iterable[CalibrationPoint], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_FIELDS)
-        for pt in points:
-            writer.writerow([f"{pt.pump_power:.12g}", f"{pt.rate:.12g}", pt.detector])
+    _csv.write_rows(path, _CSV_FIELDS, (
+        [f"{pt.pump_power:.12g}", f"{pt.rate:.12g}", pt.detector] for pt in points
+    ))
 
 
 def read_calibration_csv(path) -> list[CalibrationPoint]:
-    points = []
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _CSV_FIELDS:
-            raise ValueError(f"{path}:1: expected header {','.join(_CSV_FIELDS)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                power, rate, detector = row
-                points.append(
-                    CalibrationPoint(float(power), float(rate), int(detector))
-                )
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed point: {exc}") from exc
-    return points
+    return _csv.read_rows(path, _CSV_FIELDS, _calibration_point)

@@ -14,17 +14,16 @@ semidefinite by construction.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import xlogy
 
+from . import _csv
 from .errors import ConvergenceError, DesignError
 from .fock import TWO_PHOTON_BASIS, DensityMatrix
 from .metrics import POLARIZATION_KETS
@@ -33,8 +32,8 @@ _KET_TOL = 1e-10
 _COMPLETE_BASIS_LABELS = ("HH", "HV", "VH", "VV")
 _WITNESS_LABELS = ("HH", "VV", "DD", "FF", "LR", "RL", "HV", "VH")
 
-# Lower-triangle fill order for the 12 off-diagonal real parameters.
-_LOWER_INDICES = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+# Fill order (1,0), (2,0), (2,1), (3,0), (3,1), (3,2) of the (re, im) parameters.
+_LOWER_INDICES = np.tril_indices(4, -1)
 
 
 def _as_ket(state) -> np.ndarray:
@@ -56,7 +55,8 @@ class ProjectorSetting:
     """One two-photon projective setting |a>|b><a|<b|.
 
     ``state_a`` / ``state_b`` are either polarization letters from
-    {H, V, D, F, L, R} or explicit length-2 kets.
+    {H, V, D, F, L, R} or explicit length-2 kets. A letter setting is
+    labelled by its two letters; settings with explicit kets need a label.
     """
 
     state_a: object
@@ -70,11 +70,15 @@ class ProjectorSetting:
                 value = tuple(complex(c) for c in np.asarray(value).ravel())
                 object.__setattr__(self, name, value)
             _as_ket(value)
-        if not self.label:
-            if isinstance(self.state_a, str) and isinstance(self.state_b, str):
-                object.__setattr__(self, "label", self.state_a + self.state_b)
-            else:
-                raise ValueError("settings with explicit kets need a label")
+        if isinstance(self.state_a, str) and isinstance(self.state_b, str):
+            letters = self.state_a + self.state_b
+            if self.label not in ("", letters):
+                raise ValueError(
+                    f"label {self.label!r} does not match the letter states {letters!r}"
+                )
+            object.__setattr__(self, "label", letters)
+        elif not self.label:
+            raise ValueError("settings with explicit kets need a label")
 
     def projector(self) -> np.ndarray:
         ket = np.kron(_as_ket(self.state_a), _as_ket(self.state_b))
@@ -83,11 +87,10 @@ class ProjectorSetting:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Coincidence counts for one setting, with acquisition metadata."""
+    """Coincidence counts for one setting, and the seed they were drawn with."""
 
     setting: ProjectorSetting
     counts: int
-    duration: float = 1.0
     seed: int | None = None
 
     def __post_init__(self):
@@ -129,7 +132,6 @@ def simulate_counts(
     settings: Sequence[ProjectorSetting],
     total_per_setting: int,
     seed: int,
-    duration: float = 1.0,
 ) -> list[CountRecord]:
     """Draw Poisson counts with mean total_per_setting * Tr[rho P].
 
@@ -146,7 +148,6 @@ def simulate_counts(
             CountRecord(
                 setting=setting,
                 counts=int(rng.poisson(mean)),
-                duration=duration,
                 seed=seed,
             )
         )
@@ -167,8 +168,18 @@ def _estimate_total(records: Sequence[CountRecord]) -> float:
     return total
 
 
-def _design_matrix(settings: Sequence[ProjectorSetting]) -> np.ndarray:
-    return np.array([s.projector().T.reshape(-1) for s in settings])
+def _tomography_data(
+    records: Sequence[CountRecord], total_per_setting: float | None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Projector stack, counts and flux, after the 16-setting and rank checks."""
+    if len(records) < 16:
+        raise DesignError(f"need at least 16 settings, got {len(records)}")
+    projectors = np.array([r.setting.projector() for r in records])
+    if np.linalg.matrix_rank(projectors.reshape(len(records), 16)) < 16:
+        raise DesignError("settings do not span the two-qubit operator space")
+    n_total = total_per_setting if total_per_setting is not None else _estimate_total(records)
+    counts = np.array([r.counts for r in records], dtype=float)
+    return projectors, counts, n_total
 
 
 def linear_reconstruction(
@@ -182,14 +193,10 @@ def linear_reconstruction(
     Raises ``DesignError`` unless the settings span the 16-dimensional
     operator space.
     """
-    if len(records) < 16:
-        raise DesignError(f"need at least 16 settings, got {len(records)}")
-    a = _design_matrix([r.setting for r in records])
-    if np.linalg.matrix_rank(a) < 16:
-        raise DesignError("settings do not span the two-qubit operator space")
-    n_total = total_per_setting if total_per_setting is not None else _estimate_total(records)
-    freqs = np.array([r.counts / n_total for r in records])
-    vec, *_ = np.linalg.lstsq(a, freqs.astype(complex), rcond=None)
+    projectors, counts, n_total = _tomography_data(records, total_per_setting)
+    # Tr[rho P] = sum_ij P_ji rho_ij: each row is P transposed, flattened.
+    a = projectors.transpose(0, 2, 1).reshape(len(records), 16)
+    vec, *_ = np.linalg.lstsq(a, (counts / n_total).astype(complex), rcond=None)
     m = vec.reshape(4, 4)
     m = 0.5 * (m + m.conj().T)
     m /= m.trace().real
@@ -199,8 +206,7 @@ def linear_reconstruction(
 def _triangular_from_params(t: np.ndarray) -> np.ndarray:
     factor = np.zeros((4, 4), dtype=complex)
     factor[np.diag_indices(4)] = t[:4]
-    for idx, (r, c) in enumerate(_LOWER_INDICES):
-        factor[r, c] = t[4 + 2 * idx] + 1j * t[5 + 2 * idx]
+    factor[_LOWER_INDICES] = t[4::2] + 1j * t[5::2]
     return factor
 
 
@@ -220,9 +226,8 @@ def _params_from_state(rho: DensityMatrix) -> np.ndarray:
     factor = flip @ lower.conj().T @ flip
     t = np.zeros(16)
     t[:4] = np.diag(factor).real
-    for idx, (r, c) in enumerate(_LOWER_INDICES):
-        t[4 + 2 * idx] = factor[r, c].real
-        t[5 + 2 * idx] = factor[r, c].imag
+    t[4::2] = factor[_LOWER_INDICES].real
+    t[5::2] = factor[_LOWER_INDICES].imag
     return t
 
 
@@ -249,16 +254,7 @@ def ml_reconstruction(
     projected-gradient norm 1e-8 or relative objective change 1e-12, and
     exceeding the iteration cap raises ``ConvergenceError``.
     """
-    if len(records) < 16:
-        raise DesignError(f"need at least 16 settings, got {len(records)}")
-    settings = [r.setting for r in records]
-    a = _design_matrix(settings)
-    if np.linalg.matrix_rank(a) < 16:
-        raise DesignError("settings do not span the two-qubit operator space")
-
-    n_total = total_per_setting if total_per_setting is not None else _estimate_total(records)
-    projectors = np.array([s.projector() for s in settings])
-    counts = np.array([r.counts for r in records], dtype=float)
+    projectors, counts, n_total = _tomography_data(records, total_per_setting)
 
     def objective(t: np.ndarray):
         factor = _triangular_from_params(t)
@@ -275,9 +271,8 @@ def ml_reconstruction(
         m = (factor @ grad_rho - inner * factor) / norm
         grad = np.zeros(16)
         grad[:4] = -2.0 * np.diag(m).real
-        for idx, (r, c) in enumerate(_LOWER_INDICES):
-            grad[4 + 2 * idx] = -2.0 * m[r, c].real
-            grad[5 + 2 * idx] = -2.0 * m[r, c].imag
+        grad[4::2] = -2.0 * m[_LOWER_INDICES].real
+        grad[5::2] = -2.0 * m[_LOWER_INDICES].imag
         return nll, grad
 
     if init is not None:
@@ -333,9 +328,7 @@ def witness_from_counts(records: Sequence[CountRecord]) -> WitnessEstimate:
         raise ValueError(
             f"witness protocol needs exactly the settings {_WITNESS_LABELS}"
         )
-    n_total = float(sum(by_label[lab] for lab in _COMPLETE_BASIS_LABELS))
-    if n_total <= 0:
-        raise ValueError("complete-basis counts sum to zero; flux unknown")
+    n_total = _estimate_total(records)
     signed = {"HH": 1.0, "VV": 1.0, "DD": 1.0, "FF": 1.0, "LR": -1.0, "RL": -1.0}
     numerator = sum(sign * by_label[lab] for lab, sign in signed.items())
     value = numerator / (2.0 * n_total)
@@ -351,55 +344,36 @@ def witness_from_counts(records: Sequence[CountRecord]) -> WitnessEstimate:
 
 # --- CountRecord CSV interface -------------------------------------------
 
-_CSV_FIELDS = ("label", "stateA", "stateB", "counts", "duration_s", "seed")
+_CSV_FIELDS = ("label", "stateA", "stateB", "counts", "seed")
+
+
+def _count_row(record: CountRecord) -> list:
+    setting = record.setting
+    if not (isinstance(setting.state_a, str) and isinstance(setting.state_b, str)):
+        raise ValueError(
+            f"setting {setting.label!r} uses explicit kets; "
+            "the CSV interface supports letter states only"
+        )
+    seed = "" if record.seed is None else record.seed
+    return [setting.label, setting.state_a, setting.state_b, record.counts, seed]
+
+
+def _count_record(row: list[str]) -> CountRecord:
+    label, state_a, state_b, counts, seed = row
+    return CountRecord(
+        setting=ProjectorSetting(state_a, state_b, label=label),
+        counts=int(counts),
+        seed=int(seed) if seed else None,
+    )
 
 
 def write_count_records(records: Iterable[CountRecord], path) -> None:
     """Write records as CSV with columns (label, stateA, stateB, counts,
-    duration_s, seed). Settings must use polarization letters."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_FIELDS)
-        for record in records:
-            setting = record.setting
-            if not (isinstance(setting.state_a, str) and isinstance(setting.state_b, str)):
-                raise ValueError(
-                    f"setting {setting.label!r} uses explicit kets; "
-                    "the CSV interface supports letter states only"
-                )
-            writer.writerow(
-                [
-                    setting.label,
-                    setting.state_a,
-                    setting.state_b,
-                    record.counts,
-                    f"{record.duration:.12g}",
-                    "" if record.seed is None else record.seed,
-                ]
-            )
+    seed). Settings must use polarization letters; nothing is written
+    unless every record can be."""
+    _csv.write_rows(path, _CSV_FIELDS, map(_count_row, records))
 
 
 def read_count_records(path) -> list[CountRecord]:
     """Read a CountRecord CSV; malformed rows raise with their line number."""
-    records = []
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _CSV_FIELDS:
-            raise ValueError(f"{path}:1: expected header {','.join(_CSV_FIELDS)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                label, state_a, state_b, counts, duration, seed = row
-                record = CountRecord(
-                    setting=ProjectorSetting(state_a, state_b, label=label),
-                    counts=int(counts),
-                    duration=float(duration),
-                    seed=int(seed) if seed else None,
-                )
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed record: {exc}") from exc
-            records.append(record)
-    return records
+    return _csv.read_rows(path, _CSV_FIELDS, _count_record)

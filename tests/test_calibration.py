@@ -80,6 +80,13 @@ class TestCalibrationPoint:
         with pytest.raises(ValueError):
             CalibrationPoint(0.5, -1.0, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationPoint(bad, 100.0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationPoint(0.5, bad, 1)
+
 
 class TestFitGain:
     def test_noiseless_round_trip(self):
@@ -165,4 +172,10 @@ class TestCalibrationCSV:
         path = tmp_path / "bad.csv"
         path.write_text("power,rate,detector\n0.5,oops,1\n")
         with pytest.raises(ValueError, match=":2:"):
+            read_calibration_csv(path)
+
+    def test_nan_row_reports_line_number(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("power,rate,detector\n0.5,nan,1\n")
+        with pytest.raises(ValueError, match=":2: .*finite"):
             read_calibration_csv(path)

@@ -13,6 +13,8 @@ from spdc_werner.metrics import (
 from spdc_werner.tomography import (
     CountRecord,
     ProjectorSetting,
+    _params_from_state,
+    _triangular_from_params,
     born_probability,
     linear_reconstruction,
     ml_reconstruction,
@@ -47,6 +49,11 @@ class TestProjectorSetting:
     def test_unknown_letter_rejected(self):
         with pytest.raises(ValueError):
             ProjectorSetting("H", "Q")
+
+    def test_letter_label_must_match_letters(self):
+        assert ProjectorSetting("H", "V", label="HV").label == "HV"
+        with pytest.raises(ValueError, match="does not match"):
+            ProjectorSetting("H", "H", label="DD")
 
     def test_explicit_ket_needs_label(self):
         with pytest.raises(ValueError):
@@ -149,6 +156,8 @@ class TestLinearReconstruction:
         records = noiseless_records(w, repeated, 10**6)
         with pytest.raises(DesignError):
             linear_reconstruction(records)
+        with pytest.raises(DesignError):
+            ml_reconstruction(records)
 
     def test_noisy_output_is_unit_trace_hermitian(self):
         w = werner_state(0.6)
@@ -225,6 +234,33 @@ class TestMLReconstruction:
             ml_reconstruction(records)
 
 
+class TestTriangularParameters:
+    # Reference: the entry-by-entry fill order of the 12 off-diagonal
+    # parameters, as (real, imaginary) pairs.
+    LOWER = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+
+    def test_factor_matches_loop_reference(self):
+        t = np.random.default_rng(0).standard_normal(16)
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[np.diag_indices(4)] = t[:4]
+        for idx, (r, c) in enumerate(self.LOWER):
+            expected[r, c] = t[4 + 2 * idx] + 1j * t[5 + 2 * idx]
+        np.testing.assert_array_equal(_triangular_from_params(t), expected)
+
+    def test_params_invert_factor(self):
+        records = simulate_counts(werner_state(0.6), standard_tomography_settings(),
+                                  10**3, seed=4)
+        t = _params_from_state(linear_reconstruction(records))
+        factor = _triangular_from_params(t)
+        assert np.all(np.triu(factor, 1) == 0)
+        expected = np.zeros(16)
+        expected[:4] = np.diag(factor).real
+        for idx, (r, c) in enumerate(self.LOWER):
+            expected[4 + 2 * idx] = factor[r, c].real
+            expected[5 + 2 * idx] = factor[r, c].imag
+        np.testing.assert_array_equal(t, expected)
+
+
 class TestWitnessFromCounts:
     def test_noiseless_singlet(self):
         records = noiseless_records(werner_state(1.0), witness_settings(), 10**6)
@@ -288,7 +324,7 @@ class TestCountRecordCSV:
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
-            "label,stateA,stateB,counts,duration_s,seed\nHH,H,H,notanumber,1.0,0\n"
+            "label,stateA,stateB,counts,seed\nHH,H,H,notanumber,0\n"
         )
         with pytest.raises(ValueError, match=":2:"):
             read_count_records(path)
@@ -298,6 +334,40 @@ class TestCountRecordCSV:
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match=":1:"):
             read_count_records(path)
+
+    def test_old_duration_header_rejected(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("label,stateA,stateB,counts,duration_s,seed\nHH,H,H,10,1.0,0\n")
+        with pytest.raises(ValueError, match=":1:"):
+            read_count_records(path)
+
+    def test_swapped_labels_rejected_with_line_number(self, tmp_path):
+        # Relabelling the HH and DD rows of real data must not pass: the
+        # flux estimate reads settings by label, the estimators by letters.
+        rho = DensityMatrix(TWO_PHOTON_BASIS, np.diag([0.7, 0.1, 0.1, 0.1]))
+        records = simulate_counts(rho, standard_tomography_settings(), 10**5, seed=5)
+        path = tmp_path / "counts.csv"
+        write_count_records(records, path)
+        result = ml_reconstruction(read_count_records(path))
+        assert fidelity(result.state, rho) > 0.999
+        lines = path.read_text().splitlines()
+        hh = next(i for i, line in enumerate(lines) if line.startswith("HH,"))
+        dd = next(i for i, line in enumerate(lines) if line.startswith("DD,"))
+        lines[hh] = "DD" + lines[hh][2:]
+        lines[dd] = "HH" + lines[dd][2:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":{hh + 1}: .*does not match"):
+            read_count_records(path)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        records = [
+            CountRecord(setting=ProjectorSetting("H", "H"), counts=3),
+            CountRecord(setting=ProjectorSetting((1.0, 0.0), "V", label="ket"), counts=4),
+        ]
+        path = tmp_path / "counts.csv"
+        with pytest.raises(ValueError, match="explicit kets"):
+            write_count_records(records, path)
+        assert not path.exists()
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
