@@ -121,7 +121,7 @@ def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
             f"brute-force route supports n <= {BRUTE_FORCE_MAX_PAIRS}, got {n}"
         )
     _require_open_channel(eta)
-    split = apply_beamsplitters(n_pair_singlet(n, truncation=BRUTE_FORCE_MAX_PAIRS), eta)
+    split = apply_beamsplitters(n_pair_singlet(n), eta)
     rho_full = outer_product(split)
     return partial_trace(rho_full, keep=range(4))
 

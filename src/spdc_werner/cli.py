@@ -36,7 +36,7 @@ from .channel import (
     two_photon_block_closed,
     two_photon_state,
 )
-from .errors import ConvergenceError, FitError
+from .errors import CapacityError, ConvergenceError, FitError
 from .metrics import WernerDescriptor, metrics_report
 from .source import GainChannelParams
 from .tomography import (
@@ -174,13 +174,13 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    worst = 0.0
-    failed = False
     for n in args.n:
         if n > BRUTE_FORCE_MAX_PAIRS:
-            print(f"error: n={n} exceeds brute-force capacity "
-                  f"{BRUTE_FORCE_MAX_PAIRS}", file=sys.stderr)
-            return 1
+            raise CapacityError(
+                f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
+            )
+    worst = 0.0
+    failed = False
     for n in args.n:
         for eta in args.eta:
             brute = post_select_two_photon(transmitted_reduced_state(n, eta))
@@ -209,18 +209,8 @@ def _cmd_tomo_simulate(args) -> int:
 
 
 def _cmd_tomo_reconstruct(args) -> int:
-    try:
-        records = read_count_records(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = ml_reconstruction(
-            records, total_per_setting=args.counts_per_setting
-        )
-    except ConvergenceError as exc:
-        print(f"error: {exc} {exc.diagnostics}", file=sys.stderr)
-        return 1
+    records = read_count_records(args.input)
+    result = ml_reconstruction(records, total_per_setting=args.counts_per_setting)
     reference = None
     if args.g is not None and args.eta is not None:
         reference = two_photon_state(GainChannelParams(g=args.g, eta=args.eta))
@@ -235,12 +225,7 @@ def _cmd_tomo_reconstruct(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        points = read_calibration_csv(args.input)
-        fit = fit_gain(points, repetition_rate=args.rate)
-    except (OSError, ValueError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    fit = fit_gain(read_calibration_csv(args.input), repetition_rate=args.rate)
     payload = {
         "gain_scale": fit.gain_scale,
         "g_max": fit.g_max,
@@ -295,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = tomo_sub.add_parser("simulate", help="draw counts from a theory state")
     simulate.add_argument("--g", type=float, required=True)
     simulate.add_argument("--eta", type=float, required=True)
-    simulate.add_argument("--counts-per-setting", type=int, required=True)
+    simulate.add_argument("--counts-per-setting", type=_positive_int, required=True)
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--settings", choices=("tomography", "witness"),
                           default="tomography")
@@ -305,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     reconstruct = tomo_sub.add_parser("reconstruct",
                                       help="maximum-likelihood state estimate")
     reconstruct.add_argument("--input", required=True, help="counts CSV")
-    reconstruct.add_argument("--counts-per-setting", type=int, default=None,
+    reconstruct.add_argument("--counts-per-setting", type=_positive_int, default=None,
                              help="known flux per setting (default: estimated)")
     reconstruct.add_argument("--g", type=float, default=None,
                              help="reference gain for fidelity")
@@ -325,9 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; usage errors exit 2, and bad input or a failed
+    computation is reported as ``error: ...`` on stderr with exit code 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ConvergenceError, FitError, OSError) as exc:
+        detail = f" {exc.diagnostics}" if isinstance(exc, ConvergenceError) else ""
+        print(f"error: {exc}{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .errors import PhysicalityError
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
-NORMALIZATION_TOL = 1e-12
 
 # Mode slot order: two spatial modes x two polarizations, transmitted slots
 # first, reflected ("r") slots after them.
@@ -155,12 +154,6 @@ class DensityMatrix:
             raise ValueError(f"cannot normalize matrix with trace {t:.3e}")
         return DensityMatrix(self.basis, self.entries / t,
                              check_positive=self.check_positive)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.basis.index(label)
-        except ValueError:
-            raise KeyError(f"basis label {label!r} not present") from None
 
     def to_dict(self) -> dict:
         """JSON-ready form: {"dim", "basis", "re", "im"}, row-major."""

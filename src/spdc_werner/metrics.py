@@ -8,6 +8,7 @@ eigenvalues within the -1e-10 physicality tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,24 @@ POLARIZATION_KETS = {
     "L": np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
     "R": np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
 }
+
+
+def _pair_projector(a: str, b: str) -> np.ndarray:
+    ket = np.kron(POLARIZATION_KETS[a], POLARIZATION_KETS[b])
+    projector = np.outer(ket, ket.conj())
+    projector.setflags(write=False)
+    return projector
+
+
+# |ab><ab| for every pair of letters, keyed by "ab": the measurement model
+# shared by the witness and by tomography.
+PAIR_PROJECTORS = {
+    a + b: _pair_projector(a, b)
+    for a, b in itertools.product(POLARIZATION_KETS, repeat=2)
+}
+
+# Signed settings of the witness: W = (1/2) sum_s sign_s |s><s|.
+WITNESS_SIGNS = {"HH": 1, "VV": 1, "DD": 1, "FF": 1, "LR": -1, "RL": -1}
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -156,11 +175,6 @@ def tangle_from_entropy_werner(s: float) -> float:
     return 0.25 * (1.0 - 3.0 * math.sqrt(1.0 - s)) ** 2
 
 
-def _pair_projector(a: str, b: str) -> np.ndarray:
-    ket = np.kron(POLARIZATION_KETS[a], POLARIZATION_KETS[b])
-    return np.outer(ket, ket.conj())
-
-
 def witness_operator() -> np.ndarray:
     """Entanglement witness for the Werner family.
 
@@ -168,14 +182,7 @@ def witness_operator() -> np.ndarray:
     Hermitian, with non-negative expectation on every separable state and
     expectation (1 - 3p)/4 on the Werner state of weight p.
     """
-    w = (
-        _pair_projector("H", "H")
-        + _pair_projector("V", "V")
-        + _pair_projector("D", "D")
-        + _pair_projector("F", "F")
-        - _pair_projector("L", "R")
-        - _pair_projector("R", "L")
-    ) / 2.0
+    w = sum(sign * PAIR_PROJECTORS[lab] for lab, sign in WITNESS_SIGNS.items()) / 2.0
     return 0.5 * (w + w.conj().T)
 
 

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
 from .fock import PureState, TRANSMITTED_MODES
-
-# State construction cost grows combinatorially with the pair number; scalar
-# series are cheap and use far larger caps.
-DEFAULT_TRUNCATION = 6
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,7 @@ class GainChannelParams:
         return math.sinh(self.g) ** 2
 
 
-def n_pair_singlet(n: int, truncation: int = DEFAULT_TRUNCATION) -> PureState:
+def n_pair_singlet(n: int) -> PureState:
     """Normalized n-pair singlet term over the four source modes.
 
     The n+1 amplitudes are (-1)^m / sqrt(n+1) on occupation
@@ -73,8 +68,6 @@ def n_pair_singlet(n: int, truncation: int = DEFAULT_TRUNCATION) -> PureState:
     """
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
-    if n > truncation:
-        raise CapacityError(f"pair number {n} exceeds truncation {truncation}")
     amp = 1.0 / math.sqrt(n + 1)
     amplitudes = {
         (n - m, m, m, n - m): (-1) ** m * amp

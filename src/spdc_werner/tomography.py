@@ -26,63 +26,40 @@ from scipy.special import xlogy
 from . import _csv
 from .errors import ConvergenceError, DesignError
 from .fock import TWO_PHOTON_BASIS, DensityMatrix
-from .metrics import POLARIZATION_KETS
+from .metrics import PAIR_PROJECTORS, POLARIZATION_KETS, WITNESS_SIGNS
 
-_KET_TOL = 1e-10
-_COMPLETE_BASIS_LABELS = ("HH", "HV", "VH", "VV")
-_WITNESS_LABELS = ("HH", "VV", "DD", "FF", "LR", "RL", "HV", "VH")
+_WITNESS_LABELS = tuple(WITNESS_SIGNS) + ("HV", "VH")
 
 # Fill order (1,0), (2,0), (2,1), (3,0), (3,1), (3,2) of the (re, im) parameters.
 _LOWER_INDICES = np.tril_indices(4, -1)
-
-
-def _as_ket(state) -> np.ndarray:
-    if isinstance(state, str):
-        try:
-            return POLARIZATION_KETS[state]
-        except KeyError:
-            raise ValueError(f"unknown polarization label {state!r}") from None
-    ket = np.asarray(state, dtype=complex)
-    if ket.shape != (2,):
-        raise ValueError(f"single-qubit ket must have 2 components, got {ket.shape}")
-    if abs(np.vdot(ket, ket).real - 1.0) > _KET_TOL:
-        raise ValueError("single-qubit state is not normalized")
-    return ket
 
 
 @dataclass(frozen=True)
 class ProjectorSetting:
     """One two-photon projective setting |a>|b><a|<b|.
 
-    ``state_a`` / ``state_b`` are either polarization letters from
-    {H, V, D, F, L, R} or explicit length-2 kets. A letter setting is
-    labelled by its two letters; settings with explicit kets need a label.
+    ``state_a`` / ``state_b`` are polarization letters from
+    {H, V, D, F, L, R}; the setting is labelled by its two letters.
     """
 
-    state_a: object
-    state_b: object
+    state_a: str
+    state_b: str
     label: str = ""
 
     def __post_init__(self):
-        for name in ("state_a", "state_b"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                value = tuple(complex(c) for c in np.asarray(value).ravel())
-                object.__setattr__(self, name, value)
-            _as_ket(value)
-        if isinstance(self.state_a, str) and isinstance(self.state_b, str):
-            letters = self.state_a + self.state_b
-            if self.label not in ("", letters):
-                raise ValueError(
-                    f"label {self.label!r} does not match the letter states {letters!r}"
-                )
-            object.__setattr__(self, "label", letters)
-        elif not self.label:
-            raise ValueError("settings with explicit kets need a label")
+        for value in (self.state_a, self.state_b):
+            if not (isinstance(value, str) and value in POLARIZATION_KETS):
+                raise ValueError(f"unknown polarization label {value!r}")
+        letters = self.state_a + self.state_b
+        if self.label not in ("", letters):
+            raise ValueError(
+                f"label {self.label!r} does not match the letter states {letters!r}"
+            )
+        object.__setattr__(self, "label", letters)
 
     def projector(self) -> np.ndarray:
-        ket = np.kron(_as_ket(self.state_a), _as_ket(self.state_b))
-        return np.outer(ket, ket.conj())
+        """The read-only |ab><ab| from ``metrics.PAIR_PROJECTORS``."""
+        return PAIR_PROJECTORS[self.label]
 
 
 @dataclass(frozen=True)
@@ -156,13 +133,13 @@ def simulate_counts(
 
 def _estimate_total(records: Sequence[CountRecord]) -> float:
     by_label = {r.setting.label: r for r in records}
-    missing = [lab for lab in _COMPLETE_BASIS_LABELS if lab not in by_label]
+    missing = [lab for lab in TWO_PHOTON_BASIS if lab not in by_label]
     if missing:
         raise ValueError(
             f"cannot estimate flux: complete-basis settings {missing} absent "
             "and no total_per_setting given"
         )
-    total = float(sum(by_label[lab].counts for lab in _COMPLETE_BASIS_LABELS))
+    total = float(sum(by_label[lab].counts for lab in TWO_PHOTON_BASIS))
     if total <= 0:
         raise ValueError("complete-basis counts sum to zero; flux unknown")
     return total
@@ -171,13 +148,20 @@ def _estimate_total(records: Sequence[CountRecord]) -> float:
 def _tomography_data(
     records: Sequence[CountRecord], total_per_setting: float | None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Projector stack, counts and flux, after the 16-setting and rank checks."""
+    """Projector stack, counts and flux, after the 16-setting, rank and flux checks."""
     if len(records) < 16:
         raise DesignError(f"need at least 16 settings, got {len(records)}")
     projectors = np.array([r.setting.projector() for r in records])
     if np.linalg.matrix_rank(projectors.reshape(len(records), 16)) < 16:
         raise DesignError("settings do not span the two-qubit operator space")
-    n_total = total_per_setting if total_per_setting is not None else _estimate_total(records)
+    if total_per_setting is None:
+        n_total = _estimate_total(records)
+    elif 0 < total_per_setting < math.inf:
+        n_total = total_per_setting
+    else:
+        raise ValueError(
+            f"total_per_setting must be positive and finite, got {total_per_setting}"
+        )
     counts = np.array([r.counts for r in records], dtype=float)
     return projectors, counts, n_total
 
@@ -244,7 +228,6 @@ def ml_reconstruction(
     records: Sequence[CountRecord],
     init: DensityMatrix | None = None,
     total_per_setting: float | None = None,
-    max_iterations: int = 2000,
 ) -> MLReconstruction:
     """Maximize the Poisson log-likelihood over physical density matrices.
 
@@ -252,7 +235,7 @@ def ml_reconstruction(
     and rho = T'T / Tr(T'T) over the 16 real parameters of the lower
     triangular factor T. Gradients are analytic; convergence is declared at
     projected-gradient norm 1e-8 or relative objective change 1e-12, and
-    exceeding the iteration cap raises ``ConvergenceError``.
+    exceeding 2000 iterations raises ``ConvergenceError``.
     """
     projectors, counts, n_total = _tomography_data(records, total_per_setting)
 
@@ -285,7 +268,7 @@ def ml_reconstruction(
         t0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iterations, "ftol": 1e-12, "gtol": 1e-8},
+        options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8},
     )
     if not result.success:
         raise ConvergenceError(
@@ -329,14 +312,13 @@ def witness_from_counts(records: Sequence[CountRecord]) -> WitnessEstimate:
             f"witness protocol needs exactly the settings {_WITNESS_LABELS}"
         )
     n_total = _estimate_total(records)
-    signed = {"HH": 1.0, "VV": 1.0, "DD": 1.0, "FF": 1.0, "LR": -1.0, "RL": -1.0}
-    numerator = sum(sign * by_label[lab] for lab, sign in signed.items())
+    numerator = sum(sign * by_label[lab] for lab, sign in WITNESS_SIGNS.items())
     value = numerator / (2.0 * n_total)
 
     variance = 0.0
     for lab in _WITNESS_LABELS:
-        deriv = signed.get(lab, 0.0) / (2.0 * n_total)
-        if lab in _COMPLETE_BASIS_LABELS:
+        deriv = WITNESS_SIGNS.get(lab, 0) / (2.0 * n_total)
+        if lab in TWO_PHOTON_BASIS:
             deriv -= numerator / (2.0 * n_total**2)
         variance += deriv**2 * by_label[lab]
     return WitnessEstimate(value=float(value), stderr=math.sqrt(variance))
@@ -349,11 +331,6 @@ _CSV_FIELDS = ("label", "stateA", "stateB", "counts", "seed")
 
 def _count_row(record: CountRecord) -> list:
     setting = record.setting
-    if not (isinstance(setting.state_a, str) and isinstance(setting.state_b, str)):
-        raise ValueError(
-            f"setting {setting.label!r} uses explicit kets; "
-            "the CSV interface supports letter states only"
-        )
     seed = "" if record.seed is None else record.seed
     return [setting.label, setting.state_a, setting.state_b, record.counts, seed]
 
@@ -369,8 +346,7 @@ def _count_record(row: list[str]) -> CountRecord:
 
 def write_count_records(records: Iterable[CountRecord], path) -> None:
     """Write records as CSV with columns (label, stateA, stateB, counts,
-    seed). Settings must use polarization letters; nothing is written
-    unless every record can be."""
+    seed); nothing is written unless every record can be."""
     _csv.write_rows(path, _CSV_FIELDS, map(_count_row, records))
 
 

@@ -197,6 +197,20 @@ class TestTomo:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--g", "0.5", "--eta", "0.01", "--seed", "1", "--out", "c.csv"],
+        ["reconstruct", "--input", "c.csv"],
+    ], ids=["simulate", "reconstruct"])
+    def test_nonpositive_counts_per_setting_is_usage_error(
+        self, command, value, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("SPDC_WERNER_OUTDIR", str(tmp_path))
+        with pytest.raises(SystemExit) as err:
+            run(["tomo"] + command + ["--counts-per-setting", value])
+        assert err.value.code == 2
+        assert not list(tmp_path.iterdir())
+
     def test_reconstruct_missing_file(self, tmp_path, capsys):
         assert run(["tomo", "reconstruct",
                     "--input", str(tmp_path / "nope.csv")]) == 1
@@ -222,6 +236,36 @@ class TestTomo:
                     "--out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["metrics"]["p"] == pytest.approx(1.0, abs=1e-3)
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--g", "0.1", "--eta", "1"],
+        ["tomo", "simulate", "--g", "0.1", "--eta", "1", "--counts-per-setting", "10",
+         "--seed", "1", "--out", "counts.csv"],
+        ["tomo", "reconstruct", "--input", "witness.csv"],
+        ["oracle-check", "--eta", "0"],
+        ["oracle-check", "--n", "1,5"],
+    ], ids=["matrix", "tomo-simulate", "tomo-reconstruct-8-settings", "oracle-check",
+            "oracle-check-capacity"])
+    def test_bad_input_is_one_error_line(self, argv, tmp_path, monkeypatch, capsys):
+        # every subcommand reports bad input as `error: ...` and exit code 1,
+        # with no traceback and no partial output
+        from spdc_werner.tomography import (
+            simulate_counts, witness_settings, write_count_records,
+        )
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPDC_WERNER_OUTDIR", raising=False)
+        write_count_records(
+            simulate_counts(werner_state(0.6), witness_settings(), 1000, seed=1),
+            "witness.csv",
+        )
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["witness.csv"]
 
 
 class TestFit:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from spdc_werner import _csv
 from spdc_werner.calibration import (
     read_calibration_csv,
     synthetic_calibration_points,
@@ -88,3 +89,14 @@ def test_blank_rows_skipped(fmt, tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text(f"{header}\n\n{good}\n\n{good}\n")
     assert len(read(path)) == 2
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    def rows():
+        yield ["HH", "H", "H", 3, ""]
+        raise ValueError("row 2 cannot be built")
+
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError, match="row 2"):
+        _csv.write_rows(path, ("label", "stateA", "stateB", "counts", "seed"), rows())
+    assert not path.exists()

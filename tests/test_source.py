@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spdc_werner.errors import CapacityError
 from spdc_werner.source import (
     GainChannelParams,
     mean_photons_per_mode,
@@ -78,11 +77,6 @@ class TestNPairSinglet:
             direct = s.amplitude((n - m, m, m, n - m))
             swapped = s.amplitude((m, n - m, n - m, m))
             assert direct == pytest.approx((-1) ** n * swapped)
-
-    def test_exceeding_truncation_rejected(self):
-        with pytest.raises(CapacityError):
-            n_pair_singlet(7)
-        n_pair_singlet(8, truncation=8)
 
 
 class TestPairNumberWeights:
