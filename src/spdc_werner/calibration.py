@@ -36,8 +36,8 @@ def count_rate_model(g: float, eta: float, repetition_rate: float) -> float:
         raise ValueError(f"gain must be non-negative, got {g}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"efficiency must lie in (0, 1], got {eta}")
-    if repetition_rate <= 0:
-        raise ValueError(f"repetition rate must be positive, got {repetition_rate}")
+    if not 0 < repetition_rate < math.inf:
+        raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
     g2 = math.tanh(g) ** 2
     return repetition_rate * eta * g2 / (1.0 - (1.0 - eta) * g2)
 
@@ -126,8 +126,8 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     Residuals are relative (rate noise is multiplicative). Raises
     ``FitError`` on non-convergence or efficiencies outside (0, 1].
     """
-    if repetition_rate <= 0:
-        raise ValueError(f"repetition rate must be positive, got {repetition_rate}")
+    if not 0 < repetition_rate < math.inf:
+        raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
     points = list(points)
     detectors = sorted({pt.detector for pt in points})
     if not detectors:

@@ -118,7 +118,7 @@ def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
         raise ValueError(f"pair number must be non-negative, got {n}")
     if n > BRUTE_FORCE_MAX_PAIRS:
         raise CapacityError(
-            f"brute-force route supports n <= {BRUTE_FORCE_MAX_PAIRS}, got {n}"
+            f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
         )
     _require_open_channel(eta)
     split = apply_beamsplitters(n_pair_singlet(n), eta)

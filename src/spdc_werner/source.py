@@ -28,7 +28,7 @@ class GainChannelParams:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValueError(f"gain must be non-negative, got {self.g}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"transmittivity must lie in [0, 1], got {self.eta}")

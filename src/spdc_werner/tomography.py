@@ -166,6 +166,17 @@ def _tomography_data(
     return projectors, counts, n_total
 
 
+def _linear_estimate(
+    projectors: np.ndarray, counts: np.ndarray, n_total: float
+) -> np.ndarray:
+    """Hermitian least-squares solution of Tr[rho P_i] = n_i / N, trace not fixed."""
+    # Tr[rho P] = sum_ij P_ji rho_ij: each row is P transposed, flattened.
+    a = projectors.transpose(0, 2, 1).reshape(len(counts), 16)
+    vec, *_ = np.linalg.lstsq(a, (counts / n_total).astype(complex), rcond=None)
+    m = vec.reshape(4, 4)
+    return 0.5 * (m + m.conj().T)
+
+
 def linear_reconstruction(
     records: Sequence[CountRecord],
     total_per_setting: float | None = None,
@@ -177,14 +188,8 @@ def linear_reconstruction(
     Raises ``DesignError`` unless the settings span the 16-dimensional
     operator space.
     """
-    projectors, counts, n_total = _tomography_data(records, total_per_setting)
-    # Tr[rho P] = sum_ij P_ji rho_ij: each row is P transposed, flattened.
-    a = projectors.transpose(0, 2, 1).reshape(len(records), 16)
-    vec, *_ = np.linalg.lstsq(a, (counts / n_total).astype(complex), rcond=None)
-    m = vec.reshape(4, 4)
-    m = 0.5 * (m + m.conj().T)
-    m /= m.trace().real
-    return DensityMatrix(TWO_PHOTON_BASIS, m, check_positive=False)
+    m = _linear_estimate(*_tomography_data(records, total_per_setting))
+    return DensityMatrix(TWO_PHOTON_BASIS, m / m.trace().real, check_positive=False)
 
 
 def _triangular_from_params(t: np.ndarray) -> np.ndarray:
@@ -194,17 +199,16 @@ def _triangular_from_params(t: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _params_from_state(rho: DensityMatrix) -> np.ndarray:
-    """Parameters whose factor reproduces a physical version of ``rho``.
+def _params_from_state(m: np.ndarray) -> np.ndarray:
+    """Parameters of a unit-trace, full-rank version of the Hermitian ``m``.
 
-    Negative eigenvalues are clipped to zero and a small identity ridge
-    keeps the triangular factorization defined for rank-deficient inputs.
+    Eigenvalues below 1e-4 are raised to 1e-4 before the trace is set to
+    one. An eigenvalue at zero would grow only at second order in T, so
+    the likelihood gradient could not lift it and ML would stall there.
     """
-    vals, vecs = np.linalg.eigh(rho.entries)
-    vals = np.clip(vals, 0.0, None)
-    m = (vecs * vals) @ vecs.conj().T
+    vals, vecs = np.linalg.eigh(m)
+    m = (vecs * np.maximum(vals, 1e-4)) @ vecs.conj().T
     m = m / m.trace().real
-    m = 0.999999 * m + 1e-6 * np.eye(4) / 4.0
     flip = np.eye(4)[::-1]
     lower = np.linalg.cholesky(flip @ m @ flip)
     factor = flip @ lower.conj().T @ flip
@@ -226,16 +230,18 @@ class MLReconstruction:
 
 def ml_reconstruction(
     records: Sequence[CountRecord],
-    init: DensityMatrix | None = None,
     total_per_setting: float | None = None,
 ) -> MLReconstruction:
     """Maximize the Poisson log-likelihood over physical density matrices.
 
     The objective is sum_i [n_i log mu_i - mu_i] with mu_i = N Tr[rho P_i]
     and rho = T'T / Tr(T'T) over the 16 real parameters of the lower
-    triangular factor T. Gradients are analytic; convergence is declared at
-    projected-gradient norm 1e-8 or relative objective change 1e-12, and
-    exceeding 2000 iterations raises ``ConvergenceError``.
+    triangular factor T (James, Kwiat, Munro & White, PRA 64, 052312
+    (2001)). The search starts from the linear estimate of the same data,
+    with its eigenvalues raised to at least 1e-4 by ``_params_from_state``.
+    Gradients are analytic; convergence is declared at projected-gradient
+    norm 1e-8 or relative objective change 1e-12, and exceeding 2000
+    iterations raises ``ConvergenceError``.
     """
     projectors, counts, n_total = _tomography_data(records, total_per_setting)
 
@@ -258,14 +264,9 @@ def ml_reconstruction(
         grad[5::2] = -2.0 * m[_LOWER_INDICES].imag
         return nll, grad
 
-    if init is not None:
-        t0 = _params_from_state(init)
-    else:
-        t0 = np.zeros(16)
-        t0[:4] = 0.5
     result = minimize(
         objective,
-        t0,
+        _params_from_state(_linear_estimate(projectors, counts, n_total)),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8},

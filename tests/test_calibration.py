@@ -89,6 +89,16 @@ class TestCalibrationPoint:
 
 
 class TestFitGain:
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        points = synthetic_calibration_points(
+            TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS
+        )
+        with pytest.raises(ValueError, match="repetition rate"):
+            fit_gain(points, rate)
+        with pytest.raises(ValueError, match="repetition rate"):
+            count_rate_model(1.0, 0.5, rate)
+
     def test_noiseless_round_trip(self):
         points = synthetic_calibration_points(
             TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS

@@ -239,20 +239,33 @@ class TestTomo:
 
 
 class TestErrorPath:
-    @pytest.mark.parametrize("argv", [
-        ["matrix", "--g", "0.1", "--eta", "1"],
-        ["tomo", "simulate", "--g", "0.1", "--eta", "1", "--counts-per-setting", "10",
-         "--seed", "1", "--out", "counts.csv"],
-        ["tomo", "reconstruct", "--input", "witness.csv"],
-        ["oracle-check", "--eta", "0"],
-        ["oracle-check", "--n", "1,5"],
+    @pytest.mark.parametrize("argv, names", [
+        (["matrix", "--g", "0.1", "--eta", "1"], ""),
+        (["tomo", "simulate", "--g", "0.1", "--eta", "1", "--counts-per-setting", "10",
+          "--seed", "1", "--out", "counts.csv"], ""),
+        (["tomo", "reconstruct", "--input", "witness.csv"], ""),
+        (["oracle-check", "--eta", "0"], ""),
+        (["oracle-check", "--n", "1,5"], "n=5 exceeds brute-force capacity 4"),
+        (["oracle-check", "--n", "1", "--eta", "0.1,0"], "transmittivity"),
+        (["oracle-check", "--n", "1,-1", "--eta", "0.1"], "pair number"),
+        (["tomo", "reconstruct", "--input", "tomo.csv", "--g", "1.3",
+          "--out", "recon.json"], "--g and --eta"),
+        (["tomo", "reconstruct", "--input", "tomo.csv", "--eta", "0.01",
+          "--out", "recon.json"], "--g and --eta"),
+        (["matrix", "--g", "nan", "--eta", "0.01"], "gain"),
+        (["fit", "--input", "calib.csv", "--rate", "nan"], "repetition rate"),
+        (["fit", "--input", "calib.csv", "--rate", "inf"], "repetition rate"),
     ], ids=["matrix", "tomo-simulate", "tomo-reconstruct-8-settings", "oracle-check",
-            "oracle-check-capacity"])
-    def test_bad_input_is_one_error_line(self, argv, tmp_path, monkeypatch, capsys):
+            "oracle-check-capacity", "oracle-check-late-eta", "oracle-check-negative-n",
+            "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
+            "fit-nan-rate", "fit-inf-rate"])
+    def test_bad_input_is_one_error_line(self, argv, names, tmp_path, monkeypatch,
+                                         capsys):
         # every subcommand reports bad input as `error: ...` and exit code 1,
         # with no traceback and no partial output
         from spdc_werner.tomography import (
-            simulate_counts, witness_settings, write_count_records,
+            simulate_counts, standard_tomography_settings, witness_settings,
+            write_count_records,
         )
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SPDC_WERNER_OUTDIR", raising=False)
@@ -260,12 +273,29 @@ class TestErrorPath:
             simulate_counts(werner_state(0.6), witness_settings(), 1000, seed=1),
             "witness.csv",
         )
+        write_count_records(
+            simulate_counts(werner_state(0.6), standard_tomography_settings(), 1000,
+                            seed=1),
+            "tomo.csv",
+        )
+        write_calibration_csv(
+            synthetic_calibration_points(1.313, {1: 0.016}, 250000.0,
+                                         np.linspace(0.1, 1.0, 6)),
+            "calib.csv",
+        )
+        inputs = sorted(p.name for p in tmp_path.iterdir())
         assert run(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
         assert "Traceback" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["witness.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    def test_nan_tolerance_fails(self, capsys):
+        # the row status and the exit code come from the same comparison
+        assert run(["oracle-check", "--n", "1", "--eta", "0.1", "--tol", "nan"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestFit:

@@ -37,6 +37,10 @@ class TestGainChannelParams:
         with pytest.raises(ValueError):
             GainChannelParams(g=-0.1)
 
+    def test_nan_gain_rejected(self):
+        with pytest.raises(ValueError, match="gain must be non-negative, got nan"):
+            GainChannelParams(g=float("nan"))
+
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             GainChannelParams(g=1.0, eta=1.5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdc_werner.channel import two_photon_state
 from spdc_werner.errors import DesignError
 from spdc_werner.fock import TWO_PHOTON_BASIS, DensityMatrix
 from spdc_werner.metrics import (
@@ -10,6 +11,7 @@ from spdc_werner.metrics import (
     werner_state,
     witness_expectation,
 )
+from spdc_werner.source import GainChannelParams
 from spdc_werner.tomography import (
     CountRecord,
     ProjectorSetting,
@@ -183,15 +185,45 @@ class TestMLReconstruction:
         records = noiseless_records(w, standard_tomography_settings(), total)
         result = ml_reconstruction(records, total_per_setting=total)
         assert fidelity(result.state, w) >= 1.0 - 1e-6
+        if p < 1.0:
+            # full rank, so the linear start is already the optimum
+            assert result.n_iterations <= 3
 
     def test_unphysical_init_produces_physical_output(self):
         w = werner_state(0.6)
         records = simulate_counts(w, standard_tomography_settings(), 200, seed=8)
         rough = linear_reconstruction(records)
         assert np.linalg.eigvalsh(rough.entries)[0] < 0  # noise made it indefinite
-        result = ml_reconstruction(records, init=rough)
+        # ML starts from this indefinite linear estimate of the same data
+        result = ml_reconstruction(records)
         vals = np.linalg.eigvalsh(result.state.entries)
         assert vals[0] >= -1e-10
+        assert result.state.trace == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("g, eta, total, seed", [
+        (1.2522, 0.3070, 1_000, 1640328618),
+        (0.2974, 0.4110, 100_000, 113295413),
+    ])
+    def test_no_ascent_direction_left(self, g, eta, total, seed):
+        # On these data the linear estimate is indefinite. A start with a zero
+        # eigenvalue stalls there (T'T grows it only at second order), and
+        # the largest eigenvalue of the likelihood gradient then exceeds its
+        # value on the estimate by 2e-2 and 2e-3 of the flux.
+        truth = two_photon_state(GainChannelParams(g=g, eta=eta))
+        records = simulate_counts(truth, standard_tomography_settings(), total, seed)
+        assert np.linalg.eigvalsh(linear_reconstruction(records).entries)[0] < 0
+        rho = ml_reconstruction(records, total_per_setting=total).state.entries
+        projectors = np.array([r.setting.projector() for r in records])
+        counts = np.array([r.counts for r in records], dtype=float)
+        mu = total * np.einsum("aij,ji->a", projectors, rho).real
+        grad = np.einsum("a,aij->ij", counts / mu - 1.0, projectors)
+        assert np.linalg.eigvalsh(grad)[-1] - np.trace(grad @ rho).real < 1e-3
+
+    def test_all_zero_counts_with_known_flux(self):
+        # the linear estimate is the zero matrix, so ML starts from I/4
+        records = [CountRecord(s, 0) for s in standard_tomography_settings()]
+        result = ml_reconstruction(records, total_per_setting=100)
+        assert np.linalg.eigvalsh(result.state.entries)[0] >= -1e-10
         assert result.state.trace == pytest.approx(1.0, abs=1e-10)
 
     def test_log_likelihood_matches_returned_state(self):
@@ -254,7 +286,7 @@ class TestTriangularParameters:
     def test_params_invert_factor(self):
         records = simulate_counts(werner_state(0.6), standard_tomography_settings(),
                                   10**3, seed=4)
-        t = _params_from_state(linear_reconstruction(records))
+        t = _params_from_state(linear_reconstruction(records).entries)
         factor = _triangular_from_params(t)
         assert np.all(np.triu(factor, 1) == 0)
         expected = np.zeros(16)
