@@ -32,7 +32,7 @@ def count_rate_model(g: float, eta: float, repetition_rate: float) -> float:
     Monotone increasing in both g and eta; reduces to R * eta * tanh(g)^2
     for small gain and to R * tanh(g)^2 at eta = 1.
     """
-    if g < 0:
+    if not g >= 0:
         raise ValueError(f"gain must be non-negative, got {g}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"efficiency must lie in (0, 1], got {eta}")
@@ -183,7 +183,15 @@ def synthetic_calibration_points(
     noise_fraction: float = 0.0,
     seed: int | None = None,
 ) -> list[CalibrationPoint]:
-    """Model-generated rate data with multiplicative Gaussian noise."""
+    """Model-generated rate data with multiplicative Gaussian noise.
+
+    ``noise_fraction`` is the noise's standard deviation relative to the
+    rate, finite and non-negative.
+    """
+    if not 0.0 <= noise_fraction < math.inf:
+        raise ValueError(
+            f"noise fraction must be finite and non-negative, got {noise_fraction}"
+        )
     rng = np.random.default_rng(seed)
     points = []
     for det, eta in sorted(etas.items()):

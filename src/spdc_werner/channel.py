@@ -228,12 +228,11 @@ class PairSeries:
     Per point: the number of terms summed, the relative tail bound at that
     truncation, and the trace-normalized block entries (corner, middle, off)
     laid out as in :func:`_closed_block_coefficients`. The entries are NaN
-    where the tail bound exceeds ``tail_tol``.
+    where the tail bound exceeds ``SERIES_TAIL_TOL``.
     """
 
     n_terms: np.ndarray
     relative_tail_bound: np.ndarray
-    tail_tol: float
     corner: np.ndarray
     middle: np.ndarray
     off: np.ndarray
@@ -246,22 +245,17 @@ class PairSeries:
     def error(self, i: int) -> ConvergenceError | None:
         """The ``ConvergenceError`` of point i, or None if it converged."""
         tail = float(self.relative_tail_bound[i])
-        if tail <= self.tail_tol:
+        if tail <= SERIES_TAIL_TOL:
             return None
         n_terms = int(self.n_terms[i])
         return ConvergenceError(
             f"series check truncated at {n_terms} terms; relative tail bound "
-            f"{tail:.3e} exceeds tolerance {self.tail_tol:.1e}",
+            f"{tail:.3e} exceeds tolerance {SERIES_TAIL_TOL:.1e}",
             diagnostics={"n_terms": n_terms, "relative_tail_bound": tail},
         )
 
 
-def pair_number_series(
-    g,
-    eta,
-    n_max: int | None = None,
-    tail_tol: float = SERIES_TAIL_TOL,
-) -> PairSeries:
+def pair_number_series(g, eta) -> PairSeries:
     """Sum the pair-number series of the two-photon block over arrays of
     (g, eta) points.
 
@@ -269,16 +263,13 @@ def pair_number_series(
     normalizes; the blocks add incoherently because different pair numbers
     shed different photon counts into the traced-out modes.
 
-    With ``n_max=None`` each point's truncation starts at 50 terms and
+    Each point's truncation starts at ``SERIES_MIN_TERMS`` terms and
     doubles, up to exactly ``_SERIES_HARD_CAP``, until the analytic tail
-    bound drops below ``tail_tol`` relative to the accumulated trace. An
-    explicit ``n_max`` is used as given at every point. Points that end
-    above the tolerance are reported by :meth:`PairSeries.error`, not
-    raised, so one call serves a whole grid. Every point must pass
-    :func:`require_two_photon_params`.
+    bound drops below ``SERIES_TAIL_TOL`` relative to the accumulated
+    trace. Points that end above the tolerance are reported by
+    :meth:`PairSeries.error`, not raised, so one call serves a whole grid.
+    Every point must pass :func:`require_two_photon_params`.
     """
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     points = [GainChannelParams(g=a, eta=b) for a, b in zip(g, eta, strict=True)]
     for params in points:
         require_two_photon_params(params)
@@ -293,37 +284,33 @@ def pair_number_series(
     n_terms = np.zeros(len(points), dtype=np.int64)
     tail = np.full(len(points), math.inf)
     pending = np.arange(len(points))
-    n = SERIES_MIN_TERMS if n_max is None else n_max
+    n = SERIES_MIN_TERMS
     while pending.size:
-        final = n_max is not None or n == _SERIES_HARD_CAP
+        final = n == _SERIES_HARD_CAP
         n_terms[pending] = n
-        tail[pending] = _relative_tail(x[pending], n, None if final else tail_tol)
+        tail[pending] = _relative_tail(x[pending], n, None if final else SERIES_TAIL_TOL)
         if final:
             break
-        pending = pending[tail[pending] > tail_tol]
+        pending = pending[tail[pending] > SERIES_TAIL_TOL]
         n = min(2 * n, _SERIES_HARD_CAP)
 
     corner, middle, off = (np.full(len(points), math.nan) for _ in range(3))
-    converged = tail <= tail_tol
+    converged = tail <= SERIES_TAIL_TOL
     for n in np.unique(n_terms[converged]):
         group = np.flatnonzero(converged & (n_terms == n))
         sums = _block_sums(etas[group], gamma2[group], c4[group], int(n))
         trace = 2.0 * (sums[0] + sums[1])
         corner[group], middle[group], off[group] = (s / trace for s in sums)
-    return PairSeries(n_terms, tail, tail_tol, corner, middle, off)
+    return PairSeries(n_terms, tail, corner, middle, off)
 
 
-def pair_number_series_state(
-    params: GainChannelParams,
-    n_max: int | None = None,
-    tail_tol: float = SERIES_TAIL_TOL,
-) -> DensityMatrix:
+def pair_number_series_state(params: GainChannelParams) -> DensityMatrix:
     """:func:`pair_number_series` at one point, as a density matrix.
 
     Raises the point's ``ConvergenceError`` when the tail bound at the
-    truncation exceeds ``tail_tol``.
+    truncation exceeds ``SERIES_TAIL_TOL``.
     """
-    series = pair_number_series([params.g], [params.eta], n_max, tail_tol)
+    series = pair_number_series([params.g], [params.eta])
     error = series.error(0)
     if error is not None:
         raise error

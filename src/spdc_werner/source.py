@@ -2,16 +2,15 @@
 
 The source emits polarization-entangled photon pairs into two spatial modes.
 At nonlinear gain g, the n-pair term carries probability weight
-(n+1) * tanh(g)^(2n) / cosh(g)^4, and within each term the polarization
-structure is the n-fold singlet superposition.
+(n+1) * tanh(g)^(2n) / cosh(g)^4 (summed by the series check in
+``channel``), and within each term the polarization structure is the
+n-fold singlet superposition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fock import PureState, TRANSMITTED_MODES
 
@@ -39,20 +38,9 @@ class GainChannelParams:
         return math.tanh(self.g)
 
     @property
-    def cosh_g(self) -> float:
-        return math.cosh(self.g)
-
-    @property
     def gamma_tilde(self) -> float:
         """(1 - eta) * tanh(g): the loss-attenuated gain parameter."""
         return (1.0 - self.eta) * math.tanh(self.g)
-
-    @property
-    def zeta(self) -> float:
-        """eta / (1 - eta). Undefined at eta = 1."""
-        if self.eta >= 1.0:
-            raise ValueError("zeta is undefined at eta = 1")
-        return self.eta / (1.0 - self.eta)
 
     @property
     def n_bar(self) -> float:
@@ -74,18 +62,6 @@ def n_pair_singlet(n: int) -> PureState:
         for m in range(n + 1)
     }
     return PureState(TRANSMITTED_MODES, amplitudes)
-
-
-def pair_number_weights(params: GainChannelParams, n_max: int) -> np.ndarray:
-    """Probabilities of emitting exactly n pairs, for n = 0..n_max.
-
-    weights[n] = (n+1) * gamma^(2n) / cosh(g)^4; the full series sums to 1,
-    so any partial sum is <= 1.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    n = np.arange(n_max + 1)
-    return (n + 1) * params.gamma ** (2 * n) / params.cosh_g ** 4
 
 
 def mean_photons_per_mode(params: GainChannelParams) -> float:

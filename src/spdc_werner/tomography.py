@@ -186,10 +186,22 @@ def linear_reconstruction(
     Returns a Hermitian, unit-trace matrix; under shot noise it may carry
     negative eigenvalues, so positivity is deliberately not enforced here.
     Raises ``DesignError`` unless the settings span the 16-dimensional
-    operator space.
+    operator space, and ``ValueError`` if the estimate's trace is zero, as
+    when a given flux meets HH, HV, VH and VV counts that are all zero.
     """
-    m = _linear_estimate(*_tomography_data(records, total_per_setting))
-    return DensityMatrix(TWO_PHOTON_BASIS, m / m.trace().real, check_positive=False)
+    projectors, counts, n_total = _tomography_data(records, total_per_setting)
+    m = _linear_estimate(projectors, counts, n_total)
+    trace = m.trace().real
+    # A trace that is zero in exact arithmetic leaves the solve as rounding
+    # of a few 1e-15 of the largest rate (the 16-setting design's condition
+    # number is about 10); one complete-basis count gives 1/N, above 1e-12
+    # of that rate unless some setting holds more than 1e12 counts.
+    if abs(trace) <= 1e-12 * counts.max() / n_total:
+        raise ValueError(
+            f"linear estimate has zero trace ({trace:.1e}), as when the "
+            "complete-basis counts HH, HV, VH and VV are all zero"
+        )
+    return DensityMatrix(TWO_PHOTON_BASIS, m / trace, check_positive=False)
 
 
 def _triangular_from_params(t: np.ndarray) -> np.ndarray:

@@ -46,12 +46,24 @@ class TestCountRateModel:
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            count_rate_model(-1.0, 0.5, REPETITION_RATE)
+        for g in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="gain"):
+                count_rate_model(g, 0.5, REPETITION_RATE)
         with pytest.raises(ValueError):
             count_rate_model(1.0, 0.0, REPETITION_RATE)
         with pytest.raises(ValueError):
             count_rate_model(1.0, 0.5, 0.0)
+
+
+class TestSyntheticCalibrationPoints:
+    @pytest.mark.parametrize("noise", [-0.5, math.nan, math.inf])
+    def test_bad_noise_fraction_rejected(self, noise):
+        # none of these may quietly give noiseless data
+        with pytest.raises(ValueError, match="noise fraction"):
+            synthetic_calibration_points(
+                TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS,
+                noise_fraction=noise, seed=0,
+            )
 
 
 class TestTransmittedPhotons:

@@ -237,20 +237,6 @@ class TestGainSummedState:
         with pytest.raises(ValueError):
             two_photon_state(GainChannelParams(g=0.0, eta=0.01))
 
-    # The two truncation tests below exercise the pair-number series check,
-    # which owns n_max and ConvergenceError.
-    def test_insufficient_truncation_raises_with_tail_bound(self):
-        with pytest.raises(ConvergenceError) as err:
-            pair_number_series_state(GainChannelParams(g=1.0, eta=0.001), n_max=5)
-        assert "relative_tail_bound" in err.value.diagnostics
-
-    def test_explicit_truncation_accepted_when_converged(self):
-        params = GainChannelParams(g=0.2, eta=0.01)
-        rho = pair_number_series_state(params, n_max=400)
-        assert singlet_weight_extract(rho) == pytest.approx(
-            singlet_weight(params), abs=1e-10
-        )
-
 
 # The edge grid: g from far below to far above saturation, eta from
 # near-total loss to near-lossless.
@@ -347,12 +333,6 @@ class TestPairNumberSeries:
                 rho = pair_number_series_state(GainChannelParams(g=g, eta=eta))
                 assert singlet_weight_extract(rho) == series.p[i]
 
-    def test_explicit_truncation_applies_to_every_point(self):
-        series = pair_number_series([0.2, 1.0], [0.01, 0.001], n_max=60)
-        assert list(series.n_terms) == [60, 60]
-        assert series.error(0) is None
-        assert series.error(1).diagnostics["n_terms"] == 60
-
     def test_bounded_chunks_give_the_same_sums(self, monkeypatch):
         gs, etas = [0.3, 2.0, 3.0, 6.0], [0.01, 0.1, 0.01, 0.001]
         whole = pair_number_series(gs, etas)
@@ -387,9 +367,13 @@ class TestPairNumberSeries:
         with pytest.raises(ValueError):
             pair_number_series([0.3, g], [0.1, eta])
 
-    def test_nonpositive_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            pair_number_series([0.3], [0.1], n_max=0)
+    def test_truncation_and_tolerance_are_fixed(self):
+        for knob in ({"n_max": 60}, {"tail_tol": 1e-6}):
+            with pytest.raises(TypeError):
+                pair_number_series([0.3], [0.1], **knob)
+            with pytest.raises(TypeError):
+                pair_number_series_state(GainChannelParams(g=0.3, eta=0.1), **knob)
+        assert not hasattr(pair_number_series([0.3], [0.1]), "tail_tol")
 
 
 class TestSingletWeight:

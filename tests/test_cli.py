@@ -6,6 +6,7 @@ import pytest
 
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
 from spdc_werner.channel import pair_number_series_state
+from spdc_werner import cli
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
 from spdc_werner.metrics import (
@@ -105,21 +106,6 @@ class TestSweep:
             assert abs(row["linear_entropy"] - linear_entropy(rho)) <= 1e-12
             assert abs(row["witness"] - witness_expectation(rho)) <= 1e-12
 
-    def test_nmax_sets_the_series_truncation(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        # g=0.2 converges within 400 terms, g=3 does not
-        assert run(["sweep", "--g", "0.2,3", "--eta", "0.01", "--nmax", "400",
-                    "--out", str(out)]) == 1
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 2 and lines[1].startswith("0.2,0.01,")
-        err = capsys.readouterr().err
-        assert "error: g=3.0 eta=0.01: series check truncated at 400 terms" in err
-
-    def test_nonpositive_nmax_is_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            run(["sweep", "--g", "0.5", "--eta", "0.01", "--nmax", "0"])
-        assert err.value.code == 2
-
 
 class TestMatrix:
     def test_schema_and_content(self, tmp_path):
@@ -139,12 +125,28 @@ class TestMatrix:
         assert (tmp_path / "nested" / "rho.json").exists()
 
     @pytest.mark.parametrize("command", [
-        ["matrix"],
+        ["matrix", "--out", "rho.json"],
         ["tomo", "simulate", "--counts-per-setting", "10", "--seed", "1",
          "--out", "counts.csv"],
     ])
+    def test_high_loss_warning_for_valid_input(self, command, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("SPDC_WERNER_OUTDIR", str(tmp_path))
+        assert run(command + ["--g", "1.313", "--eta", "0.5"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: eta*sinh^2(g) = 1.49 > 0.1; "
+            "the two-photon treatment assumes high loss\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["matrix"],
+        ["tomo", "simulate", "--counts-per-setting", "10", "--seed", "1",
+         "--out", "counts.csv"],
+        ["sweep"],
+    ])
     def test_nmax_is_rejected(self, command, tmp_path, monkeypatch):
-        # the closed-form state has no truncation to set
+        # the closed-form state has no truncation to set, and the series
+        # check's truncation rule is fixed
         monkeypatch.setenv("SPDC_WERNER_OUTDIR", str(tmp_path))
         with pytest.raises(SystemExit) as err:
             run(command + ["--g", "0.5", "--eta", "0.01", "--nmax", "100"])
@@ -165,6 +167,13 @@ class TestOracleCheck:
 
     def test_near_lossless_still_passes(self):
         assert run(["oracle-check", "--n", "2", "--eta", "0.9999"]) == 0
+
+    def test_tolerance_is_fixed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["oracle-check", "--tol", "0"])
+        assert err.value.code == 2
+        assert run(["oracle-check", "--n", "1", "--eta", "0.1"]) == 0
+        assert capsys.readouterr().out.endswith("(tolerance 1.0e-10)\n")
 
 
 class TestTomo:
@@ -255,10 +264,16 @@ class TestErrorPath:
         (["matrix", "--g", "nan", "--eta", "0.01"], "gain"),
         (["fit", "--input", "calib.csv", "--rate", "nan"], "repetition rate"),
         (["fit", "--input", "calib.csv", "--rate", "inf"], "repetition rate"),
+        # above the high-loss warning threshold: the input is rejected before
+        # any warning about it is printed
+        (["matrix", "--g", "1.313", "--eta", "1"], "transmittivity"),
+        (["tomo", "simulate", "--g", "2", "--eta", "1", "--counts-per-setting", "10",
+          "--seed", "1", "--out", "counts.csv"], "transmittivity"),
     ], ids=["matrix", "tomo-simulate", "tomo-reconstruct-8-settings", "oracle-check",
             "oracle-check-capacity", "oracle-check-late-eta", "oracle-check-negative-n",
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
-            "fit-nan-rate", "fit-inf-rate"])
+            "fit-nan-rate", "fit-inf-rate", "matrix-no-warning",
+            "tomo-simulate-no-warning"])
     def test_bad_input_is_one_error_line(self, argv, names, tmp_path, monkeypatch,
                                          capsys):
         # every subcommand reports bad input as `error: ...` and exit code 1,
@@ -292,9 +307,10 @@ class TestErrorPath:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
-    def test_nan_tolerance_fails(self, capsys):
+    def test_nan_tolerance_fails(self, monkeypatch, capsys):
         # the row status and the exit code come from the same comparison
-        assert run(["oracle-check", "--n", "1", "--eta", "0.1", "--tol", "nan"]) == 1
+        monkeypatch.setattr(cli, "ORACLE_TOL", float("nan"))
+        assert run(["oracle-check", "--n", "1", "--eta", "0.1"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +7,6 @@ from spdc_werner.source import (
     GainChannelParams,
     mean_photons_per_mode,
     n_pair_singlet,
-    pair_number_weights,
 )
 
 
@@ -16,9 +14,7 @@ class TestGainChannelParams:
     def test_derived_scalars(self):
         p = GainChannelParams(g=0.7, eta=0.2)
         assert p.gamma == pytest.approx(math.tanh(0.7))
-        assert p.cosh_g == pytest.approx(math.cosh(0.7))
         assert p.gamma_tilde == pytest.approx(0.8 * math.tanh(0.7))
-        assert p.zeta == pytest.approx(0.25)
         assert p.n_bar == pytest.approx(math.sinh(0.7) ** 2)
 
     @given(st.floats(min_value=0.0, max_value=18.0),
@@ -26,7 +22,6 @@ class TestGainChannelParams:
     def test_scalar_ranges(self, g, eta):
         p = GainChannelParams(g=g, eta=eta)
         assert 0.0 <= p.gamma < 1.0
-        assert p.cosh_g >= 1.0
         assert 0.0 <= p.gamma_tilde <= p.gamma
 
     def test_gamma_saturates_in_double_precision(self):
@@ -44,11 +39,6 @@ class TestGainChannelParams:
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             GainChannelParams(g=1.0, eta=1.5)
-
-    def test_zeta_undefined_at_unit_eta(self):
-        p = GainChannelParams(g=1.0, eta=1.0)
-        with pytest.raises(ValueError):
-            p.zeta
 
 
 class TestNPairSinglet:
@@ -81,28 +71,6 @@ class TestNPairSinglet:
             direct = s.amplitude((n - m, m, m, n - m))
             swapped = s.amplitude((m, n - m, n - m, m))
             assert direct == pytest.approx((-1) ** n * swapped)
-
-
-class TestPairNumberWeights:
-    def test_zero_gain_is_pure_vacuum(self):
-        w = pair_number_weights(GainChannelParams(g=0.0), 5)
-        np.testing.assert_allclose(w, [1, 0, 0, 0, 0, 0], atol=1e-15)
-
-    @pytest.mark.parametrize("g", [0.1, 0.5, 1.084, 1.313])
-    def test_series_sums_to_one(self, g):
-        w = pair_number_weights(GainChannelParams(g=g), 200)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_partial_sums_monotone_below_one(self):
-        params = GainChannelParams(g=1.0)
-        w = pair_number_weights(params, 120)
-        partial = np.cumsum(w)
-        assert np.all(np.diff(partial) >= 0.0)
-        assert np.all(partial <= 1.0 + 1e-12)
-
-    def test_negative_n_max_rejected(self):
-        with pytest.raises(ValueError):
-            pair_number_weights(GainChannelParams(g=1.0), -1)
 
 
 class TestMeanPhotons:

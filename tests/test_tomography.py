@@ -161,6 +161,22 @@ class TestLinearReconstruction:
         recon = linear_reconstruction(records)
         assert recon.trace == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("other", [5, 0])
+    def test_zero_trace_with_known_flux_rejected(self, other):
+        # no HH, HV, VH or VV counts: the estimate's trace is zero (-2.7e-17
+        # with 5 counts on the other settings), nothing to normalize by
+        records = [CountRecord(s, 0 if s.label in TWO_PHOTON_BASIS else other)
+                   for s in standard_tomography_settings()]
+        with pytest.raises(ValueError, match="zero trace"):
+            linear_reconstruction(records, total_per_setting=100)
+
+    def test_one_complete_basis_count_reconstructs(self):
+        records = [CountRecord(s, int(s.label == "HV"))
+                   for s in standard_tomography_settings()]
+        recon = linear_reconstruction(records, total_per_setting=1e5)
+        assert np.all(np.isfinite(recon.entries))
+        assert recon.trace == pytest.approx(1.0, abs=1e-12)
+
 
 class TestMLReconstruction:
     def test_high_statistics_singlet(self):
