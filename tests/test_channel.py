@@ -237,6 +237,15 @@ class TestGainSummedState:
         with pytest.raises(ValueError):
             two_photon_state(GainChannelParams(g=0.0, eta=0.01))
 
+    def test_insufficient_truncation_raises_with_tail_bound(self, monkeypatch):
+        # (g=1.0, eta=0.001) needs 100 terms; a cap at the first truncation
+        # leaves the tail bound above tolerance.
+        monkeypatch.setattr(channel, "_SERIES_HARD_CAP", channel.SERIES_MIN_TERMS)
+        with pytest.raises(ConvergenceError) as err:
+            pair_number_series_state(GainChannelParams(g=1.0, eta=0.001))
+        assert err.value.diagnostics["n_terms"] == channel.SERIES_MIN_TERMS
+        assert err.value.diagnostics["relative_tail_bound"] > channel.SERIES_TAIL_TOL
+
 
 # The edge grid: g from far below to far above saturation, eta from
 # near-total loss to near-lossless.
