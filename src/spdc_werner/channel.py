@@ -142,26 +142,9 @@ def post_select_two_photon(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(TWO_PHOTON_BASIS, block, check_positive=rho.check_positive)
 
 
-def _closed_block_coefficients(n, eta):
-    """Entry coefficients of the closed-form block, vectorized over n.
-
-    Returns (corner, middle, off) where the unnormalized block is
-
-        [[corner, 0,      0,      0],
-         [0,      middle, off,    0],
-         [0,      off,    middle, 0],
-         [0,      0,      0,      corner]]
-
-    with prefactor n * (1-eta)^(2n) * zeta^2 / 6 multiplying the integer
-    pattern (n-1, 1+2n, -(n+2)).
-    """
-    n = np.asarray(n, dtype=float)
-    zeta = eta / (1.0 - eta)
-    pref = n * (1.0 - eta) ** (2.0 * n) * zeta**2 / 6.0
-    return pref * (n - 1.0), pref * (1.0 + 2.0 * n), pref * -(n + 2.0)
-
-
 def _assemble_block(corner, middle, off) -> np.ndarray:
+    """The 4x4 block [[c, 0, 0, 0], [0, m, o, 0], [0, o, m, 0], [0, 0, 0, c]]
+    on (HH, HV, VH, VV)."""
     return np.array(
         [
             [corner, 0.0, 0.0, 0.0],
@@ -187,8 +170,14 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     _require_open_channel(eta)
     if n == 0:
         return DensityMatrix(TWO_PHOTON_BASIS, np.zeros((4, 4)))
-    corner, middle, off = _closed_block_coefficients(n, eta)
-    return DensityMatrix(TWO_PHOTON_BASIS, _assemble_block(corner, middle, off))
+    # prefactor n * (1-eta)^(2n) * zeta^2 / 6 on the integer pattern
+    # (n-1, 1+2n, -(n+2)) of (corner, middle, off)
+    zeta = eta / (1.0 - eta)
+    pref = n * (1.0 - eta) ** (2.0 * n) * zeta**2 / 6.0
+    block = _assemble_block(
+        pref * (n - 1.0), pref * (1.0 + 2.0 * n), pref * -(n + 2.0)
+    )
+    return DensityMatrix(TWO_PHOTON_BASIS, block)
 
 
 def singlet_weight(params: GainChannelParams) -> float:
@@ -227,7 +216,7 @@ class PairSeries:
 
     Per point: the number of terms summed, the relative tail bound at that
     truncation, and the trace-normalized block entries (corner, middle, off)
-    laid out as in :func:`_closed_block_coefficients`. The entries are NaN
+    laid out as in :func:`two_photon_block_closed`. The entries are NaN
     where the tail bound exceeds ``SERIES_TAIL_TOL``.
     """
 
@@ -259,9 +248,14 @@ def pair_number_series(g, eta) -> PairSeries:
     """Sum the pair-number series of the two-photon block over arrays of
     (g, eta) points.
 
-    Weighs each pair-number block by (n+1) * tanh(g)^(2n) / cosh(g)^4 and
-    normalizes; the blocks add incoherently because different pair numbers
-    shed different photon counts into the traced-out modes.
+    Weighs each block of :func:`two_photon_block_closed` by (n+1) *
+    tanh(g)^(2n) / cosh(g)^4 and normalizes; the blocks add incoherently
+    because different pair numbers shed different photon counts into the
+    traced-out modes. The weighted n-pair block is n(n+1) x^(n-1) times
+    (n-1, 2n+1, -(n+2)) on (corner, middle, off), up to a factor common to
+    every n, with x = ((1-eta) tanh g)^2. So each point needs two power
+    sums, corner = sum n(n+1)(n-1) x^(n-1) and -off = sum n(n+1)(n+2)
+    x^(n-1); middle = corner - off, and the trace is 2 * (2 * corner - off).
 
     Each point's truncation starts at ``SERIES_MIN_TERMS`` terms and
     doubles, up to exactly ``_SERIES_HARD_CAP``, until the analytic tail
@@ -273,34 +267,39 @@ def pair_number_series(g, eta) -> PairSeries:
     points = [GainChannelParams(g=a, eta=b) for a, b in zip(g, eta, strict=True)]
     for params in points:
         require_two_photon_params(params)
-    # The per-point scalars come from the same math-library calls as
-    # singlet_weight: numpy's vectorized tanh and cosh can differ in the last
-    # bit, which the series raises to powers in the thousands.
+    # x comes from the same math-library calls as singlet_weight: numpy's
+    # vectorized tanh can differ in the last bit, which the series raises to
+    # powers in the thousands.
     x = np.array([p.gamma_tilde**2 for p in points], dtype=float)
-    gamma2 = np.array([p.gamma**2 for p in points], dtype=float)
-    c4 = np.array([_cosh4(p.g) for p in points], dtype=float)
-    etas = np.array([p.eta for p in points], dtype=float)
 
-    n_terms = np.zeros(len(points), dtype=np.int64)
-    tail = np.full(len(points), math.inf)
-    pending = np.arange(len(points))
-    n = SERIES_MIN_TERMS
+    # The bound at the cap relative to the whole trace series,
+    # 6(1+2x)/(1-x)^4: every partial sum is smaller, so a point above the
+    # tolerance here fails at any truncation and is reported unsummed.
+    n_terms = np.full(x.size, _SERIES_HARD_CAP, dtype=np.int64)
+    tail = _series_tail_bound(x, _SERIES_HARD_CAP)
+    finite = np.isfinite(tail)
+    tail[finite] *= (1.0 - x[finite]) ** 4 / (6.0 * (1.0 + 2.0 * x[finite]))
+
+    sums = np.zeros((2, x.size))
+    pending = np.flatnonzero(tail <= SERIES_TAIL_TOL)
+    summed, n = 0, SERIES_MIN_TERMS
     while pending.size:
-        final = n == _SERIES_HARD_CAP
+        _add_terms(sums, x, pending, summed, n)
         n_terms[pending] = n
-        tail[pending] = _relative_tail(x[pending], n, None if final else SERIES_TAIL_TOL)
-        if final:
+        trace = 2.0 * sums[0, pending] + sums[1, pending]
+        tail[pending] = _series_tail_bound(x[pending], n) / trace
+        if n == _SERIES_HARD_CAP:
             break
         pending = pending[tail[pending] > SERIES_TAIL_TOL]
-        n = min(2 * n, _SERIES_HARD_CAP)
+        summed, n = n, min(2 * n, _SERIES_HARD_CAP)
 
-    corner, middle, off = (np.full(len(points), math.nan) for _ in range(3))
+    corner, middle, off = (np.full(x.size, math.nan) for _ in range(3))
     converged = tail <= SERIES_TAIL_TOL
-    for n in np.unique(n_terms[converged]):
-        group = np.flatnonzero(converged & (n_terms == n))
-        sums = _block_sums(etas[group], gamma2[group], c4[group], int(n))
-        trace = 2.0 * (sums[0] + sums[1])
-        corner[group], middle[group], off[group] = (s / trace for s in sums)
+    corner_sum, minus_off = sums[:, converged]
+    trace = 2.0 * (2.0 * corner_sum + minus_off)
+    corner[converged] = corner_sum / trace
+    middle[converged] = (corner_sum + minus_off) / trace
+    off[converged] = -minus_off / trace
     return PairSeries(n_terms, tail, corner, middle, off)
 
 
@@ -318,81 +317,33 @@ def pair_number_series_state(params: GainChannelParams) -> DensityMatrix:
     return DensityMatrix(TWO_PHOTON_BASIS, block)
 
 
-def _cosh4(g: float) -> float:
-    """cosh(g)^4, or 1 where that overflows: the factor is common to every
-    pair-number weight and cancels when the block is normalized."""
-    try:
-        c4 = math.cosh(g) ** 4
-    except OverflowError:
-        return 1.0
-    return c4 if math.isfinite(c4) else 1.0
-
-
-def _term_chunks(n_rows: int, n_terms: int):
-    """(row slice, pair numbers) pieces of an n_rows x n_terms sum that hold
-    about ``_SERIES_CHUNK`` terms each; long rows are split along n."""
-    if n_terms <= _SERIES_CHUNK:
-        n = np.arange(1, n_terms + 1, dtype=float)
-        step = _SERIES_CHUNK // n_terms
-        for lo in range(0, n_rows, step):
-            yield slice(lo, lo + step), n
-        return
-    for row in range(n_rows):
-        for lo in range(1, n_terms + 1, _SERIES_CHUNK):
-            hi = min(lo + _SERIES_CHUNK, n_terms + 1)
-            yield slice(row, row + 1), np.arange(lo, hi, dtype=float)
+def _add_terms(sums: np.ndarray, x: np.ndarray, rows: np.ndarray,
+               summed: int, n_terms: int) -> None:
+    """Add terms summed+1..n_terms of the two power sums at the given rows,
+    in pieces of about ``_SERIES_CHUNK`` terms that split every row along n
+    at the same places."""
+    for lo in range(summed + 1, n_terms + 1, _SERIES_CHUNK):
+        n = np.arange(lo, min(lo + _SERIES_CHUNK, n_terms + 1), dtype=float)
+        coefficients = n * (n + 1.0) * np.stack((n - 1.0, n + 2.0))
+        step = _SERIES_CHUNK // n.size
+        for start in range(0, rows.size, step):
+            part = rows[start:start + step]
+            powers = np.power(x[part, None], n - 1.0)
+            # stacked (1, n) @ (n, 1) products: one BLAS dot per row and sum,
+            # so a row's sums do not depend on the other rows of the grid
+            dots = powers[:, None, None, :] @ coefficients[:, :, None]
+            sums[:, part] += dots[:, :, 0, 0].T
 
 
 def _series_tail_bound(x: np.ndarray, n_last: int) -> np.ndarray:
-    """Upper bound on sum_{n > n_last} n*(n+1)^2*x^n, covering every entry
-    coefficient of the block series. inf where the bounding ratio is >= 1."""
+    """Upper bound on sum_{n > n_last} n*(n+1)^2*x^(n-1), covering every
+    entry coefficient of the block series. inf where the bounding ratio is >= 1."""
     ratio = x * (1.0 + 1.0 / n_last) ** 3
     bound = np.full(x.shape, math.inf)
     ok = ratio < 1.0
-    a_last = n_last * (n_last + 1.0) ** 2 * x[ok] ** n_last
+    a_last = n_last * (n_last + 1.0) ** 2 * x[ok] ** (n_last - 1)
     bound[ok] = a_last * ratio[ok] / (1.0 - ratio[ok])
     return bound
-
-
-def _relative_tail(x: np.ndarray, n_terms: int, skip_above: float | None = None):
-    """Tail bound after n_terms terms relative to the accumulated trace.
-
-    The trace's partial sum of n^2*(n+1)*x^n is formed only where the bound
-    is finite. With ``skip_above`` given, it is also skipped, and the point
-    reported as inf, where the bound exceeds ``skip_above`` even relative
-    to the full series 2x(1+2x)/(1-x)^4: every partial sum is smaller, so
-    such a point is above ``skip_above`` either way.
-    """
-    rel = _series_tail_bound(x, n_terms)
-    need = np.isfinite(rel)
-    if skip_above is not None:
-        with np.errstate(divide="ignore"):
-            full = 2.0 * x * (1.0 + 2.0 * x) / (1.0 - x) ** 4
-        # the margin covers rounding in both sums
-        need &= rel <= 3.0 * skip_above * full * (1.0 + 1e-6)
-        rel[~need] = math.inf
-    rows_needed = np.flatnonzero(need)
-    trace = np.zeros(rows_needed.size)
-    for rows, n in _term_chunks(rows_needed.size, n_terms):
-        x_rows = x[rows_needed[rows], None]
-        trace[rows] += np.sum(n * n * (n + 1.0) * np.power(x_rows, n), axis=1)
-    with np.errstate(divide="ignore"):
-        rel[need] = np.where(trace > 0.0, rel[need] / (3.0 * trace), math.inf)
-    return rel
-
-
-def _block_sums(eta: np.ndarray, gamma2: np.ndarray, c4: np.ndarray, n_terms: int):
-    """Pair-number-weighted sums of the (corner, middle, off) coefficients
-    over n = 1..n_terms, one per point."""
-    sums = tuple(np.zeros(eta.size) for _ in range(3))
-    for rows, n in _term_chunks(eta.size, n_terms):
-        w = (n + 1.0) * np.power(gamma2[rows, None], n) / c4[rows, None]
-        coefficients = _closed_block_coefficients(n, eta[rows, None])
-        for total, c in zip(sums, coefficients):
-            # stacked (1, n) @ (n, 1) products: one BLAS dot per row, summed in
-            # the same order as a one-dimensional dot of that row
-            total[rows] += (w[:, None, :] @ c[:, :, None])[:, 0, 0]
-    return sums
 
 
 def _binom(a: int, k: int) -> int:

@@ -33,19 +33,18 @@ class GainChannelParams:
             raise ValueError(f"transmittivity must lie in [0, 1], got {self.eta}")
 
     @property
-    def gamma(self) -> float:
-        """tanh(g); squared, the pair-number distribution's geometric ratio."""
-        return math.tanh(self.g)
-
-    @property
     def gamma_tilde(self) -> float:
         """(1 - eta) * tanh(g): the loss-attenuated gain parameter."""
         return (1.0 - self.eta) * math.tanh(self.g)
 
     @property
     def n_bar(self) -> float:
-        """Mean photons generated per mode, sinh(g)^2."""
-        return math.sinh(self.g) ** 2
+        """Mean photons generated per mode, sinh(g)^2; inf beyond g of about
+        355.58, where that overflows a double."""
+        try:
+            return math.sinh(self.g) ** 2
+        except OverflowError:
+            return math.inf
 
 
 def n_pair_singlet(n: int) -> PureState:

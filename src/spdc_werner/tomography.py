@@ -104,6 +104,13 @@ def born_probability(rho: DensityMatrix, setting: ProjectorSetting) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _require_flux(total_per_setting: float) -> None:
+    if not 0 < total_per_setting < math.inf:
+        raise ValueError(
+            f"total_per_setting must be positive and finite, got {total_per_setting}"
+        )
+
+
 def simulate_counts(
     rho: DensityMatrix,
     settings: Sequence[ProjectorSetting],
@@ -115,8 +122,7 @@ def simulate_counts(
     Reproducible: a fixed seed gives identical records, and each record
     carries the seed it was drawn with.
     """
-    if total_per_setting <= 0:
-        raise ValueError("total_per_setting must be positive")
+    _require_flux(total_per_setting)
     rng = np.random.default_rng(seed)
     records = []
     for setting in settings:
@@ -156,12 +162,9 @@ def _tomography_data(
         raise DesignError("settings do not span the two-qubit operator space")
     if total_per_setting is None:
         n_total = _estimate_total(records)
-    elif 0 < total_per_setting < math.inf:
-        n_total = total_per_setting
     else:
-        raise ValueError(
-            f"total_per_setting must be positive and finite, got {total_per_setting}"
-        )
+        _require_flux(total_per_setting)
+        n_total = total_per_setting
     counts = np.array([r.counts for r in records], dtype=float)
     return projectors, counts, n_total
 

@@ -70,6 +70,14 @@ class TestTransmittedPhotons:
     def test_zero_gain(self):
         assert transmitted_photons_per_mode(GainChannelParams(g=0.0, eta=0.5)) == 0.0
 
+    @pytest.mark.parametrize("g", [355.0, 400.0, 800.0])
+    def test_no_transmission_at_any_gain(self, g):
+        assert transmitted_photons_per_mode(GainChannelParams(g=g, eta=0.0)) == 0.0
+
+    @pytest.mark.parametrize("g", [400.0, 800.0])
+    def test_overflowing_gain(self, g):
+        assert transmitted_photons_per_mode(GainChannelParams(g=g, eta=0.5)) == math.inf
+
     def test_high_loss_reference(self):
         level = transmitted_photons_per_mode(GainChannelParams(g=1.313, eta=0.016))
         assert level == pytest.approx(0.047563012073306474, rel=1e-12)

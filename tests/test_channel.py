@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spdc_werner import channel
@@ -354,22 +354,71 @@ class TestPairNumberSeries:
             chunked.relative_tail_bound, whole.relative_tail_bound, rtol=1e-12
         )
 
-    # Cases on both sides of the skip, and of the tolerance.
+    # With the cap at n, points with x = 1 - one_minus_x on both sides of
+    # the pre-check that reports a point at the cap without summing it.
     @pytest.mark.parametrize(
-        "one_minus_x,n",
+        "one_minus_x,n,reported",
         [
-            (0.1, 50), (0.1, 3200), (0.01, 3200), (1e-3, 3200),
-            (1e-3, 204800), (1e-4, 204800), (1e-4, 5_000_000), (2e-6, 5_000_000),
+            pytest.param(0.1, 50, True, id="0.1-50"),
+            pytest.param(0.1, 3200, False, id="0.1-3200"),
+            pytest.param(0.01, 3200, True, id="0.01-3200"),
+            pytest.param(1e-3, 3200, True, id="0.001-3200"),
+            pytest.param(1e-3, 204800, False, id="0.001-204800"),
+            pytest.param(1e-4, 204800, True, id="0.0001-204800"),
+            pytest.param(1e-4, 5_000_000, False, id="0.0001-5000000"),
+            pytest.param(2e-6, 5_000_000, True, id="2e-06-5000000"),
         ],
     )
-    def test_skipped_partial_sums_never_change_the_outcome(self, one_minus_x, n):
-        x = np.array([1.0 - one_minus_x])
-        exact = channel._relative_tail(x, n)
-        skipped = channel._relative_tail(x, n, skip_above=1e-12)
-        if np.isfinite(skipped[0]):
-            assert skipped[0] == exact[0]
-        else:
-            assert exact[0] > 1e-12
+    def test_skipped_partial_sums_never_change_the_outcome(
+        self, monkeypatch, one_minus_x, n, reported
+    ):
+        monkeypatch.setattr(channel, "_SERIES_HARD_CAP", n)
+        summed_rows = []
+        add_terms = channel._add_terms
+
+        def spy(sums, x, rows, *args):
+            summed_rows.extend(rows.tolist())
+            add_terms(sums, x, rows, *args)
+
+        monkeypatch.setattr(channel, "_add_terms", spy)
+        g = math.atanh(math.sqrt(1.0 - one_minus_x))
+        params = GainChannelParams(g=g, eta=1e-300)
+        series = pair_number_series([params.g], [params.eta])
+        assert bool(summed_rows) is not reported
+        if not reported:
+            return
+        # summed to the cap with plain numpy, the point fails as reported
+        assert series.n_terms[0] == n
+        x = params.gamma_tilde**2
+        trace = sum(
+            3.0 * np.sum(k * k * (k + 1.0) * x ** (k - 1.0))
+            for k in np.array_split(np.arange(1.0, n + 1.0), max(1, n // 2**18))
+        )
+        bound = channel._series_tail_bound(np.array([x]), n)[0]
+        assert bound / trace > channel.SERIES_TAIL_TOL
+        assert series.error(0) is not None
+
+    @given(
+        g=st.floats(min_value=0.01, max_value=3.0),
+        eta=st.floats(min_value=5e-324, max_value=1e-150),
+    )
+    @example(g=0.5, eta=1e-156)
+    @example(g=0.5, eta=1e-162)
+    @example(g=0.5, eta=5e-324)
+    def test_extreme_loss_matches_singlet_weight(self, g, eta):
+        # the series sees eta only through x = ((1-eta) tanh g)^2, which
+        # stays far from underflow at any eta
+        series = pair_number_series([g], [eta])
+        assert series.error(0) is None
+        p = singlet_weight(GainChannelParams(g=g, eta=eta))
+        assert abs(series.p[0] - p) <= 5e-12
+
+    @pytest.mark.parametrize("g", [1e-170, 1e-300])
+    def test_gain_where_x_underflows_to_zero(self, g):
+        # x = ((1-eta) tanh g)^2 is 0.0; the single-pair term remains
+        series = pair_number_series([g], [0.5])
+        assert series.n_terms[0] == channel.SERIES_MIN_TERMS
+        assert series.p[0] == 1.0
 
     @pytest.mark.parametrize("g,eta", [(0.0, 0.1), (0.5, 0.0), (0.5, 1.0)])
     def test_invalid_points_rejected(self, g, eta):

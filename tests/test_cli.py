@@ -83,6 +83,16 @@ class TestSweep:
         assert rows == [(g, eta) for g in gs for eta in etas
                         if (g, eta) not in failing]
 
+    def test_saturated_ratio_is_one_error_line(self, capsys):
+        # tanh(30) and 1 - 1e-20 round to 1.0, so x = 1 and no tail bound exists
+        assert run(["sweep", "--g", "30", "--eta", "1e-20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "g,eta,p_theory,p_series,tangle,linear_entropy,witness\n"
+        assert captured.err == (
+            "error: g=30.0 eta=1e-20: series check truncated at 5000000 terms; "
+            "relative tail bound inf exceeds tolerance 1.0e-12\n"
+        )
+
     def test_rows_match_series_check_and_werner_metrics(self, tmp_path):
         gs = [0.05, 0.7, 2.5, 8.0]
         etas = [0.005, 0.3, 0.9]
@@ -137,6 +147,27 @@ class TestMatrix:
             "warning: eta*sinh^2(g) = 1.49 > 0.1; "
             "the two-photon treatment assumes high loss\n"
         )
+
+    @pytest.mark.parametrize("command", [
+        ["matrix", "--out", "rho.json"],
+        ["tomo", "simulate", "--counts-per-setting", "10", "--seed", "1",
+         "--out", "counts.csv"],
+    ])
+    def test_gain_past_photon_number_overflow(self, command, tmp_path, monkeypatch,
+                                              capsys):
+        # sinh(400)^2 overflows a double; the state is still written
+        monkeypatch.setenv("SPDC_WERNER_OUTDIR", str(tmp_path))
+        assert run(command + ["--g", "400", "--eta", "0.5"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: eta*sinh^2(g) = inf > 0.1; "
+            "the two-photon treatment assumes high loss\n"
+        )
+        (written,) = tmp_path.iterdir()
+        if written.name == "rho.json":
+            rho = DensityMatrix.from_dict(json.loads(written.read_text()))
+            assert singlet_weight_extract(rho) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        else:
+            assert len(written.read_text().splitlines()) == 17
 
     @pytest.mark.parametrize("command", [
         ["matrix"],

@@ -13,7 +13,6 @@ from spdc_werner.source import (
 class TestGainChannelParams:
     def test_derived_scalars(self):
         p = GainChannelParams(g=0.7, eta=0.2)
-        assert p.gamma == pytest.approx(math.tanh(0.7))
         assert p.gamma_tilde == pytest.approx(0.8 * math.tanh(0.7))
         assert p.n_bar == pytest.approx(math.sinh(0.7) ** 2)
 
@@ -21,12 +20,11 @@ class TestGainChannelParams:
            st.floats(min_value=0.0, max_value=0.999))
     def test_scalar_ranges(self, g, eta):
         p = GainChannelParams(g=g, eta=eta)
-        assert 0.0 <= p.gamma < 1.0
-        assert 0.0 <= p.gamma_tilde <= p.gamma
+        assert 0.0 <= p.gamma_tilde <= math.tanh(g) < 1.0
 
     def test_gamma_saturates_in_double_precision(self):
         # tanh rounds to 1.0 beyond g ~ 19; the open bound is analytic
-        assert GainChannelParams(g=25.0).gamma <= 1.0
+        assert GainChannelParams(g=25.0).gamma_tilde <= 1.0
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
@@ -86,3 +84,11 @@ class TestMeanPhotons:
         # 4 * sinh^2(1.084) = 6.855
         total = 4.0 * mean_photons_per_mode(GainChannelParams(g=1.084))
         assert total == pytest.approx(6.85, abs=0.03)
+
+    def test_largest_finite_gain(self):
+        assert mean_photons_per_mode(GainChannelParams(g=355.0)) == math.sinh(355.0) ** 2
+
+    @pytest.mark.parametrize("g", [400.0, 800.0])
+    def test_overflow_is_inf(self, g):
+        # sinh(g)^2 overflows a double beyond g of about 355.58
+        assert mean_photons_per_mode(GainChannelParams(g=g)) == math.inf

@@ -123,8 +123,9 @@ class TestSimulateCounts:
         assert abs(records[0].counts - mean) < 5 * np.sqrt(mean)
 
     def test_total_must_be_positive(self):
-        with pytest.raises(ValueError):
-            simulate_counts(werner_state(0.6), witness_settings(), 0, seed=1)
+        for flux in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="total_per_setting must be positive"):
+                simulate_counts(werner_state(0.6), witness_settings(), flux, seed=1)
 
 
 class TestLinearReconstruction:
