@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import _csv
 from .errors import FitError
@@ -142,6 +141,8 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
                 f"need at least {_MIN_DISTINCT_POWERS}"
             )
 
+    # Imported here: scipy.optimize is most of the package's import time.
+    from scipy.optimize import least_squares
     x0 = _initial_guess(points, repetition_rate, detectors)
     lower = np.array([1e-12] + [1e-12] * len(detectors))
     upper = np.array([np.inf] + [1.0] * len(detectors))

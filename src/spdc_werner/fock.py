@@ -210,10 +210,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
     out_occs = sorted(set(kept_part))
     out_index = {o: i for i, o in enumerate(out_occs)}
+    rows = np.array([out_index[o] for o in kept_part])
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, t in enumerate(traced_part):
+        groups.setdefault(t, []).append(i)
+    # Pairs (i, j) with equal traced-out occupations, group by group; np.add.at
+    # adds them in this order, the double loop's row order in a sorted basis.
+    a, b = np.array([(i, j) for _, g in sorted(groups.items()) for i in g for j in g]).T
     out = np.zeros((len(out_occs), len(out_occs)), dtype=complex)
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            if traced_part[i] == traced_part[j]:
-                out[out_index[kept_part[i]], out_index[kept_part[j]]] += rho.entries[i, j]
+    np.add.at(out, (rows[a], rows[b]), rho.entries[a, b])
     labels = tuple(occupation_label(o) for o in out_occs)
     return DensityMatrix(labels, out, check_positive=rho.check_positive)

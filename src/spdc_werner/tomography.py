@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from . import _csv
 from .errors import ConvergenceError, DesignError
@@ -123,6 +121,8 @@ def simulate_counts(
     carries the seed it was drawn with.
     """
     _require_flux(total_per_setting)
+    if total_per_setting > 2**53:  # beyond it float64 draws are not exact counts
+        raise ValueError(f"total_per_setting must be at most 2**53, got {total_per_setting}")
     rng = np.random.default_rng(seed)
     records = []
     for setting in settings:
@@ -258,6 +258,9 @@ def ml_reconstruction(
     norm 1e-8 or relative objective change 1e-12, and exceeding 2000
     iterations raises ``ConvergenceError``.
     """
+    # Imported here: scipy.optimize is most of the package's import time.
+    from scipy.optimize import minimize
+    from scipy.special import xlogy
     projectors, counts, n_total = _tomography_data(records, total_per_setting)
 
     def objective(t: np.ndarray):

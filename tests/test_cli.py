@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdc_werner
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
 from spdc_werner.channel import pair_number_series_state
 from spdc_werner import cli
@@ -300,11 +305,19 @@ class TestErrorPath:
         (["matrix", "--g", "1.313", "--eta", "1"], "transmittivity"),
         (["tomo", "simulate", "--g", "2", "--eta", "1", "--counts-per-setting", "10",
           "--seed", "1", "--out", "counts.csv"], "transmittivity"),
+        # counts drawn above 2**53 are not exact integers
+        (["tomo", "simulate", "--g", "1.313", "--eta", "0.016", "--counts-per-setting",
+          "10000000000000000000", "--seed", "1", "--out", "counts.csv"],
+         "total_per_setting must be at most 2**53, got 10000000000000000000"),
+        (["tomo", "simulate", "--g", "1.313", "--eta", "0.016", "--counts-per-setting",
+          "100000000000000000000", "--seed", "1", "--out", "counts.csv"],
+         "total_per_setting must be at most 2**53, got 100000000000000000000"),
     ], ids=["matrix", "tomo-simulate", "tomo-reconstruct-8-settings", "oracle-check",
             "oracle-check-capacity", "oracle-check-late-eta", "oracle-check-negative-n",
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
             "fit-nan-rate", "fit-inf-rate", "matrix-no-warning",
-            "tomo-simulate-no-warning"])
+            "tomo-simulate-no-warning", "tomo-simulate-1e19-counts",
+            "tomo-simulate-1e20-counts"])
     def test_bad_input_is_one_error_line(self, argv, names, tmp_path, monkeypatch,
                                          capsys):
         # every subcommand reports bad input as `error: ...` and exit code 1,
@@ -377,3 +390,57 @@ class TestFit:
         write_calibration_csv(points, csv_path)
         assert run(["fit", "--input", str(csv_path), "--rate", "250000"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestLazyScipyImport:
+    """Only ``fit`` and ``tomo reconstruct`` optimize, so only they import scipy."""
+
+    PRINT_SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules "
+                     "if m == 'scipy' or m.startswith('scipy.')))")
+
+    @staticmethod
+    def python(code, cwd):
+        # a fresh interpreter: this test process has imported scipy already
+        env = {k: v for k, v in os.environ.items() if k != "SPDC_WERNER_OUTDIR"}
+        src = str(Path(spdc_werner.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_commands_that_do_not_optimize(self, tmp_path):
+        code = "\n".join([
+            "import spdc_werner, spdc_werner.cli",
+            self.PRINT_SCIPY_MODULES,
+            "for argv in [",
+            "    ['sweep', '--g', '0.1,1', '--eta', '0.01', '--out', 'sweep.csv'],",
+            "    ['matrix', '--g', '1.313', '--eta', '0.016', '--out', 'matrix.json'],",
+            "    ['oracle-check', '--n', '1,2'],",
+            "    ['tomo', 'simulate', '--g', '1.313', '--eta', '0.016',",
+            "     '--counts-per-setting', '1000', '--seed', '1', '--out', 'counts.csv'],",
+            "]:",
+            "    assert spdc_werner.cli.main(argv) == 0, argv",
+            self.PRINT_SCIPY_MODULES,
+        ])
+        lines = self.python(code, tmp_path)
+        assert lines[0] == "[]"
+        assert lines[-1] == "[]"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counts.csv", "matrix.json", "sweep.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", str(Path(__file__).resolve().parents[1] / "data"
+                               / "calibration_demo.csv"), "--rate", "250000"],
+        ["tomo", "reconstruct", "--input", "counts.csv"],
+    ], ids=["fit", "tomo-reconstruct"])
+    def test_commands_that_optimize(self, argv, tmp_path):
+        assert run(["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
+                    "--counts-per-setting", "1000", "--seed", "1",
+                    "--out", str(tmp_path / "counts.csv")]) == 0
+        code = "\n".join([
+            "import spdc_werner.cli",
+            f"assert spdc_werner.cli.main({argv!r}) == 0",
+            "import sys; print('scipy.optimize' in sys.modules)",
+        ])
+        assert self.python(code, tmp_path)[-1] == "True"

@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from spdc_werner.channel import apply_beamsplitters
 from spdc_werner.errors import PhysicalityError
 from spdc_werner.fock import (
     DensityMatrix,
@@ -13,6 +16,7 @@ from spdc_werner.fock import (
     parse_occupation,
     partial_trace,
 )
+from spdc_werner.source import n_pair_singlet
 
 
 def random_density(dim, rng, labels=None):
@@ -22,6 +26,30 @@ def random_density(dim, rng, labels=None):
     if labels is None:
         labels = tuple(occupation_label((i,)) for i in range(dim))
     return DensityMatrix(labels, m)
+
+
+def double_loop_partial_trace(rho, keep):
+    """Reference: add rho[i, j] into the kept block of every (i, j), in row-major
+    order, whose traced-out occupations coincide."""
+    occs = [parse_occupation(label) for label in rho.basis]
+    keep = tuple(keep)
+    traced = [s for s in range(len(occs[0])) if s not in keep]
+    kept_part = [tuple(o[k] for k in keep) for o in occs]
+    traced_part = [tuple(o[t] for t in traced) for o in occs]
+    out_occs = sorted(set(kept_part))
+    index = {o: i for i, o in enumerate(out_occs)}
+    out = np.zeros((len(out_occs), len(out_occs)), dtype=complex)
+    for i in range(rho.dim):
+        for j in range(rho.dim):
+            if traced_part[i] == traced_part[j]:
+                out[index[kept_part[i]], index[kept_part[j]]] += rho.entries[i, j]
+    return tuple(occupation_label(o) for o in out_occs), out
+
+
+def occupation_basis(n_slots, max_occ):
+    """Every occupation tuple with entries 0..max_occ, lexicographically sorted."""
+    occs = itertools.product(range(max_occ + 1), repeat=n_slots)
+    return tuple(occupation_label(o) for o in occs)
 
 
 class TestLabels:
@@ -174,6 +202,56 @@ class TestPartialTrace:
         dm = DensityMatrix(("HH", "HV"), np.eye(2) / 2)
         with pytest.raises(ValueError):
             partial_trace(dm, keep=[0])
+
+
+class TestPartialTraceSummationOrder:
+    """In a sorted basis, partial_trace adds each output element's terms in the
+    same order as the double loop over (i, j), so the results are bitwise equal."""
+
+    @staticmethod
+    def assert_bitwise_equal(rho, keep):
+        reduced = partial_trace(rho, keep)
+        labels, entries = double_loop_partial_trace(rho, keep)
+        assert reduced.basis == labels
+        assert np.array_equal(reduced.entries, entries)
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("eta", [1e-9, 0.016, 0.3, 0.5, 0.9, 1 - 1e-9])
+    def test_oracle_projector(self, n, eta):
+        rho = outer_product(apply_beamsplitters(n_pair_singlet(n), eta))
+        self.assert_bitwise_equal(rho, range(4))
+
+    @pytest.mark.parametrize("keep", [(4, 5, 6, 7), (0, 2, 5), (7, 1), (3,), ()])
+    def test_oracle_projector_keeping_other_slots(self, keep):
+        rho = outer_product(apply_beamsplitters(n_pair_singlet(3), 0.37))
+        self.assert_bitwise_equal(rho, keep)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_pure_state(self, seed):
+        rng = np.random.default_rng(seed)
+        occs = {tuple(o) for o in rng.integers(0, 3, size=(40, 4))}
+        amps = rng.standard_normal(len(occs)) + 1j * rng.standard_normal(len(occs))
+        state = PureState(("a", "b", "c", "d"), dict(zip(occs, amps)))
+        keep = rng.permutation(4)[: rng.integers(0, 5)]
+        self.assert_bitwise_equal(outer_product(state), keep)
+
+    @pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 2), (2, 0), (1, 2)])
+    def test_random_mixed_state(self, keep):
+        rng = np.random.default_rng(sum(keep) + 10 * len(keep))
+        self.assert_bitwise_equal(random_density(27, rng, occupation_basis(3, 2)), keep)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           order=st.permutations(range(27)),
+           keep=st.lists(st.integers(0, 2), unique=True))
+    def test_shuffled_basis_agrees_to_rounding(self, seed, order, keep):
+        # out of sorted order the terms are added in another order
+        sorted_rho = random_density(27, np.random.default_rng(seed), occupation_basis(3, 2))
+        basis = tuple(sorted_rho.basis[i] for i in order)
+        rho = DensityMatrix(basis, sorted_rho.entries[np.ix_(order, order)])
+        reduced = partial_trace(rho, keep)
+        labels, entries = double_loop_partial_trace(rho, keep)
+        assert reduced.basis == labels
+        np.testing.assert_allclose(reduced.entries, entries, rtol=0, atol=1e-15)
 
 
 class TestNormalize:

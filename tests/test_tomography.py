@@ -127,6 +127,18 @@ class TestSimulateCounts:
             with pytest.raises(ValueError, match="total_per_setting must be positive"):
                 simulate_counts(werner_state(0.6), witness_settings(), flux, seed=1)
 
+    @pytest.mark.parametrize("flux", [2**53 + 1, 10**19, 1e19, 10**20])
+    def test_flux_beyond_exact_counts_rejected(self, flux):
+        # numpy fails at 1e20 ("lam value too large") and at 1e19 draws counts
+        # from float64 arithmetic, which above 2**53 are not exact integers
+        with pytest.raises(ValueError, match=r"total_per_setting must be at most 2\*\*53"):
+            simulate_counts(werner_state(0.6), witness_settings(), flux, seed=1)
+
+    def test_largest_exact_flux_accepted(self):
+        records = simulate_counts(werner_state(1.0), witness_settings(), 2**53, seed=1)
+        assert len(records) == 8
+        assert all(0 <= r.counts < 2**53 for r in records)
+
 
 class TestLinearReconstruction:
     def test_exact_on_noiseless_singlet(self):
