@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _csv
 from .errors import FitError
-from .source import GainChannelParams
+from .source import GainChannelParams, mean_photons_per_mode
 
 _MIN_DISTINCT_POWERS = 5
 
@@ -49,7 +49,7 @@ def transmitted_photons_per_mode(params: GainChannelParams) -> float:
     """
     if params.eta == 0.0:
         return 0.0
-    return params.eta * params.n_bar
+    return params.eta * mean_photons_per_mode(params)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ independent routes produce the post-selected two-photon polarization matrix
 of the n-pair term:
 
 * brute force: expand the state over transmitted + reflected Fock modes,
-  form the projector, trace out the reflected modes, restrict to the
-  one-photon-per-spatial-mode block;
+  trace the reflected modes out of the expanded amplitudes, restrict to
+  the one-photon-per-spatial-mode block;
 * closed form: the 4x4 block written directly in terms of n and eta.
 
 The two agree exactly (not approximately): loss only redistributes weight
@@ -36,13 +36,12 @@ from .fock import (
     DensityMatrix,
     PureState,
     occupation_label,
-    outer_product,
     partial_trace,
 )
 from .metrics import werner_state
 from .source import GainChannelParams, n_pair_singlet
 
-# Brute-force cost grows like the square of the expansion size; four pairs
+# Brute-force cost grows with the expansion size; four pairs
 # (259 basis tuples) is already instant, beyond that the closed form is the
 # only supported route.
 BRUTE_FORCE_MAX_PAIRS = 4
@@ -111,8 +110,9 @@ def apply_beamsplitters(state: PureState, eta: float) -> PureState:
 def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
     """Exact reduced state of the n-pair term on the transmitted modes.
 
-    Brute-force route: beam-splitter expansion, projector, partial trace
-    over the reflected modes. Trace 1. Supported for n <= 4.
+    Brute-force route: beam-splitter expansion, then the partial trace of
+    the expanded pure state over the reflected modes; no matrix over all
+    eight modes is formed. Trace 1. Supported for n <= 4.
     """
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
@@ -121,9 +121,7 @@ def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
             f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
         )
     _require_open_channel(eta)
-    split = apply_beamsplitters(n_pair_singlet(n), eta)
-    rho_full = outer_product(split)
-    return partial_trace(rho_full, keep=range(4))
+    return partial_trace(apply_beamsplitters(n_pair_singlet(n), eta), keep=range(4))
 
 
 def post_select_two_photon(rho: DensityMatrix) -> DensityMatrix:

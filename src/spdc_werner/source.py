@@ -37,15 +37,6 @@ class GainChannelParams:
         """(1 - eta) * tanh(g): the loss-attenuated gain parameter."""
         return (1.0 - self.eta) * math.tanh(self.g)
 
-    @property
-    def n_bar(self) -> float:
-        """Mean photons generated per mode, sinh(g)^2; inf beyond g of about
-        355.58, where that overflows a double."""
-        try:
-            return math.sinh(self.g) ** 2
-        except OverflowError:
-            return math.inf
-
 
 def n_pair_singlet(n: int) -> PureState:
     """Normalized n-pair singlet term over the four source modes.
@@ -64,5 +55,9 @@ def n_pair_singlet(n: int) -> PureState:
 
 
 def mean_photons_per_mode(params: GainChannelParams) -> float:
-    """sinh(g)^2, the average photon number generated per mode."""
-    return params.n_bar
+    """sinh(g)^2, the average photon number generated per mode; inf beyond g
+    of about 355.58, where that overflows a double."""
+    try:
+        return math.sinh(params.g) ** 2
+    except OverflowError:
+        return math.inf

@@ -11,7 +11,7 @@ import pytest
 import spdc_werner
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
 from spdc_werner.channel import pair_number_series_state
-from spdc_werner import cli
+from spdc_werner import cli, fock
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
 from spdc_werner.metrics import (
@@ -210,6 +210,29 @@ class TestOracleCheck:
         assert err.value.code == 2
         assert run(["oracle-check", "--n", "1", "--eta", "0.1"]) == 0
         assert capsys.readouterr().out.endswith("(tolerance 1.0e-10)\n")
+
+    def test_no_matrix_over_all_eight_modes(self, monkeypatch):
+        # the oracle traces the beam-splitter state itself, so neither
+        # outer_product nor any other route forms the eight-mode projector
+        def refuse(state):
+            raise AssertionError("outer_product called")
+
+        original = fock.outer_product
+        for module in [m for name, m in list(sys.modules.items())
+                       if name.startswith("spdc_werner")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+        slots = set()
+        post_init = DensityMatrix.__post_init__
+
+        def record(self):
+            slots.update(label.count(",") + 1 for label in self.basis)
+            post_init(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", record)
+        assert run(["oracle-check"]) == 0
+        assert 4 in slots and 8 not in slots
 
 
 class TestTomo:

@@ -14,7 +14,7 @@ class TestGainChannelParams:
     def test_derived_scalars(self):
         p = GainChannelParams(g=0.7, eta=0.2)
         assert p.gamma_tilde == pytest.approx(0.8 * math.tanh(0.7))
-        assert p.n_bar == pytest.approx(math.sinh(0.7) ** 2)
+        assert mean_photons_per_mode(p) == pytest.approx(math.sinh(0.7) ** 2)
 
     @given(st.floats(min_value=0.0, max_value=18.0),
            st.floats(min_value=0.0, max_value=0.999))
