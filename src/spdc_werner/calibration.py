@@ -123,9 +123,10 @@ def _initial_guess(points, repetition_rate, detectors):
 def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> CalibrationFit:
     """Least-squares fit of (gain scale, efficiencies) to rate-power data.
 
-    Requires at least 5 distinct powers per detector present in the data.
-    Residuals are relative (rate noise is multiplicative). Raises
-    ``FitError`` on non-convergence or efficiencies outside (0, 1].
+    Requires at least 5 distinct powers and a nonzero rate per detector
+    present in the data. Residuals are relative (rate noise is
+    multiplicative). Raises ``FitError`` on non-convergence or efficiencies
+    outside (0, 1].
     """
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
@@ -140,6 +141,10 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
                 f"detector {det} has {len(powers)} distinct powers; "
                 f"need at least {_MIN_DISTINCT_POWERS}"
             )
+        # all-zero rates give every relative residual 1 at every parameter
+        # value, so the optimizer would stop at its start point
+        if not any(pt.rate for pt in points if pt.detector == det):
+            raise FitError(f"detector {det} has rate 0 at every power")
 
     # Imported here: scipy.optimize is most of the package's import time.
     from scipy.optimize import least_squares

@@ -5,9 +5,10 @@ eta coupling each source mode to an undetected reflected mode. Two
 independent routes produce the post-selected two-photon polarization matrix
 of the n-pair term:
 
-* brute force: expand the state over transmitted + reflected Fock modes,
-  trace the reflected modes out of the expanded amplitudes, restrict to
-  the one-photon-per-spatial-mode block;
+* brute force: expand the state's occupation tuples over the four
+  transmitted slots followed by the four reflected ones, trace the
+  reflected slots out of the expanded amplitudes, restrict to the
+  one-photon-per-spatial-mode block;
 * closed form: the 4x4 block written directly in terms of n and eta.
 
 The two agree exactly (not approximately): loss only redistributes weight
@@ -26,18 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .fock import (
-    ALL_MODES,
-    TWO_PHOTON_BASIS,
-    DensityMatrix,
-    PureState,
-    occupation_label,
-    partial_trace,
-)
+from .fock import TWO_PHOTON_BASIS, DensityMatrix, partial_trace
 from .metrics import werner_state
 from .source import GainChannelParams, n_pair_singlet
 
@@ -68,7 +63,8 @@ def _require_open_channel(eta: float) -> None:
         raise ValueError(f"transmittivity must lie strictly in (0, 1), got {eta}")
 
 
-def apply_beamsplitters(state: PureState, eta: float) -> PureState:
+def apply_beamsplitters(state: Mapping[tuple[int, ...], complex],
+                        eta: float) -> dict[tuple[int, ...], complex]:
     """Propagate a four-mode state through one loss beam splitter per mode.
 
     Each creation operator splits into sqrt(eta) times the transmitted
@@ -77,18 +73,20 @@ def apply_beamsplitters(state: PureState, eta: float) -> PureState:
 
         sum_y sqrt(C(n, y)) * eta^(y/2) * (i sqrt(1-eta))^(n-y) |y>_T |n-y>_R.
 
-    The output lives on the eight-mode set (four transmitted slots followed
-    by four reflected slots), stays normalized, and conserves the total
-    photon number term by term.
+    The input's occupation tuples must be four non-negative photon counts,
+    on (1H, 1V, 2H, 2V). The output's tuples have eight slots (the four
+    transmitted ones followed by the four reflected ones); it stays
+    normalized and conserves the total photon number term by term.
     """
     _require_open_channel(eta)
-    if state.modes != ALL_MODES[:4]:
-        raise ValueError("expected a state over the four transmitted modes")
+    for occ in state:
+        if len(occ) != 4 or any(n_i < 0 for n_i in occ):
+            raise ValueError(f"expected four non-negative photon counts, got {occ}")
     t_amp = math.sqrt(eta)
     r_amp = 1j * math.sqrt(1.0 - eta)
 
     out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in state.items():
         per_mode = [
             [
                 (y, math.sqrt(math.comb(n_i, y)) * t_amp**y * r_amp ** (n_i - y))
@@ -104,7 +102,7 @@ def apply_beamsplitters(state: PureState, eta: float) -> PureState:
             reflected = tuple(n_i - y for n_i, y in zip(occ, transmitted))
             key = transmitted + reflected
             out[key] = out.get(key, 0.0 + 0.0j) + coeff
-    return PureState(ALL_MODES, out)
+    return out
 
 
 def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
@@ -120,23 +118,21 @@ def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
         raise CapacityError(
             f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
         )
-    _require_open_channel(eta)
     return partial_trace(apply_beamsplitters(n_pair_singlet(n), eta), keep=range(4))
 
 
 def post_select_two_photon(rho: DensityMatrix) -> DensityMatrix:
     """Restrict to the one-photon-per-spatial-mode coincidence block.
 
-    Input is a density matrix over the four transmitted Fock modes; the
-    output is the 4x4 block on (HH, HV, VH, VV), left unnormalized so its
-    trace is the coincidence post-selection probability.
+    Input is a density matrix whose basis is occupation tuples over the
+    four transmitted modes; the output is the 4x4 block on (HH, HV, VH,
+    VV), left unnormalized so its trace is the coincidence post-selection
+    probability.
     """
-    labels = {occupation_label(o): k for k, o in enumerate(COINCIDENCE_OCCUPATIONS)}
+    slots = [k for k, occ in enumerate(COINCIDENCE_OCCUPATIONS) if occ in rho.basis]
+    rows = [rho.basis.index(COINCIDENCE_OCCUPATIONS[k]) for k in slots]
     block = np.zeros((4, 4), dtype=complex)
-    present = {lab: i for i, lab in enumerate(rho.basis) if lab in labels}
-    for lab_i, i in present.items():
-        for lab_j, j in present.items():
-            block[labels[lab_i], labels[lab_j]] = rho.entries[i, j]
+    block[np.ix_(slots, slots)] = rho.entries[np.ix_(rows, rows)]
     return DensityMatrix(TWO_PHOTON_BASIS, block, check_positive=rho.check_positive)
 
 
@@ -454,5 +450,4 @@ class LossCoefficients:
         m = np.zeros((len(occs), len(occs)), dtype=complex)
         for (ket, bra), val in entries.items():
             m[index[ket], index[bra]] += val
-        labels = tuple(occupation_label(o) for o in occs)
-        return DensityMatrix(labels, m)
+        return DensityMatrix(tuple(occs), m)

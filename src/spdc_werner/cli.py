@@ -206,11 +206,11 @@ def _cmd_tomo_simulate(args) -> int:
 def _cmd_tomo_reconstruct(args) -> int:
     if (args.g is None) != (args.eta is None):
         raise ValueError("--g and --eta must be given together")
-    records = read_count_records(args.input)
-    result = ml_reconstruction(records, total_per_setting=args.counts_per_setting)
     reference = None
     if args.g is not None:
         reference = two_photon_state(GainChannelParams(g=args.g, eta=args.eta))
+    records = read_count_records(args.input)
+    result = ml_reconstruction(records, total_per_setting=args.counts_per_setting)
     payload = {
         "state": result.state.to_dict(),
         "log_likelihood": result.log_likelihood,

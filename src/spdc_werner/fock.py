@@ -1,18 +1,20 @@
-"""Fock-space primitives over labeled optical modes.
+"""Fock-space primitives: occupation-number states and density matrices.
 
-States are sparse maps from occupation tuples to complex amplitudes; density
-matrices are dense complex arrays with string basis labels. A pure state's
-reduced density matrix on some of its modes comes straight from its
-amplitudes, without the projector over all of them. Everything is immutable
-after construction and validated eagerly: a matrix that is not Hermitian or
-not positive semidefinite (beyond tolerance) raises instead of propagating
-silently.
+A state is a plain dict from occupation tuple (one photon count per mode
+slot) to complex amplitude; absent tuples have amplitude zero. Density
+matrices are dense complex arrays over a basis of labels: polarization
+strings for two-photon matrices, the occupation tuples themselves for
+Fock-space matrices. A pure state's reduced density matrix on some of its
+slots comes straight from its amplitudes, without the projector over all
+of them. Matrices are immutable after construction and validated eagerly:
+one that is not Hermitian or not positive semidefinite (beyond tolerance)
+raises instead of propagating silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -21,60 +23,8 @@ from .errors import PhysicalityError
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 
-# Mode slot order: two spatial modes x two polarizations, transmitted slots
-# first, reflected ("r") slots after them.
-TRANSMITTED_MODES = ("1H", "1V", "2H", "2V")
-REFLECTED_MODES = ("r1H", "r1V", "r2H", "r2V")
-ALL_MODES = TRANSMITTED_MODES + REFLECTED_MODES
-
 # Polarization-qubit basis order for all 4x4 two-photon matrices.
 TWO_PHOTON_BASIS = ("HH", "HV", "VH", "VV")
-
-
-def occupation_label(occupation: Sequence[int]) -> str:
-    """Canonical string label for an occupation tuple, e.g. ``"1,0,0,1"``."""
-    return ",".join(str(n) for n in occupation)
-
-
-def _validated_occupations(modes, amplitudes):
-    n_modes = len(modes)
-    for occ in amplitudes:
-        if len(occ) != n_modes:
-            raise ValueError(
-                f"occupation tuple {occ} has {len(occ)} slots, mode set has {n_modes}"
-            )
-        if any(n < 0 for n in occ):
-            raise ValueError(f"negative photon number in {occ}")
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Sparse pure state: complex amplitude per occupation tuple.
-
-    Parameters
-    ----------
-    modes : tuple of str
-        Mode slot labels; fixes the tuple length.
-    amplitudes : mapping
-        Occupation tuple -> complex amplitude. Tuples absent from the map
-        have amplitude zero.
-    """
-
-    modes: tuple[str, ...]
-    amplitudes: Mapping[tuple[int, ...], complex]
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        amps = {tuple(occ): complex(a) for occ, a in self.amplitudes.items()}
-        _validated_occupations(self.modes, amps)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
-    def amplitude(self, occupation: Sequence[int]) -> complex:
-        return self.amplitudes.get(tuple(occupation), 0.0 + 0.0j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +32,10 @@ class DensityMatrix:
     """Hermitian positive-semidefinite matrix with labeled basis.
 
     ``entries[i, j]`` is the matrix element between basis vectors ``basis[i]``
-    and ``basis[j]``. The trace is not forced to 1 (post-selected blocks are
-    kept unnormalized; their trace is the selection probability).
+    and ``basis[j]``; the labels are polarization strings (``"HV"``) for
+    two-photon matrices and occupation tuples for Fock-space matrices. The
+    trace is not forced to 1 (post-selected blocks are kept unnormalized;
+    their trace is the selection probability).
 
     Construction validates Hermiticity (tolerance 1e-12) and, unless
     ``check_positive=False``, that the smallest eigenvalue is >= -1e-10.
@@ -91,7 +43,7 @@ class DensityMatrix:
     which can legitimately return indefinite matrices under shot noise.
     """
 
-    basis: tuple[str, ...]
+    basis: tuple
     entries: np.ndarray = field(repr=False)
     check_positive: bool = True
 
@@ -145,15 +97,15 @@ class DensityMatrix:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, check_positive: bool = True) -> "DensityMatrix":
+    def from_dict(cls, data: dict) -> "DensityMatrix":
         m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-        dm = cls(tuple(data["basis"]), m, check_positive=check_positive)
+        dm = cls(tuple(data["basis"]), m)
         if dm.dim != int(data["dim"]):
             raise ValueError("dim field inconsistent with matrix shape")
         return dm
 
 
-def outer_product(state: PureState) -> DensityMatrix:
+def outer_product(state: Mapping[tuple[int, ...], complex]) -> DensityMatrix:
     """|s><s| over the lexicographically sorted occupation tuples of ``state``.
 
     The result's trace equals the squared norm of the state, so unnormalized
@@ -161,16 +113,16 @@ def outer_product(state: PureState) -> DensityMatrix:
     use it as the reference for :func:`partial_trace`, and the benchmark
     still times it as a layer.
     """
-    occs = sorted(state.amplitudes)
-    vec = np.array([state.amplitudes[o] for o in occs], dtype=complex)
-    labels = tuple(occupation_label(o) for o in occs)
-    return DensityMatrix(labels, np.outer(vec, vec.conj()))
+    occs = sorted(state)
+    vec = np.array([state[o] for o in occs], dtype=complex)
+    return DensityMatrix(tuple(occs), np.outer(vec, vec.conj()))
 
 
-def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
+def partial_trace(state: Mapping[tuple[int, ...], complex],
+                  keep: Iterable[int]) -> DensityMatrix:
     """Reduced state of ``state`` on the mode slots listed in ``keep``.
 
-    ``keep`` holds mode-slot indices into the state's occupation tuples. The
+    ``keep`` holds slot indices into the state's occupation tuples. The
     result is the sum of psi_r psi_r^H over the traced-out occupations r in
     sorted order, where psi_r holds the amplitudes whose traced-out part is
     r, placed at their kept parts; the basis is the sorted kept occupations
@@ -179,9 +131,9 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     ``outer_product(state)`` in that projector's row order, without forming
     it.
     """
-    if not state.amplitudes:
+    if not state:
         raise ValueError("cannot trace an empty state")
-    n_slots = len(state.modes)
+    n_slots = len(next(iter(state)))
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate indices in keep")
@@ -190,7 +142,7 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     traced = tuple(i for i in range(n_slots) if i not in keep)
 
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]] = {}
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in state.items():
         kept_part = tuple(occ[k] for k in keep)
         groups.setdefault(tuple(occ[t] for t in traced), []).append((kept_part, amp))
     out_occs = sorted({kept for group in groups.values() for kept, _ in group})
@@ -200,5 +152,4 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
         rows = [index[kept] for kept, _ in group]
         psi = np.array([amp for _, amp in group])
         out[np.ix_(rows, rows)] += np.outer(psi, psi.conj())
-    labels = tuple(occupation_label(o) for o in out_occs)
-    return DensityMatrix(labels, out)
+    return DensityMatrix(tuple(out_occs), out)

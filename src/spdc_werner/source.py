@@ -4,15 +4,15 @@ The source emits polarization-entangled photon pairs into two spatial modes.
 At nonlinear gain g, the n-pair term carries probability weight
 (n+1) * tanh(g)^(2n) / cosh(g)^4 (summed by the series check in
 ``channel``), and within each term the polarization structure is the
-n-fold singlet superposition.
+n-fold singlet superposition. An emission state is a plain dict from the
+occupation tuple over the four source modes (1H, 1V, 2H, 2V) to its
+complex amplitude.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .fock import PureState, TRANSMITTED_MODES
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class GainChannelParams:
     def __post_init__(self):
         if not self.g >= 0:
             raise ValueError(f"gain must be non-negative, got {self.g}")
+        if not math.isfinite(self.g):
+            raise ValueError(f"gain must be finite, got {self.g}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"transmittivity must lie in [0, 1], got {self.eta}")
 
@@ -38,7 +40,7 @@ class GainChannelParams:
         return (1.0 - self.eta) * math.tanh(self.g)
 
 
-def n_pair_singlet(n: int) -> PureState:
+def n_pair_singlet(n: int) -> dict[tuple[int, int, int, int], complex]:
     """Normalized n-pair singlet term over the four source modes.
 
     The n+1 amplitudes are (-1)^m / sqrt(n+1) on occupation
@@ -47,11 +49,7 @@ def n_pair_singlet(n: int) -> PureState:
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
     amp = 1.0 / math.sqrt(n + 1)
-    amplitudes = {
-        (n - m, m, m, n - m): (-1) ** m * amp
-        for m in range(n + 1)
-    }
-    return PureState(TRANSMITTED_MODES, amplitudes)
+    return {(n - m, m, m, n - m): complex((-1) ** m * amp) for m in range(n + 1)}
 
 
 def mean_photons_per_mode(params: GainChannelParams) -> float:

@@ -165,6 +165,17 @@ class TestFitGain:
         with pytest.raises(FitError):
             fit_gain(points, REPETITION_RATE)
 
+    @pytest.mark.parametrize("etas", [{1: 0.016}, TRUE_ETAS])
+    def test_detector_with_zero_rates_rejected(self, etas):
+        points = synthetic_calibration_points(
+            TRUE_GAIN_SCALE, etas, REPETITION_RATE, POWERS
+        )
+        silent = max(etas)
+        points = [CalibrationPoint(pt.pump_power, 0.0, pt.detector)
+                  if pt.detector == silent else pt for pt in points]
+        with pytest.raises(FitError, match=f"detector {silent} has rate 0 at every power"):
+            fit_gain(points, REPETITION_RATE)
+
     def test_covariance_shape_and_positivity(self):
         points = synthetic_calibration_points(
             TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS,

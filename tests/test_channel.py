@@ -18,49 +18,55 @@ from spdc_werner.channel import (
     two_photon_state,
 )
 from spdc_werner.errors import CapacityError, ConvergenceError
-from spdc_werner.fock import ALL_MODES, TRANSMITTED_MODES, TWO_PHOTON_BASIS, PureState
+from spdc_werner.fock import TWO_PHOTON_BASIS
 from spdc_werner.metrics import singlet_weight_extract, werner_state
 from spdc_werner.source import GainChannelParams, n_pair_singlet
 
 
 class TestApplyBeamsplitters:
     def test_single_photon_split(self):
-        s = apply_beamsplitters(
-            PureState(TRANSMITTED_MODES, {(1, 0, 0, 0): 1.0}), eta=0.5
-        )
+        s = apply_beamsplitters({(1, 0, 0, 0): 1.0}, eta=0.5)
         amp = math.sqrt(0.5)
-        assert s.amplitude((1, 0, 0, 0, 0, 0, 0, 0)) == pytest.approx(amp)
-        assert s.amplitude((0, 0, 0, 0, 1, 0, 0, 0)) == pytest.approx(1j * amp)
-        assert len(s.amplitudes) == 2
+        assert s[(1, 0, 0, 0, 0, 0, 0, 0)] == pytest.approx(amp)
+        assert s[(0, 0, 0, 0, 1, 0, 0, 0)] == pytest.approx(1j * amp)
+        assert len(s) == 2
 
     def test_vacuum_unchanged(self):
         s = apply_beamsplitters(n_pair_singlet(0), eta=0.3)
-        assert s.amplitudes == {(0,) * 8: 1.0 + 0.0j}
+        assert s == {(0,) * 8: 1.0 + 0.0j}
 
     def test_both_transmitted_probability(self):
         s = apply_beamsplitters(n_pair_singlet(1), eta=0.3)
         p_both = sum(
-            abs(a) ** 2 for occ, a in s.amplitudes.items() if sum(occ[:4]) == 2
+            abs(a) ** 2 for occ, a in s.items() if sum(occ[:4]) == 2
         )
         assert p_both == pytest.approx(0.3**2, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(4))
     def test_norm_and_photon_number_preserved(self, n):
         s = apply_beamsplitters(n_pair_singlet(n), eta=0.42)
-        assert s.norm_squared == pytest.approx(1.0, abs=1e-12)
-        assert s.modes == ALL_MODES
-        assert all(sum(occ) == 2 * n for occ in s.amplitudes)
+        assert sum(abs(a) ** 2 for a in s.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(len(occ) == 8 and sum(occ) == 2 * n for occ in s)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.1])
     def test_eta_out_of_range_rejected(self, eta):
         with pytest.raises(ValueError):
             apply_beamsplitters(n_pair_singlet(1), eta=eta)
 
+    def test_length_mismatch_rejected(self):
+        for occ in [(1, 0, 0), (1, 0, 0, 0, 0)]:
+            with pytest.raises(ValueError, match="four non-negative photon counts"):
+                apply_beamsplitters({(0, 0, 0, 0): 0.5, occ: 0.5}, eta=0.5)
+
+    def test_negative_photon_number_rejected(self):
+        with pytest.raises(ValueError, match="four non-negative photon counts"):
+            apply_beamsplitters({(1, 0, 0, -1): 1.0}, eta=0.5)
+
 
 class TestTransmittedReducedState:
     def test_vacuum_term(self):
         dm = transmitted_reduced_state(0, 0.5)
-        assert dm.basis == ("0,0,0,0",)
+        assert dm.basis == ((0, 0, 0, 0),)
         np.testing.assert_allclose(dm.entries, [[1.0]])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -180,7 +186,7 @@ class TestCoefficientTables:
             c = LossCoefficients(n=n, eta=0.3)
             scale = 1.0 / (math.sqrt(n + 1) * math.factorial(n))
             split = apply_beamsplitters(n_pair_singlet(n), eta=0.3)
-            for occ, amp in split.amplitudes.items():
+            for occ, amp in split.items():
                 ys, rs = occ[:4], occ[4:]
                 x = ys[1] + rs[1]
                 predicted = np.conj(c.a_coefficient(x, ys)) * scale

@@ -67,6 +67,16 @@ class TestSweep:
         assert len(lines) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_infinite_gain_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--g", "inf,1", "--eta", "0.01", "--format", "json",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: g=inf eta=0.01: gain must be finite, got inf\n"
+        )
+        rows = json.loads(out.read_text())
+        assert [(row["g"], row["eta"]) for row in rows] == [(1.0, 0.01)]
+
     def test_edge_grid_fails_only_the_series_check_at_high_gain_low_loss(
         self, tmp_path, capsys
     ):
@@ -227,7 +237,7 @@ class TestOracleCheck:
         post_init = DensityMatrix.__post_init__
 
         def record(self):
-            slots.update(label.count(",") + 1 for label in self.basis)
+            slots.update(len(label) for label in self.basis if isinstance(label, tuple))
             post_init(self)
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", record)
@@ -284,6 +294,18 @@ class TestTomo:
                     "--input", str(tmp_path / "nope.csv")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_reconstruct_checks_reference_before_fitting(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counts read or fitted before the reference")
+
+        monkeypatch.setattr(cli, "read_count_records", refuse)
+        monkeypatch.setattr(cli, "ml_reconstruction", refuse)
+        assert run(["tomo", "reconstruct", "--input", "counts.csv",
+                    "--g", "1", "--eta", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: transmittivity must lie strictly in (0, 1), got 1.0\n"
+        )
+
     def test_reconstruct_singlet_noiseless(self, tmp_path):
         # counts proportional to exact singlet probabilities
         from spdc_werner.tomography import (
@@ -321,6 +343,7 @@ class TestErrorPath:
         (["tomo", "reconstruct", "--input", "tomo.csv", "--eta", "0.01",
           "--out", "recon.json"], "--g and --eta"),
         (["matrix", "--g", "nan", "--eta", "0.01"], "gain"),
+        (["matrix", "--g", "inf", "--eta", "0.01"], "gain must be finite, got inf"),
         (["fit", "--input", "calib.csv", "--rate", "nan"], "repetition rate"),
         (["fit", "--input", "calib.csv", "--rate", "inf"], "repetition rate"),
         # above the high-loss warning threshold: the input is rejected before
@@ -338,6 +361,7 @@ class TestErrorPath:
     ], ids=["matrix", "tomo-simulate", "tomo-reconstruct-8-settings", "oracle-check",
             "oracle-check-capacity", "oracle-check-late-eta", "oracle-check-negative-n",
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
+            "matrix-inf-gain",
             "fit-nan-rate", "fit-inf-rate", "matrix-no-warning",
             "tomo-simulate-no-warning", "tomo-simulate-1e19-counts",
             "tomo-simulate-1e20-counts"])

@@ -7,14 +7,7 @@ from hypothesis import given, strategies as st
 
 from spdc_werner.channel import apply_beamsplitters
 from spdc_werner.errors import PhysicalityError
-from spdc_werner.fock import (
-    DensityMatrix,
-    PureState,
-    TRANSMITTED_MODES,
-    occupation_label,
-    outer_product,
-    partial_trace,
-)
+from spdc_werner.fock import DensityMatrix, outer_product, partial_trace
 from spdc_werner.source import n_pair_singlet
 
 
@@ -22,13 +15,13 @@ def random_density(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m /= m.trace().real
-    return DensityMatrix(tuple(occupation_label((i,)) for i in range(dim)), m)
+    return DensityMatrix(tuple(str(i) for i in range(dim)), m)
 
 
 def double_loop_partial_trace(rho, keep):
     """Reference: add rho[i, j] into the kept block of every (i, j), in row-major
     order, whose traced-out occupations coincide."""
-    occs = [tuple(int(n) for n in label.split(",")) for label in rho.basis]
+    occs = rho.basis
     keep = tuple(keep)
     traced = [s for s in range(len(occs[0])) if s not in keep]
     kept_part = [tuple(o[k] for k in keep) for o in occs]
@@ -40,29 +33,18 @@ def double_loop_partial_trace(rho, keep):
         for j in range(rho.dim):
             if traced_part[i] == traced_part[j]:
                 out[index[kept_part[i]], index[kept_part[j]]] += rho.entries[i, j]
-    return tuple(occupation_label(o) for o in out_occs), out
+    return tuple(out_occs), out
 
 
 def random_pure_state(occupations, rng):
     """Complex Gaussian amplitudes on the given occupation tuples."""
     amps = rng.standard_normal(len(occupations)) + 1j * rng.standard_normal(len(occupations))
-    modes = tuple(f"m{i}" for i in range(len(occupations[0])))
-    return PureState(modes, dict(zip(occupations, amps)))
+    return dict(zip(occupations, amps))
 
 
 def every_occupation(n_slots, max_occ):
     """Every occupation tuple with entries 0..max_occ, lexicographically sorted."""
     return list(itertools.product(range(max_occ + 1), repeat=n_slots))
-
-
-class TestPureState:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PureState(TRANSMITTED_MODES, {(1, 0, 0): 1.0})
-
-    def test_negative_photon_number_rejected(self):
-        with pytest.raises(ValueError):
-            PureState(TRANSMITTED_MODES, {(1, 0, 0, -1): 1.0})
 
 
 class TestDensityMatrixValidation:
@@ -97,32 +79,26 @@ class TestDensityMatrixValidation:
 
 class TestOuterProduct:
     def test_vacuum_is_identity_case(self):
-        s = PureState(TRANSMITTED_MODES, {(0, 0, 0, 0): 1.0})
-        dm = outer_product(s)
+        dm = outer_product({(0, 0, 0, 0): 1.0})
         assert dm.dim == 1
         np.testing.assert_allclose(dm.entries, [[1.0]])
 
     def test_singlet_support_block(self):
         amp = 1.0 / math.sqrt(2.0)
-        s = PureState(TRANSMITTED_MODES, {(1, 0, 0, 1): amp, (0, 1, 1, 0): -amp})
-        dm = outer_product(s)
+        dm = outer_product({(1, 0, 0, 1): amp, (0, 1, 1, 0): -amp})
         # lexicographic basis: (0,1,1,0) before (1,0,0,1)
-        assert dm.basis == ("0,1,1,0", "1,0,0,1")
+        assert dm.basis == ((0, 1, 1, 0), (1, 0, 0, 1))
         np.testing.assert_allclose(dm.entries, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
     def test_two_pair_singlet_block(self):
         # (-1)^m / sqrt(3) amplitudes give an alternating-sign 1/3 block
         amp = 1.0 / math.sqrt(3.0)
-        s = PureState(
-            TRANSMITTED_MODES,
-            {(2, 0, 0, 2): amp, (1, 1, 1, 1): -amp, (0, 2, 2, 0): amp},
-        )
-        dm = outer_product(s)
+        dm = outer_product({(2, 0, 0, 2): amp, (1, 1, 1, 1): -amp, (0, 2, 2, 0): amp})
         expected = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 1]]) / 3.0
         np.testing.assert_allclose(dm.entries, expected, atol=1e-15)
 
     def test_trace_is_norm_squared(self):
-        s = PureState(TRANSMITTED_MODES, {(1, 0, 0, 1): 2.0, (0, 1, 1, 0): 1.0})
+        s = {(1, 0, 0, 1): 2.0, (0, 1, 1, 0): 1.0}
         assert outer_product(s).trace == pytest.approx(5.0)
 
     def test_rank_one(self):
@@ -130,9 +106,9 @@ class TestOuterProduct:
         for _ in range(20):
             occs = [(int(a), int(b)) for a, b in rng.integers(0, 3, size=(4, 2))]
             amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            s = PureState(("m0", "m1"), dict(zip(occs, amps)))
-            scale = 1.0 / math.sqrt(s.norm_squared)
-            s = PureState(s.modes, {o: a * scale for o, a in s.amplitudes.items()})
+            s = dict(zip(occs, amps))
+            scale = 1.0 / math.sqrt(sum(abs(a) ** 2 for a in s.values()))
+            s = {o: a * scale for o, a in s.items()}
             vals = np.linalg.eigvalsh(outer_product(s).entries)
             assert np.all(vals[:-1] <= 1e-10)
 
@@ -145,35 +121,36 @@ class TestPartialTrace:
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         amps = {(i, j): a[i] * b[j] for i in range(2) for j in range(3)}
-        reduced = partial_trace(PureState(("a", "b"), amps), keep=[0])
+        reduced = partial_trace(amps, keep=[0])
         np.testing.assert_allclose(reduced.entries, np.outer(a, a.conj()), atol=1e-12)
 
     def test_entangled_pair_reduces_to_mixed(self):
         amp = 1.0 / math.sqrt(2.0)
-        s = PureState(("a", "b"), {(0, 0): amp, (1, 1): amp})
+        s = {(0, 0): amp, (1, 1): amp}
         reduced = partial_trace(s, keep=[0])
         np.testing.assert_allclose(reduced.entries, np.eye(2) / 2.0, atol=1e-12)
 
     def test_trace_preserved(self):
         state = random_pure_state(every_occupation(3, 1), np.random.default_rng(11))
         reduced = partial_trace(state, keep=[0, 2])
-        assert reduced.trace == pytest.approx(state.norm_squared, abs=1e-12)
+        norm_squared = sum(abs(a) ** 2 for a in state.values())
+        assert reduced.trace == pytest.approx(norm_squared, abs=1e-12)
 
     def test_keep_out_of_range_rejected(self):
-        s = PureState(("a", "b"), {(0, 0): 1.0, (1, 1): 1.0})
+        s = {(0, 0): 1.0, (1, 1): 1.0}
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(s, keep=[5])
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(s, keep=[-1])
 
     def test_duplicate_keep_rejected(self):
-        s = PureState(("a", "b"), {(0, 0): 1.0, (1, 1): 1.0})
+        s = {(0, 0): 1.0, (1, 1): 1.0}
         with pytest.raises(ValueError, match="duplicate"):
             partial_trace(s, keep=[1, 1])
 
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError, match="empty state"):
-            partial_trace(PureState(TRANSMITTED_MODES, {}), keep=[0])
+            partial_trace({}, keep=[0])
 
 
 class TestPartialTraceSummationOrder:
@@ -219,8 +196,8 @@ class TestPartialTraceSummationOrder:
            keep=st.lists(st.integers(0, 2), unique=True))
     def test_amplitude_order_changes_no_bit(self, seed, order, keep):
         state = random_pure_state(every_occupation(3, 2), np.random.default_rng(seed))
-        items = list(state.amplitudes.items())
-        shuffled = PureState(state.modes, dict(items[i] for i in order))
+        items = list(state.items())
+        shuffled = dict(items[i] for i in order)
         reduced, expected = partial_trace(shuffled, keep), partial_trace(state, keep)
         assert reduced.basis == expected.basis
         assert np.array_equal(reduced.entries, expected.entries)

@@ -34,6 +34,10 @@ class TestGainChannelParams:
         with pytest.raises(ValueError, match="gain must be non-negative, got nan"):
             GainChannelParams(g=float("nan"))
 
+    def test_infinite_gain_rejected(self):
+        with pytest.raises(ValueError, match="gain must be finite, got inf"):
+            GainChannelParams(g=math.inf)
+
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             GainChannelParams(g=1.0, eta=1.5)
@@ -42,32 +46,34 @@ class TestGainChannelParams:
 class TestNPairSinglet:
     def test_vacuum_term(self):
         s = n_pair_singlet(0)
-        assert s.amplitudes == {(0, 0, 0, 0): 1.0 + 0.0j}
+        assert s == {(0, 0, 0, 0): 1.0 + 0.0j}
+        assert type(s[(0, 0, 0, 0)]) is complex
 
     def test_single_pair_is_singlet(self):
         s = n_pair_singlet(1)
         amp = 1.0 / math.sqrt(2.0)
-        assert s.amplitude((1, 0, 0, 1)) == pytest.approx(amp)
-        assert s.amplitude((0, 1, 1, 0)) == pytest.approx(-amp)
-        assert len(s.amplitudes) == 2
+        assert s[(1, 0, 0, 1)] == pytest.approx(amp)
+        assert s[(0, 1, 1, 0)] == pytest.approx(-amp)
+        assert len(s) == 2
 
     def test_two_pair_amplitudes(self):
         s = n_pair_singlet(2)
         amp = 1.0 / math.sqrt(3.0)
-        assert s.amplitude((2, 0, 0, 2)) == pytest.approx(amp)
-        assert s.amplitude((1, 1, 1, 1)) == pytest.approx(-amp)
-        assert s.amplitude((0, 2, 2, 0)) == pytest.approx(amp)
+        assert s[(2, 0, 0, 2)] == pytest.approx(amp)
+        assert s[(1, 1, 1, 1)] == pytest.approx(-amp)
+        assert s[(0, 2, 2, 0)] == pytest.approx(amp)
 
     @pytest.mark.parametrize("n", range(7))
     def test_normalized(self, n):
-        assert n_pair_singlet(n).norm_squared == pytest.approx(1.0, abs=1e-12)
+        norm_squared = sum(abs(a) ** 2 for a in n_pair_singlet(n).values())
+        assert norm_squared == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(7))
     def test_polarization_swap_antisymmetry(self, n):
         s = n_pair_singlet(n)
         for m in range(n + 1):
-            direct = s.amplitude((n - m, m, m, n - m))
-            swapped = s.amplitude((m, n - m, n - m, m))
+            direct = s[(n - m, m, m, n - m)]
+            swapped = s[(m, n - m, n - m, m)]
             assert direct == pytest.approx((-1) ** n * swapped)
 
 
