@@ -37,8 +37,13 @@ def count_rate_model(g: float, eta: float, repetition_rate: float) -> float:
         raise ValueError(f"efficiency must lie in (0, 1], got {eta}")
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
+    # 1 - (1 - eta) * tanh(g)^2 written as eta * tanh(g)^2 + sech(g)^2, with
+    # sech^2 from exp(-2g): no cancellation where tanh(g)^2 and 1 - eta round
+    # to 1, and no overflow at any gain.
     g2 = math.tanh(g) ** 2
-    return repetition_rate * eta * g2 / (1.0 - (1.0 - eta) * g2)
+    e = math.exp(-2.0 * g)
+    sech2 = 4.0 * e / (1.0 + e) ** 2
+    return repetition_rate * eta * g2 / (eta * g2 + sech2)
 
 
 def transmitted_photons_per_mode(params: GainChannelParams) -> float:

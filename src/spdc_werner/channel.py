@@ -5,16 +5,17 @@ eta coupling each source mode to an undetected reflected mode. Two
 independent routes produce the post-selected two-photon polarization matrix
 of the n-pair term:
 
-* brute force: expand the state's occupation tuples over the four
-  transmitted slots followed by the four reflected ones, trace the
-  reflected slots out of the expanded amplitudes, restrict to the
-  one-photon-per-spatial-mode block;
+* brute force: split each of the state's occupation tuples into the
+  transmitted part on the four coincidence occupations (one photon per
+  spatial mode) and the reflected rest, and trace the reflected modes out
+  of those beam-splitter amplitudes;
 * closed form: the 4x4 block written directly in terms of n and eta.
 
 The two agree exactly (not approximately): loss only redistributes weight
 between photon-number blocks, and coincidence post-selection picks out one
 block whose elements the closed form reproduces verbatim. Tests exploit this
-as a machine-precision oracle.
+as a machine-precision oracle, and check the brute-force block against the
+full expansion of :func:`apply_beamsplitters` over all eight slots.
 
 Summing the blocks over the pair-number distribution and normalizing yields
 a Werner state whose singlet weight is 1 / (2*((1-eta)*tanh g)^2 + 1).
@@ -32,14 +33,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .fock import TWO_PHOTON_BASIS, DensityMatrix, partial_trace
+from .fock import TWO_PHOTON_BASIS, DensityMatrix
 from .metrics import werner_state
 from .source import GainChannelParams, n_pair_singlet
 
-# Brute-force cost grows with the expansion size; four pairs
-# (259 basis tuples) is already instant, beyond that the closed form is the
-# only supported route.
-BRUTE_FORCE_MAX_PAIRS = 4
+# The brute-force block costs O(n) in n: n = 1500 takes 0.09-0.10 s (best and
+# median of 7 calls) on a 2-core x86-64 host with Python 3.11 and numpy 2.4.
+# Beyond the cap the closed form is the only supported route.
+BRUTE_FORCE_MAX_PAIRS = 1500
 
 SERIES_MIN_TERMS = 50
 SERIES_TAIL_TOL = 1e-12
@@ -63,6 +64,17 @@ def _require_open_channel(eta: float) -> None:
         raise ValueError(f"transmittivity must lie strictly in (0, 1), got {eta}")
 
 
+def _split_amplitude(amp: complex, occ: tuple[int, ...], ys: tuple[int, ...],
+                     eta: float) -> complex:
+    """amp times the amplitude of ys[i] of the occ[i] photons of each mode
+    being transmitted and the rest reflected, multiplied in mode order."""
+    t_amp = math.sqrt(eta)
+    r_amp = 1j * math.sqrt(1.0 - eta)
+    for n_i, y in zip(occ, ys):
+        amp *= math.sqrt(math.comb(n_i, y)) * t_amp**y * r_amp ** (n_i - y)
+    return amp
+
+
 def apply_beamsplitters(state: Mapping[tuple[int, ...], complex],
                         eta: float) -> dict[tuple[int, ...], complex]:
     """Propagate a four-mode state through one loss beam splitter per mode.
@@ -76,41 +88,33 @@ def apply_beamsplitters(state: Mapping[tuple[int, ...], complex],
     The input's occupation tuples must be four non-negative photon counts,
     on (1H, 1V, 2H, 2V). The output's tuples have eight slots (the four
     transmitted ones followed by the four reflected ones); it stays
-    normalized and conserves the total photon number term by term.
+    normalized and conserves the total photon number term by term. The
+    tests trace it out as the reference for :func:`transmitted_reduced_state`.
     """
     _require_open_channel(eta)
     for occ in state:
         if len(occ) != 4 or any(n_i < 0 for n_i in occ):
             raise ValueError(f"expected four non-negative photon counts, got {occ}")
-    t_amp = math.sqrt(eta)
-    r_amp = 1j * math.sqrt(1.0 - eta)
-
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.items():
-        per_mode = [
-            [
-                (y, math.sqrt(math.comb(n_i, y)) * t_amp**y * r_amp ** (n_i - y))
-                for y in range(n_i + 1)
-            ]
-            for n_i in occ
-        ]
-        for combo in itertools.product(*per_mode):
-            transmitted = tuple(c[0] for c in combo)
-            coeff = amp
-            for c in combo:
-                coeff *= c[1]
-            reflected = tuple(n_i - y for n_i, y in zip(occ, transmitted))
-            key = transmitted + reflected
-            out[key] = out.get(key, 0.0 + 0.0j) + coeff
+        for ys in itertools.product(*(range(n_i + 1) for n_i in occ)):
+            key = ys + tuple(n_i - y for n_i, y in zip(occ, ys))
+            out[key] = out.get(key, 0.0 + 0.0j) + _split_amplitude(amp, occ, ys, eta)
     return out
 
 
 def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
-    """Exact reduced state of the n-pair term on the transmitted modes.
+    """Exact reduced state of the n-pair term on the transmitted modes,
+    restricted to its principal block on ``COINCIDENCE_OCCUPATIONS``.
 
-    Brute-force route: beam-splitter expansion, then the partial trace of
-    the expanded pure state over the reflected modes; no matrix over all
-    eight modes is formed. Trace 1. Supported for n <= 4.
+    The basis is always those four occupations, in that order; the block is
+    zero for n = 0. Brute-force route: each of the term's occupations sends
+    each coincidence occupation t to the transmitted modes, and the rest r
+    to the reflected ones, with the amplitude :func:`apply_beamsplitters`
+    gives it; the amplitudes grouped by r add psi_r psi_r^H in sorted r
+    order, as :func:`fock.partial_trace` does. So the block is bitwise that
+    of the full eight-slot expansion, in O(n) work. Supported for
+    n <= ``BRUTE_FORCE_MAX_PAIRS``.
     """
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
@@ -118,7 +122,20 @@ def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
         raise CapacityError(
             f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
         )
-    return partial_trace(apply_beamsplitters(n_pair_singlet(n), eta), keep=range(4))
+    _require_open_channel(eta)
+    groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
+    for occ, amp in n_pair_singlet(n).items():
+        for k, t in enumerate(COINCIDENCE_OCCUPATIONS):
+            reflected = tuple(n_i - y for n_i, y in zip(occ, t))
+            if min(reflected) >= 0:
+                groups.setdefault(reflected, []).append(
+                    (k, _split_amplitude(amp, occ, t, eta)))
+    block = np.zeros((4, 4), dtype=complex)
+    for _, group in sorted(groups.items()):
+        rows = np.array([k for k, _ in group])
+        psi = np.array([coeff for _, coeff in group])
+        block[rows[:, None], rows] += np.outer(psi, psi.conj())
+    return DensityMatrix(COINCIDENCE_OCCUPATIONS, block)
 
 
 def post_select_two_photon(rho: DensityMatrix) -> DensityMatrix:
@@ -338,116 +355,3 @@ def _series_tail_bound(x: np.ndarray, n_last: int) -> np.ndarray:
     a_last = n_last * (n_last + 1.0) ** 2 * x[ok] ** (n_last - 1)
     bound[ok] = a_last * ratio[ok] / (1.0 - ratio[ok])
     return bound
-
-
-def _binom(a: int, k: int) -> int:
-    """Binomial coefficient that vanishes outside 0 <= k <= a."""
-    if a < 0 or k < 0 or k > a:
-        return 0
-    return math.comb(a, k)
-
-
-@dataclass(frozen=True)
-class LossCoefficients:
-    """Coefficient tables of the general reduced state of the n-pair term.
-
-    The reduced matrix over the transmitted modes can be written as a double
-    sum over integers (h, k) with per-slot factors
-
-        s(h, k, p)       = zeta^p * sqrt(C(k, p) * C(h, k-p))
-        s_tilde(h, k, p) = zeta^p * sqrt(C(n-k, p) * C(n-h, k-h+p))
-
-    real and vanishing whenever a binomial argument is out of range. The
-    beam-splitter expansion amplitude of the transmitted occupation
-    ``ys`` within the x-th singlet-power term is ``a_coefficient(x, ys)``
-    (up to the overall 1/(sqrt(n+1) n!)); it carries the phase
-    (-1)^x * (-i)^(2n - sum(ys)).
-    """
-
-    n: int
-    eta: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"pair number must be non-negative, got {self.n}")
-        _require_open_channel(self.eta)
-
-    @property
-    def zeta(self) -> float:
-        return self.eta / (1.0 - self.eta)
-
-    def s(self, h: int, k: int, p: int) -> float:
-        return self.zeta**p * math.sqrt(_binom(k, p) * _binom(h, k - p))
-
-    def s_tilde(self, h: int, k: int, p: int) -> float:
-        return self.zeta**p * math.sqrt(
-            _binom(self.n - k, p) * _binom(self.n - h, k - h + p)
-        )
-
-    def a_coefficient(self, x: int, ys: tuple[int, int, int, int]) -> complex:
-        """Expansion amplitude of transmitted occupation ``ys`` in term x.
-
-        ys = (y_1H, y_1V, y_2H, y_2V) are the transmitted photon counts out
-        of the term's input occupations (n-x, x, x, n-x); the complementary
-        photons go to the reflected slots. Each transmitted photon carries
-        sqrt(eta), each reflected one -i*sqrt(1-eta).
-        """
-        n = self.n
-        y1, y2, y3, y4 = ys
-        caps = (n - x, x, x, n - x)
-        combinatorial = _binom(n, x)
-        for cap, y in zip(caps, ys):
-            combinatorial *= _binom(cap, y)
-        if combinatorial == 0:
-            return 0.0 + 0.0j
-        total_t = y1 + y2 + y3 + y4
-        phase = (-1.0) ** x * (-1j * math.sqrt(1.0 - self.eta)) ** (2 * n - total_t)
-        root = math.sqrt(
-            math.prod(
-                math.factorial(y) * math.factorial(cap - y)
-                for cap, y in zip(caps, ys)
-            )
-        )
-        return combinatorial * math.sqrt(self.eta) ** total_t * phase * root
-
-    def reduced_state(self) -> DensityMatrix:
-        """Assemble the full reduced matrix from the coefficient tables.
-
-        Independent of the beam-splitter expansion route; agrees with
-        :func:`transmitted_reduced_state` at machine precision, which the
-        tests use as a cross-check on both.
-        """
-        n = self.n
-        entries: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-        for k in range(n + 1):
-            for h in range(n + 1):
-                sign = (-1.0) ** (k + h) * (1.0 - self.eta) ** (2 * n) / (n + 1)
-                for l1 in range(n - k + 1):
-                    st1 = self.s_tilde(h, k, l1)
-                    if st1 == 0.0:
-                        continue
-                    for l4 in range(n - k + 1):
-                        st4 = self.s_tilde(h, k, l4)
-                        if st4 == 0.0:
-                            continue
-                        for l2 in range(k + 1):
-                            s2 = self.s(h, k, l2)
-                            if s2 == 0.0:
-                                continue
-                            for l3 in range(k + 1):
-                                s3 = self.s(h, k, l3)
-                                if s3 == 0.0:
-                                    continue
-                                ket = (l1, l2, l3, l4)
-                                bra = (k - h + l1, h - k + l2, h - k + l3, k - h + l4)
-                                if any(v < 0 for v in bra):
-                                    continue
-                                val = sign * s2 * s3 * st1 * st4
-                                key = (ket, bra)
-                                entries[key] = entries.get(key, 0.0) + val
-        occs = sorted({occ for pair in entries for occ in pair})
-        index = {o: i for i, o in enumerate(occs)}
-        m = np.zeros((len(occs), len(occs)), dtype=complex)
-        for (ket, bra), val in entries.items():
-            m[index[ket], index[bra]] += val
-        return DensityMatrix(tuple(occs), m)

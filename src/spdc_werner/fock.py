@@ -129,7 +129,9 @@ def partial_trace(state: Mapping[tuple[int, ...], complex],
     and the trace is the state's squared norm. Each element gets at most one
     term per r, so this adds the terms of tracing the full projector
     ``outer_product(state)`` in that projector's row order, without forming
-    it.
+    it. No package route calls it: the tests trace the beam-splitter
+    expansion with it as the reference for the coincidence block of
+    ``channel.transmitted_reduced_state``.
     """
     if not state:
         raise ValueError("cannot trace an empty state")

@@ -45,6 +45,34 @@ class TestCountRateModel:
         rates = [count_rate_model(1.0, e, REPETITION_RATE) for e in etas]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
+    @pytest.mark.parametrize("g", [0.01, 0.1, 0.5, 1.0, 1.313, 2.0, 3.0])
+    @pytest.mark.parametrize("eta", [1e-6, 0.016, 0.3, 0.9, 1.0])
+    def test_matches_the_textbook_formula(self, g, eta):
+        # away from saturation 1 - (1 - eta) tanh(g)^2 loses at most a few
+        # digits, so the two forms agree far below the fit's noise
+        g2 = math.tanh(g) ** 2
+        textbook = REPETITION_RATE * eta * g2 / (1.0 - (1.0 - eta) * g2)
+        assert count_rate_model(g, eta, REPETITION_RATE) == pytest.approx(
+            textbook, rel=1e-13
+        )
+
+    def test_saturating_gain_at_tiny_efficiency(self):
+        # tanh(20)^2 and 1 - 1e-17 both round to 1, so the textbook
+        # denominator is exactly 0; the rate is R * eta s / (1 + eta s)
+        # with s = sinh(g)^2
+        s = math.sinh(20.0) ** 2
+        rate = count_rate_model(20.0, 1e-17, REPETITION_RATE)
+        assert rate == pytest.approx(
+            REPETITION_RATE * 1e-17 * s / (1.0 + 1e-17 * s), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("eta", [1e-17, 0.016, 0.5, 1.0])
+    def test_gain_past_sinh_overflow(self, eta):
+        # sinh(400)^2 overflows a double; the rate saturates at R
+        rate = count_rate_model(400.0, eta, REPETITION_RATE)
+        assert math.isfinite(rate)
+        assert rate == pytest.approx(REPETITION_RATE, rel=1e-12)
+
     def test_domain_errors(self):
         for g in (-1.0, math.nan):
             with pytest.raises(ValueError, match="gain"):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from spdc_werner import channel
 from spdc_werner.channel import (
-    LossCoefficients,
+    BRUTE_FORCE_MAX_PAIRS,
+    COINCIDENCE_OCCUPATIONS,
     apply_beamsplitters,
     pair_number_series,
     pair_number_series_state,
@@ -18,9 +20,122 @@ from spdc_werner.channel import (
     two_photon_state,
 )
 from spdc_werner.errors import CapacityError, ConvergenceError
-from spdc_werner.fock import TWO_PHOTON_BASIS
+from spdc_werner.fock import TWO_PHOTON_BASIS, DensityMatrix, partial_trace
 from spdc_werner.metrics import singlet_weight_extract, werner_state
 from spdc_werner.source import GainChannelParams, n_pair_singlet
+
+
+def eight_slot_reduced_state(n, eta):
+    """The reference route: the full reduced state on the transmitted modes,
+    traced out of the beam-splitter expansion over all eight slots."""
+    return partial_trace(apply_beamsplitters(n_pair_singlet(n), eta), keep=range(4))
+
+
+def _binom(a: int, k: int) -> int:
+    """Binomial coefficient that vanishes outside 0 <= k <= a."""
+    if a < 0 or k < 0 or k > a:
+        return 0
+    return math.comb(a, k)
+
+
+class LossCoefficients:
+    """Coefficient tables of the general reduced state of the n-pair term.
+
+    The reduced matrix over the transmitted modes can be written as a double
+    sum over integers (h, k) with per-slot factors
+
+        s(h, k, p)       = zeta^p * sqrt(C(k, p) * C(h, k-p))
+        s_tilde(h, k, p) = zeta^p * sqrt(C(n-k, p) * C(n-h, k-h+p))
+
+    real and vanishing whenever a binomial argument is out of range. The
+    beam-splitter expansion amplitude of the transmitted occupation
+    ``ys`` within the x-th singlet-power term is ``a_coefficient(x, ys)``
+    (up to the overall 1/(sqrt(n+1) n!)); it carries the phase
+    (-1)^x * (-i)^(2n - sum(ys)). A route to the full reduced state that is
+    independent of the beam-splitter expansion.
+    """
+
+    def __init__(self, n: int, eta: float):
+        if n < 0:
+            raise ValueError(f"pair number must be non-negative, got {n}")
+        if not 0.0 < eta < 1.0:
+            raise ValueError(f"transmittivity must lie strictly in (0, 1), got {eta}")
+        self.n, self.eta = n, eta
+
+    @property
+    def zeta(self) -> float:
+        return self.eta / (1.0 - self.eta)
+
+    def s(self, h: int, k: int, p: int) -> float:
+        return self.zeta**p * math.sqrt(_binom(k, p) * _binom(h, k - p))
+
+    def s_tilde(self, h: int, k: int, p: int) -> float:
+        return self.zeta**p * math.sqrt(
+            _binom(self.n - k, p) * _binom(self.n - h, k - h + p)
+        )
+
+    def a_coefficient(self, x: int, ys: tuple[int, int, int, int]) -> complex:
+        """Expansion amplitude of transmitted occupation ``ys`` in term x.
+
+        ys = (y_1H, y_1V, y_2H, y_2V) are the transmitted photon counts out
+        of the term's input occupations (n-x, x, x, n-x); the complementary
+        photons go to the reflected slots. Each transmitted photon carries
+        sqrt(eta), each reflected one -i*sqrt(1-eta).
+        """
+        n = self.n
+        y1, y2, y3, y4 = ys
+        caps = (n - x, x, x, n - x)
+        combinatorial = _binom(n, x)
+        for cap, y in zip(caps, ys):
+            combinatorial *= _binom(cap, y)
+        if combinatorial == 0:
+            return 0.0 + 0.0j
+        total_t = y1 + y2 + y3 + y4
+        phase = (-1.0) ** x * (-1j * math.sqrt(1.0 - self.eta)) ** (2 * n - total_t)
+        root = math.sqrt(
+            math.prod(
+                math.factorial(y) * math.factorial(cap - y)
+                for cap, y in zip(caps, ys)
+            )
+        )
+        return combinatorial * math.sqrt(self.eta) ** total_t * phase * root
+
+    def reduced_state(self) -> DensityMatrix:
+        """Assemble the full reduced matrix from the coefficient tables."""
+        n = self.n
+        entries: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+        for k in range(n + 1):
+            for h in range(n + 1):
+                sign = (-1.0) ** (k + h) * (1.0 - self.eta) ** (2 * n) / (n + 1)
+                for l1 in range(n - k + 1):
+                    st1 = self.s_tilde(h, k, l1)
+                    if st1 == 0.0:
+                        continue
+                    for l4 in range(n - k + 1):
+                        st4 = self.s_tilde(h, k, l4)
+                        if st4 == 0.0:
+                            continue
+                        for l2 in range(k + 1):
+                            s2 = self.s(h, k, l2)
+                            if s2 == 0.0:
+                                continue
+                            for l3 in range(k + 1):
+                                s3 = self.s(h, k, l3)
+                                if s3 == 0.0:
+                                    continue
+                                ket = (l1, l2, l3, l4)
+                                bra = (k - h + l1, h - k + l2, h - k + l3, k - h + l4)
+                                if any(v < 0 for v in bra):
+                                    continue
+                                val = sign * s2 * s3 * st1 * st4
+                                key = (ket, bra)
+                                entries[key] = entries.get(key, 0.0) + val
+        occs = sorted({occ for pair in entries for occ in pair})
+        index = {o: i for i, o in enumerate(occs)}
+        m = np.zeros((len(occs), len(occs)), dtype=complex)
+        for (ket, bra), val in entries.items():
+            m[index[ket], index[bra]] += val
+        return DensityMatrix(tuple(occs), m)
 
 
 class TestApplyBeamsplitters:
@@ -65,13 +180,16 @@ class TestApplyBeamsplitters:
 
 class TestTransmittedReducedState:
     def test_vacuum_term(self):
-        dm = transmitted_reduced_state(0, 0.5)
+        dm = eight_slot_reduced_state(0, 0.5)
         assert dm.basis == ((0, 0, 0, 0),)
         np.testing.assert_allclose(dm.entries, [[1.0]])
+        block = transmitted_reduced_state(0, 0.5)
+        assert block.basis == COINCIDENCE_OCCUPATIONS
+        assert not block.entries.any()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trace_one(self, n):
-        assert transmitted_reduced_state(n, 0.2).trace == pytest.approx(1.0, abs=1e-12)
+        assert eight_slot_reduced_state(n, 0.2).trace == pytest.approx(1.0, abs=1e-12)
 
     def test_lossless_limit_is_singlet(self):
         dm = transmitted_reduced_state(1, 1.0 - 1e-9)
@@ -84,7 +202,26 @@ class TestTransmittedReducedState:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            transmitted_reduced_state(5, 0.1)
+            transmitted_reduced_state(BRUTE_FORCE_MAX_PAIRS + 1, 0.1)
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("eta", [1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9])
+    def test_block_equals_eight_slot_route_bitwise(self, n, eta):
+        block = transmitted_reduced_state(n, eta)
+        assert block.basis == COINCIDENCE_OCCUPATIONS
+        reference = post_select_two_photon(eight_slot_reduced_state(n, eta))
+        assert np.array_equal(post_select_two_photon(block).entries, reference.entries)
+
+    # (1-eta)^(2n) stays a normal float at every (n, eta) here, so the
+    # comparison is relative to a trace that has not underflowed.
+    @pytest.mark.parametrize("n", [5, 20, 50, 200, 1000, BRUTE_FORCE_MAX_PAIRS])
+    @pytest.mark.parametrize("eta", [1e-6, 0.01, 0.1])
+    def test_large_n_matches_closed_form(self, n, eta):
+        closed = two_photon_block_closed(n, eta)
+        assert closed.trace >= sys.float_info.min
+        brute = post_select_two_photon(transmitted_reduced_state(n, eta))
+        deviation = float(np.max(np.abs(brute.entries - closed.entries)))
+        assert deviation <= 1e-12 * closed.trace
 
 
 class TestPostSelection:
@@ -196,7 +333,7 @@ class TestCoefficientTables:
     @pytest.mark.parametrize("eta", [0.1, 0.5])
     def test_reduced_state_matches_brute_force(self, n, eta):
         via_tables = LossCoefficients(n=n, eta=eta).reduced_state()
-        brute = transmitted_reduced_state(n, eta)
+        brute = eight_slot_reduced_state(n, eta)
         assert via_tables.basis == brute.basis
         np.testing.assert_allclose(via_tables.entries, brute.entries, atol=1e-12)
 

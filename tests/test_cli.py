@@ -10,7 +10,7 @@ import pytest
 
 import spdc_werner
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
-from spdc_werner.channel import pair_number_series_state
+from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS, pair_number_series_state
 from spdc_werner import cli, fock
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
@@ -208,7 +208,7 @@ class TestOracleCheck:
         assert "FAIL" not in out
 
     def test_capacity_error(self, capsys):
-        assert run(["oracle-check", "--n", "5"]) == 1
+        assert run(["oracle-check", "--n", str(BRUTE_FORCE_MAX_PAIRS + 1)]) == 1
         assert "capacity" in capsys.readouterr().err.lower()
 
     def test_near_lossless_still_passes(self):
@@ -335,7 +335,9 @@ class TestErrorPath:
           "--seed", "1", "--out", "counts.csv"], ""),
         (["tomo", "reconstruct", "--input", "witness.csv"], ""),
         (["oracle-check", "--eta", "0"], ""),
-        (["oracle-check", "--n", "1,5"], "n=5 exceeds brute-force capacity 4"),
+        (["oracle-check", "--n", f"1,{BRUTE_FORCE_MAX_PAIRS + 1}"],
+         f"n={BRUTE_FORCE_MAX_PAIRS + 1} exceeds brute-force capacity "
+         f"{BRUTE_FORCE_MAX_PAIRS}"),
         (["oracle-check", "--n", "1", "--eta", "0.1,0"], "transmittivity"),
         (["oracle-check", "--n", "1,-1", "--eta", "0.1"], "pair number"),
         (["tomo", "reconstruct", "--input", "tomo.csv", "--g", "1.3",
