@@ -13,6 +13,7 @@ source; the gain at the highest measured power is reported as g_max.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -29,12 +30,17 @@ def count_rate_model(g: float, eta: float, repetition_rate: float) -> float:
     """Singles rate at gain g for a detector of efficiency eta.
 
     Monotone increasing in both g and eta; reduces to R * eta * tanh(g)^2
-    for small gain and to R * tanh(g)^2 at eta = 1.
+    for small gain and to R * tanh(g)^2 at eta = 1. eta must be a normal
+    double: at a subnormal eta, exp(-2g) underflows to 0 while eta*sinh(g)^2
+    is still of order 1, and the rate would saturate at R too early.
     """
     if not g >= 0:
         raise ValueError(f"gain must be non-negative, got {g}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {eta}")
+    if not sys.float_info.min <= eta <= 1.0:
+        raise ValueError(
+            f"efficiency must lie in (0, 1] and be at least the smallest normal "
+            f"double {sys.float_info.min}, got {eta}"
+        )
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
     # 1 - (1 - eta) * tanh(g)^2 written as eta * tanh(g)^2 + sech(g)^2, with
@@ -132,6 +138,12 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     present in the data. Residuals are relative (rate noise is
     multiplicative). Raises ``FitError`` on non-convergence or efficiencies
     outside (0, 1].
+
+    The fit determines the gain scale, g_max and the efficiencies to about 9
+    significant digits, not to the 17 a float prints: ``least_squares``
+    stops at its 1e-14 tolerances where rounding in the residuals takes it,
+    so moving the model by 2e-15 relative moved g_max on the bundled demo
+    data by about 1e-9 relative.
     """
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")

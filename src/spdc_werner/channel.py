@@ -8,7 +8,8 @@ of the n-pair term:
 * brute force: split each of the state's occupation tuples into the
   transmitted part on the four coincidence occupations (one photon per
   spatial mode) and the reflected rest, and trace the reflected modes out
-  of those beam-splitter amplitudes;
+  of those beam-splitter amplitudes, giving an ``(occupations, matrix)``
+  pair that :func:`post_select_two_photon` turns into a ``DensityMatrix``;
 * closed form: the 4x4 block written directly in terms of n and eta.
 
 The two agree exactly (not approximately): loss only redistributes weight
@@ -33,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .fock import TWO_PHOTON_BASIS, DensityMatrix
+from .fock import DensityMatrix
 from .metrics import werner_state
 from .source import GainChannelParams, n_pair_singlet
 
@@ -103,18 +104,19 @@ def apply_beamsplitters(state: Mapping[tuple[int, ...], complex],
     return out
 
 
-def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
+def transmitted_reduced_state(n: int, eta: float) -> tuple[tuple, np.ndarray]:
     """Exact reduced state of the n-pair term on the transmitted modes,
     restricted to its principal block on ``COINCIDENCE_OCCUPATIONS``.
 
-    The basis is always those four occupations, in that order; the block is
-    zero for n = 0. Brute-force route: each of the term's occupations sends
-    each coincidence occupation t to the transmitted modes, and the rest r
-    to the reflected ones, with the amplitude :func:`apply_beamsplitters`
-    gives it; the amplitudes grouped by r add psi_r psi_r^H in sorted r
-    order, as :func:`fock.partial_trace` does. So the block is bitwise that
-    of the full eight-slot expansion, in O(n) work. Supported for
-    n <= ``BRUTE_FORCE_MAX_PAIRS``.
+    Returns the pair ``(COINCIDENCE_OCCUPATIONS, block)``: the occupations
+    are always those four, in that order, and the 4x4 block is zero for
+    n = 0; :func:`post_select_two_photon` validates it. Brute-force route:
+    each of the term's occupations sends each coincidence occupation t to
+    the transmitted modes, and the rest r to the reflected ones, with the
+    amplitude :func:`apply_beamsplitters` gives it; the amplitudes grouped
+    by r add psi_r psi_r^H in sorted r order, as :func:`fock.partial_trace`
+    does. So the block is bitwise that of the full eight-slot expansion, in
+    O(n) work. Supported for n <= ``BRUTE_FORCE_MAX_PAIRS``.
     """
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
@@ -135,22 +137,24 @@ def transmitted_reduced_state(n: int, eta: float) -> DensityMatrix:
         rows = np.array([k for k, _ in group])
         psi = np.array([coeff for _, coeff in group])
         block[rows[:, None], rows] += np.outer(psi, psi.conj())
-    return DensityMatrix(COINCIDENCE_OCCUPATIONS, block)
+    return COINCIDENCE_OCCUPATIONS, block
 
 
-def post_select_two_photon(rho: DensityMatrix) -> DensityMatrix:
+def post_select_two_photon(reduced: tuple[tuple, np.ndarray]) -> DensityMatrix:
     """Restrict to the one-photon-per-spatial-mode coincidence block.
 
-    Input is a density matrix whose basis is occupation tuples over the
-    four transmitted modes; the output is the 4x4 block on (HH, HV, VH,
-    VV), left unnormalized so its trace is the coincidence post-selection
-    probability.
+    Input is an ``(occupations, matrix)`` pair over the four transmitted
+    modes, as :func:`transmitted_reduced_state` and ``fock.partial_trace``
+    return; coincidence occupations it lacks get zero rows and columns. The
+    output is the validated 4x4 block on (HH, HV, VH, VV), left
+    unnormalized so its trace is the coincidence post-selection probability.
     """
-    slots = [k for k, occ in enumerate(COINCIDENCE_OCCUPATIONS) if occ in rho.basis]
-    rows = [rho.basis.index(COINCIDENCE_OCCUPATIONS[k]) for k in slots]
+    occupations, matrix = reduced
+    slots = [k for k, occ in enumerate(COINCIDENCE_OCCUPATIONS) if occ in occupations]
+    rows = [occupations.index(COINCIDENCE_OCCUPATIONS[k]) for k in slots]
     block = np.zeros((4, 4), dtype=complex)
-    block[np.ix_(slots, slots)] = rho.entries[np.ix_(rows, rows)]
-    return DensityMatrix(TWO_PHOTON_BASIS, block, check_positive=rho.check_positive)
+    block[np.ix_(slots, slots)] = matrix[np.ix_(rows, rows)]
+    return DensityMatrix(block)
 
 
 def _assemble_block(corner, middle, off) -> np.ndarray:
@@ -180,7 +184,7 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
         raise ValueError(f"pair number must be non-negative, got {n}")
     _require_open_channel(eta)
     if n == 0:
-        return DensityMatrix(TWO_PHOTON_BASIS, np.zeros((4, 4)))
+        return DensityMatrix(np.zeros((4, 4)))
     # prefactor n * (1-eta)^(2n) * zeta^2 / 6 on the integer pattern
     # (n-1, 1+2n, -(n+2)) of (corner, middle, off)
     zeta = eta / (1.0 - eta)
@@ -188,7 +192,7 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     block = _assemble_block(
         pref * (n - 1.0), pref * (1.0 + 2.0 * n), pref * -(n + 2.0)
     )
-    return DensityMatrix(TWO_PHOTON_BASIS, block)
+    return DensityMatrix(block)
 
 
 def singlet_weight(params: GainChannelParams) -> float:
@@ -325,7 +329,7 @@ def pair_number_series_state(params: GainChannelParams) -> DensityMatrix:
     if error is not None:
         raise error
     block = _assemble_block(series.corner[0], series.middle[0], series.off[0])
-    return DensityMatrix(TWO_PHOTON_BASIS, block)
+    return DensityMatrix(block)
 
 
 def _add_terms(sums: np.ndarray, x: np.ndarray, rows: np.ndarray,

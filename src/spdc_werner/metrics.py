@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .fock import EIGENVALUE_TOL, TWO_PHOTON_BASIS, DensityMatrix
+from .fock import EIGENVALUE_TOL, DensityMatrix
 
 # Single-photon polarization kets. D/F are the +/- diagonal states, L/R the
 # circular ones.
@@ -64,7 +64,7 @@ def werner_state(p: float) -> DensityMatrix:
         raise ValueError(f"Werner weight must lie in [-1/3, 1], got {p}")
     psi = singlet_ket()
     m = p * np.outer(psi, psi.conj()) + (1.0 - p) / 4.0 * np.eye(4)
-    return DensityMatrix(TWO_PHOTON_BASIS, m)
+    return DensityMatrix(m)
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,6 @@ class WernerDescriptor:
         return (1.0 - 3.0 * self.p) / 4.0
 
 
-def _require_two_photon_basis(rho: DensityMatrix) -> None:
-    if tuple(rho.basis) != TWO_PHOTON_BASIS:
-        raise ValueError(
-            f"expected basis {TWO_PHOTON_BASIS}, got {tuple(rho.basis)}"
-        )
-
-
 def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition with small negative eigenvalues zeroed.
 
@@ -121,9 +114,8 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
 def singlet_weight_extract(rho: DensityMatrix) -> float:
     """Werner weight read off the matrix elements: r22 + r33 - r11 - r44.
 
-    Requires a normalized matrix on (HH, HV, VH, VV).
+    Requires a normalized matrix.
     """
-    _require_two_photon_basis(rho)
     d = np.diag(rho.entries)
     if np.max(np.abs(d.imag)) > 1e-10:
         raise PhysicalityError("diagonal carries imaginary residue above 1e-10")
@@ -141,7 +133,6 @@ def concurrence_tangle(rho: DensityMatrix) -> tuple[float, float]:
 
     Computed Hermitianly as the eigenvalues of sqrt(rho) rho_tilde sqrt(rho).
     """
-    _require_two_photon_basis(rho)
     m = rho.entries
     rho_tilde = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
     sqrt_rho = _sqrtm_psd(m)
@@ -188,7 +179,6 @@ def witness_operator() -> np.ndarray:
 
 def witness_expectation(rho: DensityMatrix) -> float:
     """Tr[witness * rho]; negative only on entangled states."""
-    _require_two_photon_basis(rho)
     return float(np.trace(witness_operator() @ rho.entries).real)
 
 
@@ -197,8 +187,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Symmetric, in [0, 1], and 1 exactly at equality.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     sqrt_rho = _sqrtm_psd(rho.entries)
     inner = sqrt_rho @ sigma.entries @ sqrt_rho
     vals, _ = _clipped_eigh(0.5 * (inner + inner.conj().T))
@@ -212,7 +200,6 @@ def is_entangled_ppt(rho: DensityMatrix) -> bool:
     True when the partial transpose over the second qubit has an eigenvalue
     below -1e-10.
     """
-    _require_two_photon_basis(rho)
     m = rho.entries.reshape(2, 2, 2, 2)
     pt = m.transpose(0, 3, 2, 1).reshape(4, 4)
     vals = np.linalg.eigvalsh(pt)

@@ -183,11 +183,12 @@ def _linear_estimate(
 def linear_reconstruction(
     records: Sequence[CountRecord],
     total_per_setting: float | None = None,
-) -> DensityMatrix:
+) -> np.ndarray:
     """Invert the Born probabilities linearly.
 
-    Returns a Hermitian, unit-trace matrix; under shot noise it may carry
-    negative eigenvalues, so positivity is deliberately not enforced here.
+    Returns a read-only Hermitian, unit-trace 4x4 array on (HH, HV, VH, VV),
+    not a ``DensityMatrix``: under shot noise it may carry negative
+    eigenvalues, so it need not be a physical state.
     Raises ``DesignError`` unless the settings span the 16-dimensional
     operator space, and ``ValueError`` if the estimate's trace is zero, as
     when a given flux meets HH, HV, VH and VV counts that are all zero.
@@ -204,7 +205,9 @@ def linear_reconstruction(
             f"linear estimate has zero trace ({trace:.1e}), as when the "
             "complete-basis counts HH, HV, VH and VV are all zero"
         )
-    return DensityMatrix(TWO_PHOTON_BASIS, m / trace, check_positive=False)
+    estimate = m / trace
+    estimate.setflags(write=False)
+    return estimate
 
 
 def _triangular_from_params(t: np.ndarray) -> np.ndarray:
@@ -300,7 +303,7 @@ def ml_reconstruction(
         )
     factor = _triangular_from_params(result.x)
     gram = factor.conj().T @ factor
-    state = DensityMatrix(TWO_PHOTON_BASIS, gram / gram.trace().real)
+    state = DensityMatrix(gram / gram.trace().real)
     return MLReconstruction(
         state=state,
         log_likelihood=-float(result.fun),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,24 @@ class TestCountRateModel:
         rate = count_rate_model(400.0, eta, REPETITION_RATE)
         assert math.isfinite(rate)
         assert rate == pytest.approx(REPETITION_RATE, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [
+        5e-324, sys.float_info.min / 2, math.nextafter(sys.float_info.min, 0.0)])
+    def test_subnormal_efficiency_rejected(self, eta):
+        # exp(-2g) underflows where eta * sinh(g)^2 is still of order 1 (near
+        # g = 372.6 at eta = 5e-324), which would saturate the rate at R
+        # instead of R * eta s / (1 + eta s), about R/3 there
+        with pytest.raises(ValueError, match="smallest normal double"):
+            count_rate_model(372.6, eta, REPETITION_RATE)
+
+    def test_smallest_normal_efficiency_at_half_saturation(self):
+        # eta * sinh(g)^2 = 1: the rate is R/2, and exp(-2g) is still nonzero
+        eta = sys.float_info.min
+        g = math.asinh(math.sqrt(1.0 / eta))
+        eta_s = eta * math.sinh(g) ** 2
+        assert eta_s == pytest.approx(1.0, rel=1e-12)
+        rate = count_rate_model(g, eta, REPETITION_RATE)
+        assert rate == pytest.approx(REPETITION_RATE * eta_s / (1.0 + eta_s), rel=1e-12)
 
     def test_domain_errors(self):
         for g in (-1.0, math.nan):

@@ -11,7 +11,7 @@ import pytest
 import spdc_werner
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
 from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS, pair_number_series_state
-from spdc_werner import cli, fock
+from spdc_werner import channel, cli, fock
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
 from spdc_werner.metrics import (
@@ -223,26 +223,28 @@ class TestOracleCheck:
 
     def test_no_matrix_over_all_eight_modes(self, monkeypatch):
         # the oracle traces the beam-splitter state itself, so neither
-        # outer_product nor any other route forms the eight-mode projector
+        # outer_product nor any other route forms the eight-mode projector:
+        # every matrix that reaches post-selection is over the four
+        # transmitted modes
         def refuse(state):
             raise AssertionError("outer_product called")
 
-        original = fock.outer_product
-        for module in [m for name, m in list(sys.modules.items())
-                       if name.startswith("spdc_werner")]:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, refuse)
-        slots = set()
-        post_init = DensityMatrix.__post_init__
+        widths = set()
+        select = channel.post_select_two_photon
 
-        def record(self):
-            slots.update(len(label) for label in self.basis if isinstance(label, tuple))
-            post_init(self)
+        def record(reduced):
+            occupations, _ = reduced
+            widths.update(len(occ) for occ in occupations)
+            return select(reduced)
 
-        monkeypatch.setattr(DensityMatrix, "__post_init__", record)
+        for original, replacement in [(fock.outer_product, refuse), (select, record)]:
+            for module in [m for name, m in list(sys.modules.items())
+                           if name.startswith("spdc_werner")]:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, replacement)
         assert run(["oracle-check"]) == 0
-        assert 4 in slots and 8 not in slots
+        assert 4 in widths and 8 not in widths
 
 
 class TestTomo:
