@@ -6,9 +6,10 @@ coincidence-count simulation, maximum-likelihood state tomography,
 entanglement metrics, and gain calibration from detector rates.
 
 The top level exports that chain. The oracles that check the closed form
-(the beam-splitter Fock expansion, the coefficient tables, the pair-number
-series and their ``CapacityError``) are imported from the modules that
-define them: ``channel``, ``fock``, ``source`` and ``errors``.
+(the n-pair source state, the beam-splitter Fock expansion and its traced
+coincidence block, the pair-number series and their ``CapacityError``) are
+imported from the modules that define them: ``channel``, ``fock``,
+``source`` and ``errors``.
 """
 
 __version__ = "0.1.0"

@@ -8,8 +8,9 @@ of the n-pair term:
 * brute force: split each of the state's occupation tuples into the
   transmitted part on the four coincidence occupations (one photon per
   spatial mode) and the reflected rest, and trace the reflected modes out
-  of those beam-splitter amplitudes, giving an ``(occupations, matrix)``
-  pair that :func:`post_select_two_photon` turns into a ``DensityMatrix``;
+  of those beam-splitter amplitudes with ``fock.partial_trace``, giving an
+  ``(occupations, matrix)`` pair that :func:`post_select_two_photon` turns
+  into a ``DensityMatrix``;
 * closed form: the 4x4 block written directly in terms of n and eta.
 
 The two agree exactly (not approximately): loss only redistributes weight
@@ -34,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .fock import DensityMatrix
+from .fock import DensityMatrix, partial_trace
 from .metrics import werner_state
 from .source import GainChannelParams, n_pair_singlet
 
@@ -106,17 +107,17 @@ def apply_beamsplitters(state: Mapping[tuple[int, ...], complex],
 
 def transmitted_reduced_state(n: int, eta: float) -> tuple[tuple, np.ndarray]:
     """Exact reduced state of the n-pair term on the transmitted modes,
-    restricted to its principal block on ``COINCIDENCE_OCCUPATIONS``.
+    restricted to the coincidence occupations.
 
-    Returns the pair ``(COINCIDENCE_OCCUPATIONS, block)``: the occupations
-    are always those four, in that order, and the 4x4 block is zero for
-    n = 0; :func:`post_select_two_photon` validates it. Brute-force route:
-    each of the term's occupations sends each coincidence occupation t to
-    the transmitted modes, and the rest r to the reflected ones, with the
-    amplitude :func:`apply_beamsplitters` gives it; the amplitudes grouped
-    by r add psi_r psi_r^H in sorted r order, as :func:`fock.partial_trace`
-    does. So the block is bitwise that of the full eight-slot expansion, in
-    O(n) work. Supported for n <= ``BRUTE_FORCE_MAX_PAIRS``.
+    Returns an ``(occupations, matrix)`` pair over the coincidence
+    occupations the term reaches, sorted (none, an empty pair, at n = 0),
+    which :func:`post_select_two_photon` places in the 4x4 block.
+    Brute-force route: each of the term's occupations sends each
+    coincidence occupation t to the transmitted modes and the rest to the
+    reflected ones, with the amplitude :func:`apply_beamsplitters` gives
+    it, and ``fock.partial_trace`` traces the reflected modes out. So the
+    block is bitwise that of the full eight-slot expansion, in O(n) work.
+    Supported for n <= ``BRUTE_FORCE_MAX_PAIRS``.
     """
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
@@ -125,19 +126,15 @@ def transmitted_reduced_state(n: int, eta: float) -> tuple[tuple, np.ndarray]:
             f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
         )
     _require_open_channel(eta)
-    groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
+    landing: dict[tuple[int, ...], complex] = {}
     for occ, amp in n_pair_singlet(n).items():
-        for k, t in enumerate(COINCIDENCE_OCCUPATIONS):
+        for t in COINCIDENCE_OCCUPATIONS:
             reflected = tuple(n_i - y for n_i, y in zip(occ, t))
             if min(reflected) >= 0:
-                groups.setdefault(reflected, []).append(
-                    (k, _split_amplitude(amp, occ, t, eta)))
-    block = np.zeros((4, 4), dtype=complex)
-    for _, group in sorted(groups.items()):
-        rows = np.array([k for k, _ in group])
-        psi = np.array([coeff for _, coeff in group])
-        block[rows[:, None], rows] += np.outer(psi, psi.conj())
-    return COINCIDENCE_OCCUPATIONS, block
+                landing[t + reflected] = _split_amplitude(amp, occ, t, eta)
+    if not landing:
+        return (), np.zeros((0, 0), dtype=complex)
+    return partial_trace(landing, keep=range(4))
 
 
 def post_select_two_photon(reduced: tuple[tuple, np.ndarray]) -> DensityMatrix:
@@ -145,7 +142,8 @@ def post_select_two_photon(reduced: tuple[tuple, np.ndarray]) -> DensityMatrix:
 
     Input is an ``(occupations, matrix)`` pair over the four transmitted
     modes, as :func:`transmitted_reduced_state` and ``fock.partial_trace``
-    return; coincidence occupations it lacks get zero rows and columns. The
+    return, in any occupation order; coincidence occupations it lacks,
+    all four for the empty pair, get zero rows and columns. The
     output is the validated 4x4 block on (HH, HV, VH, VV), left
     unnormalized so its trace is the coincidence post-selection probability.
     """

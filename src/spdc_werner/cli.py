@@ -51,6 +51,9 @@ HL_WARN_THRESHOLD = 0.1
 # Largest entry deviation oracle-check accepts between the brute-force and
 # closed-form blocks; both routes agree to rounding, far below it.
 ORACLE_TOL = 1e-10
+# sweep's CSV header and JSON keys, in CSV column order.
+_SWEEP_COLUMNS = ("g", "eta", "p_theory", "p_series", "tangle",
+                 "linear_entropy", "witness")
 
 
 def _fmt(x: float) -> str:
@@ -81,18 +84,16 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_floats(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("empty value list")
-    return values
-
-
-def _parse_ints(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("empty value list")
-    return values
+def _parse_list(kind):
+    """argparse type: a non-empty comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        values = [kind(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("empty value list")
+        return values
+    # argparse names the type in its "invalid ... value" usage errors
+    parse.__name__ = f"_parse_{kind.__name__}s"
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -139,25 +140,16 @@ def _cmd_sweep(args) -> int:
             failed = True
             print(f"error: g={g} eta={eta}: {error}", file=sys.stderr)
             continue
-        rows.append(
-            {
-                "g": g,
-                "eta": eta,
-                "p_theory": werner.p,
-                "p_series": float(p_series),
-                "tangle": werner.tangle,
-                "linear_entropy": werner.linear_entropy,
-                "witness": werner.witness_value,
-            }
-        )
+        rows.append(dict(zip(_SWEEP_COLUMNS, (
+            g, eta, werner.p, float(p_series), werner.tangle,
+            werner.linear_entropy, werner.witness_value,
+        ))))
     out = _resolve_out(args.out)
     if args.format == "json":
         _emit(_dump_json(rows), out)
     else:
-        header = ("g", "eta", "p_theory", "p_series", "tangle",
-                  "linear_entropy", "witness")
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(row[k]) for k in header) for row in rows]
+        lines = [",".join(_SWEEP_COLUMNS)]
+        lines += [",".join(_fmt(row[k]) for k in _SWEEP_COLUMNS) for row in rows]
         _emit("\n".join(lines) + "\n", out)
     return 1 if failed else 0
 
@@ -245,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="grid of (g, eta) rows with Werner metrics")
-    sweep.add_argument("--g", type=_parse_floats, required=True,
+    sweep.add_argument("--g", type=_parse_list(float), required=True,
                        help="comma-separated gain values")
-    sweep.add_argument("--eta", type=_parse_floats, required=True,
+    sweep.add_argument("--eta", type=_parse_list(float), required=True,
                        help="comma-separated transmittivities")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -263,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="brute-force vs closed-form coincidence blocks",
     )
-    oracle.add_argument("--n", type=_parse_ints, default=[1, 2, 3, 4])
-    oracle.add_argument("--eta", type=_parse_floats,
+    oracle.add_argument("--n", type=_parse_list(int), default=[1, 2, 3, 4])
+    oracle.add_argument("--eta", type=_parse_list(float),
                         default=[0.01, 0.1, 0.3, 0.5])
     oracle.set_defaults(func=_cmd_oracle_check)
 

@@ -2,15 +2,17 @@
 
 A :class:`DensityMatrix` is a physical two-photon polarization state: a
 4x4 complex matrix on ``TWO_PHOTON_BASIS``, immutable after construction
-and validated eagerly, so one that is not Hermitian or not positive
-semidefinite (beyond tolerance) raises instead of propagating silently.
+and validated eagerly, so one that has a non-finite entry, or is not
+Hermitian or not positive semidefinite (beyond tolerance), raises instead
+of propagating silently.
 
 A Fock state is a plain dict from occupation tuple (one photon count per
 mode slot) to complex amplitude; absent tuples have amplitude zero. Its
 matrices are plain ``(occupations, matrix)`` pairs: a tuple of occupation
 tuples and the dense complex matrix over them, in that order. A pure
 state's reduced matrix on some of its slots comes straight from its
-amplitudes, without the projector over all of them.
+amplitudes, without the projector over all of them: that is
+:func:`partial_trace`, which the brute-force oracle in ``channel`` uses.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ class DensityMatrix:
     (post-selected blocks are kept unnormalized; their trace is the
     selection probability).
 
-    Construction validates the 4x4 shape, Hermiticity (tolerance 1e-12) and
-    that the smallest eigenvalue is >= -1e-10.
+    Construction validates the 4x4 shape, that every entry is finite,
+    Hermiticity (tolerance 1e-12) and that the smallest eigenvalue is
+    >= -1e-10.
     """
 
     basis: ClassVar[tuple[str, ...]] = TWO_PHOTON_BASIS
@@ -50,6 +53,8 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"entries must be 4x4, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise PhysicalityError("matrix has non-finite entries")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > HERMITICITY_TOL:
             raise PhysicalityError(f"matrix not Hermitian: max deviation {herm_dev:.3e}")
@@ -73,18 +78,6 @@ class DensityMatrix:
             "re": self.entries.real.tolist(),
             "im": self.entries.imag.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DensityMatrix":
-        """Inverse of :meth:`to_dict`; ``dim`` and ``basis`` must be the
-        two-photon ones."""
-        if data["dim"] != cls.dim or tuple(data["basis"]) != cls.basis:
-            raise ValueError(
-                f"expected dim {cls.dim} and basis {list(cls.basis)}, got dim "
-                f"{data['dim']!r} and basis {data['basis']!r}"
-            )
-        m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-        return cls(m)
 
 
 def outer_product(state: Mapping[tuple[int, ...], complex]) -> tuple[tuple, np.ndarray]:
@@ -113,9 +106,9 @@ def partial_trace(state: Mapping[tuple[int, ...], complex],
     and the trace is the state's squared norm. Each element gets at most one
     term per r, so this adds the terms of tracing the full projector
     ``outer_product(state)`` in that projector's row order, without forming
-    it. No package route calls it: the tests trace the beam-splitter
-    expansion with it as the reference for
-    ``channel.transmitted_reduced_state``.
+    it. ``channel.transmitted_reduced_state`` traces its coincidence
+    amplitudes with it, and the tests trace the full beam-splitter
+    expansion with it as that function's reference.
     """
     if not state:
         raise ValueError("cannot trace an empty state")

@@ -10,6 +10,11 @@ probabilities (exact but possibly indefinite under shot noise) and a
 maximum-likelihood refinement over the Cholesky-like parameterization
 rho = T'T / Tr(T'T) with T complex lower triangular, which is positive
 semidefinite by construction.
+
+Counts travel as CSV rows (label, stateA, stateB, counts, seed). A setting
+is its two letters, and its label is derived from them; the reader rejects
+a row whose label column differs from its letters, and counts above 2**53,
+beyond which float64 counts are not exact.
 """
 
 from __future__ import annotations
@@ -42,18 +47,16 @@ class ProjectorSetting:
 
     state_a: str
     state_b: str
-    label: str = ""
 
     def __post_init__(self):
         for value in (self.state_a, self.state_b):
             if not (isinstance(value, str) and value in POLARIZATION_KETS):
                 raise ValueError(f"unknown polarization label {value!r}")
-        letters = self.state_a + self.state_b
-        if self.label not in ("", letters):
-            raise ValueError(
-                f"label {self.label!r} does not match the letter states {letters!r}"
-            )
-        object.__setattr__(self, "label", letters)
+
+    @property
+    def label(self) -> str:
+        """The two letters, ``state_a + state_b``."""
+        return self.state_a + self.state_b
 
     def projector(self) -> np.ndarray:
         """The read-only |ab><ab| from ``metrics.PAIR_PROJECTORS``."""
@@ -71,6 +74,8 @@ class CountRecord:
     def __post_init__(self):
         if self.counts < 0:
             raise ValueError(f"counts must be non-negative, got {self.counts}")
+        if self.counts > 2**53:  # beyond it float64 counts are not exact
+            raise ValueError(f"counts must be at most 2**53, got {self.counts}")
 
 
 def standard_tomography_settings() -> tuple[ProjectorSetting, ...]:
@@ -359,8 +364,13 @@ def _count_row(record: CountRecord) -> list:
 
 def _count_record(row: list[str]) -> CountRecord:
     label, state_a, state_b, counts, seed = row
+    setting = ProjectorSetting(state_a, state_b)
+    if label != setting.label:
+        raise ValueError(
+            f"label {label!r} does not match the letter states {setting.label!r}"
+        )
     return CountRecord(
-        setting=ProjectorSetting(state_a, state_b, label=label),
+        setting=setting,
         counts=int(counts),
         seed=int(seed) if seed else None,
     )
@@ -373,5 +383,6 @@ def write_count_records(records: Iterable[CountRecord], path) -> None:
 
 
 def read_count_records(path) -> list[CountRecord]:
-    """Read a CountRecord CSV; malformed rows raise with their line number."""
+    """Read a CountRecord CSV; malformed rows, among them a label that is
+    not the row's two letters, raise with their line number."""
     return _csv.read_rows(path, _CSV_FIELDS, _count_record)

@@ -185,9 +185,8 @@ class TestTransmittedReducedState:
         occupations, m = eight_slot_reduced_state(0, 0.5)
         assert occupations == ((0, 0, 0, 0),)
         np.testing.assert_allclose(m, [[1.0]])
-        occupations, block = transmitted_reduced_state(0, 0.5)
-        assert occupations == COINCIDENCE_OCCUPATIONS
-        assert block.shape == (4, 4) and not block.any()
+        block = post_select_two_photon(transmitted_reduced_state(0, 0.5))
+        assert not block.entries.any()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trace_one(self, n):
@@ -210,7 +209,7 @@ class TestTransmittedReducedState:
     @pytest.mark.parametrize("eta", [1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9])
     def test_block_equals_eight_slot_route_bitwise(self, n, eta):
         reduced = transmitted_reduced_state(n, eta)
-        assert reduced[0] == COINCIDENCE_OCCUPATIONS
+        assert set(reduced[0]) <= set(COINCIDENCE_OCCUPATIONS)
         reference = post_select_two_photon(eight_slot_reduced_state(n, eta))
         assert np.array_equal(post_select_two_photon(reduced).entries, reference.entries)
 

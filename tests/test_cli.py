@@ -30,6 +30,11 @@ def run(argv):
     return main(argv)
 
 
+def json_state(data):
+    """The ``DensityMatrix`` of a state's JSON, from its ``re`` and ``im`` arrays."""
+    return DensityMatrix(np.array(data["re"]) + 1j * np.array(data["im"]))
+
+
 class TestSweep:
     def test_csv_rows_and_determinism(self, tmp_path):
         out1 = tmp_path / "sweep1.csv"
@@ -140,7 +145,7 @@ class TestMatrix:
         payload = json.loads(out.read_text())
         assert payload["dim"] == 4
         assert payload["basis"] == ["HH", "HV", "VH", "VV"]
-        dm = DensityMatrix.from_dict(payload)
+        dm = json_state(payload)
         assert dm.trace == pytest.approx(1.0, abs=1e-12)
 
     def test_outdir_env(self, tmp_path, monkeypatch):
@@ -179,7 +184,7 @@ class TestMatrix:
         )
         (written,) = tmp_path.iterdir()
         if written.name == "rho.json":
-            rho = DensityMatrix.from_dict(json.loads(written.read_text()))
+            rho = json_state(json.loads(written.read_text()))
             assert singlet_weight_extract(rho) == pytest.approx(2.0 / 3.0, abs=1e-15)
         else:
             assert len(written.read_text().splitlines()) == 17
@@ -265,7 +270,7 @@ class TestTomo:
         report = json.loads(report_path.read_text())
         assert report["metrics"]["fidelity_vs_theory"] >= 0.995
         assert report["iterations"] > 0
-        state = DensityMatrix.from_dict(report["state"])
+        state = json_state(report["state"])
         assert state.trace == pytest.approx(1.0, abs=1e-10)
 
     def test_simulate_deterministic(self, tmp_path):
@@ -362,13 +367,19 @@ class TestErrorPath:
         (["tomo", "simulate", "--g", "1.313", "--eta", "0.016", "--counts-per-setting",
           "100000000000000000000", "--seed", "1", "--out", "counts.csv"],
          "total_per_setting must be at most 2**53, got 100000000000000000000"),
+        # 10**400 used to overflow the flux estimate with a traceback
+        (["tomo", "reconstruct", "--input", "big.csv"],
+         "big.csv:2: malformed row: counts must be at most 2**53"),
+        (["tomo", "reconstruct", "--input", "huge.csv"],
+         "huge.csv:2: malformed row: counts must be at most 2**53"),
     ], ids=["matrix", "tomo-simulate", "tomo-reconstruct-8-settings", "oracle-check",
             "oracle-check-capacity", "oracle-check-late-eta", "oracle-check-negative-n",
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
             "matrix-inf-gain",
             "fit-nan-rate", "fit-inf-rate", "matrix-no-warning",
             "tomo-simulate-no-warning", "tomo-simulate-1e19-counts",
-            "tomo-simulate-1e20-counts"])
+            "tomo-simulate-1e20-counts", "tomo-reconstruct-2**53+1-counts",
+            "tomo-reconstruct-10**400-counts"])
     def test_bad_input_is_one_error_line(self, argv, names, tmp_path, monkeypatch,
                                          capsys):
         # every subcommand reports bad input as `error: ...` and exit code 1,
@@ -388,6 +399,10 @@ class TestErrorPath:
                             seed=1),
             "tomo.csv",
         )
+        # tomo.csv with its HH row's counts beyond exact float64 integers
+        tomo = Path("tomo.csv").read_text().splitlines()
+        for name, counts in (("big.csv", 2**53 + 1), ("huge.csv", 10**400)):
+            Path(name).write_text("\n".join([tomo[0], f"HH,H,H,{counts},1", *tomo[2:]]) + "\n")
         write_calibration_csv(
             synthetic_calibration_points(1.313, {1: 0.016}, 250000.0,
                                          np.linspace(0.1, 1.0, 6)),

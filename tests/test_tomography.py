@@ -55,13 +55,17 @@ class TestProjectorSetting:
                 ProjectorSetting("H", state)
 
     def test_letter_label_must_match_letters(self):
-        assert ProjectorSetting("H", "V", label="HV").label == "HV"
-        with pytest.raises(ValueError, match="does not match"):
+        # the label is derived from the letters and cannot be set apart
+        setting = ProjectorSetting("H", "H")
+        assert setting.label == "HH"
+        with pytest.raises(AttributeError):
+            setting.label = "DD"
+        with pytest.raises(TypeError):
             ProjectorSetting("H", "H", label="DD")
 
     def test_unnormalized_ket_rejected(self):
         with pytest.raises(ValueError):
-            ProjectorSetting((1.0, 1.0), "H", label="bad")
+            ProjectorSetting((1.0, 1.0), "H")
 
     def test_standard_set_is_complete(self):
         settings = standard_tomography_settings()
@@ -450,6 +454,26 @@ class TestCountRecordCSV:
         lines[dd] = "HH" + lines[dd][2:]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f":{hh + 1}: .*does not match"):
+            read_count_records(path)
+
+    def test_empty_label_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("label,stateA,stateB,counts,seed\n,H,H,10,0\n")
+        with pytest.raises(ValueError, match=":2: .*does not match"):
+            read_count_records(path)
+
+    def test_largest_exact_count_accepted(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"label,stateA,stateB,counts,seed\nHH,H,H,{2**53},0\n")
+        (record,) = read_count_records(path)
+        assert record.counts == 2**53
+
+    @pytest.mark.parametrize("counts", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_counts_beyond_exact_integers_rejected(self, counts, tmp_path):
+        # float64 sums of such counts are inexact or overflow in the flux estimate
+        path = tmp_path / "counts.csv"
+        path.write_text(f"label,stateA,stateB,counts,seed\nHH,H,H,{counts},0\n")
+        with pytest.raises(ValueError, match=r":2: malformed row: counts must be at most 2\*\*53"):
             read_count_records(path)
 
     def test_negative_counts_rejected(self):
