@@ -26,30 +26,35 @@ from .source import GainChannelParams, mean_photons_per_mode
 _MIN_DISTINCT_POWERS = 5
 
 
-def count_rate_model(g: float, eta: float, repetition_rate: float) -> float:
+def count_rate_model(g, eta, repetition_rate: float) -> float | np.ndarray:
     """Singles rate at gain g for a detector of efficiency eta.
 
-    Monotone increasing in both g and eta; reduces to R * eta * tanh(g)^2
-    for small gain and to R * tanh(g)^2 at eta = 1. eta must be a normal
-    double: at a subnormal eta, exp(-2g) underflows to 0 while eta*sinh(g)^2
-    is still of order 1, and the rate would saturate at R too early.
+    g and eta broadcast as numpy arrays; scalar inputs give a float. Monotone
+    increasing in both g and eta; reduces to R * eta * tanh(g)^2 for small
+    gain and to R * tanh(g)^2 at eta = 1. eta must be a normal double: at a
+    subnormal eta, exp(-2g) underflows to 0 while eta*sinh(g)^2 is still of
+    order 1, and the rate would saturate at R too early.
     """
-    if not g >= 0:
-        raise ValueError(f"gain must be non-negative, got {g}")
-    if not sys.float_info.min <= eta <= 1.0:
+    g, eta = np.asarray(g), np.asarray(eta)
+    bad_g = g[~(g >= 0)]
+    if bad_g.size:
+        raise ValueError(f"gain must be non-negative, got {bad_g.item(0)}")
+    bad_eta = eta[~((sys.float_info.min <= eta) & (eta <= 1.0))]
+    if bad_eta.size:
         raise ValueError(
             f"efficiency must lie in (0, 1] and be at least the smallest normal "
-            f"double {sys.float_info.min}, got {eta}"
+            f"double {sys.float_info.min}, got {bad_eta.item(0)}"
         )
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
     # 1 - (1 - eta) * tanh(g)^2 written as eta * tanh(g)^2 + sech(g)^2, with
     # sech^2 from exp(-2g): no cancellation where tanh(g)^2 and 1 - eta round
     # to 1, and no overflow at any gain.
-    g2 = math.tanh(g) ** 2
-    e = math.exp(-2.0 * g)
+    g2 = np.tanh(g) ** 2
+    e = np.exp(-2.0 * g)
     sech2 = 4.0 * e / (1.0 + e) ** 2
-    return repetition_rate * eta * g2 / (eta * g2 + sech2)
+    rate = repetition_rate * eta * g2 / (eta * g2 + sech2)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def transmitted_photons_per_mode(params: GainChannelParams) -> float:
@@ -99,36 +104,28 @@ class CalibrationFit:
     residuals: np.ndarray = field(repr=False)
 
 
-def _relative_residuals(params, points, repetition_rate, detectors):
-    a = params[0]
-    etas = dict(zip(detectors, params[1:]))
-    res = np.empty(len(points))
-    for i, pt in enumerate(points):
-        model = count_rate_model(a * math.sqrt(pt.pump_power), etas[pt.detector],
-                                 repetition_rate)
-        res[i] = (model - pt.rate) / max(model, 1e-12)
-    return res
+def _relative_residuals(params, sqrt_power, rate, detector_index, repetition_rate):
+    """Relative residual per point for params (a, eta per detector), or one
+    row of residuals per row of a parameter stack."""
+    model = count_rate_model(params[..., :1] * sqrt_power,
+                             params[..., 1:][..., detector_index], repetition_rate)
+    return (model - rate) / np.maximum(model, 1e-12)
 
 
-def _initial_guess(points, repetition_rate, detectors):
+def _initial_guess(sqrt_power, rate, detector_index, repetition_rate):
     """Coarse grid over the gain scale, efficiency solved from the
     highest-power point of each detector."""
-    p_max = max(pt.pump_power for pt in points)
-    best = None
-    for a in np.geomspace(0.05, 20.0, 60) / math.sqrt(p_max):
-        guess = [a]
-        for det in detectors:
-            pts = [pt for pt in points if pt.detector == det]
-            top = max(pts, key=lambda pt: pt.pump_power)
-            g2 = math.tanh(a * math.sqrt(top.pump_power)) ** 2
-            denom = g2 * max(repetition_rate - top.rate, 1e-9)
-            eta = top.rate * (1.0 - g2) / denom if denom > 0 else 0.5
-            guess.append(min(1.0, max(1e-9, eta)))
-        sse = float(np.sum(_relative_residuals(guess, points, repetition_rate,
-                                               detectors) ** 2))
-        if best is None or sse < best[0]:
-            best = (sse, guess)
-    return np.array(best[1])
+    ids = np.arange(detector_index.max() + 1)[:, None]
+    top = np.argmax(np.where(detector_index == ids, sqrt_power, -1.0), axis=1)
+    a = np.geomspace(0.05, 20.0, 60) / sqrt_power.max()
+    g2 = np.tanh(a[:, None] * sqrt_power[top]) ** 2
+    denom = g2 * np.maximum(repetition_rate - rate[top], 1e-9)
+    eta = np.divide(rate[top] * (1.0 - g2), denom, out=np.full_like(denom, 0.5),
+                    where=denom > 0)
+    guesses = np.column_stack([a, np.clip(eta, 1e-9, 1.0)])
+    sse = np.sum(_relative_residuals(guesses, sqrt_power, rate, detector_index,
+                                     repetition_rate) ** 2, axis=1)
+    return guesses[np.argmin(sse)]
 
 
 def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> CalibrationFit:
@@ -136,8 +133,7 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
 
     Requires at least 5 distinct powers and a nonzero rate per detector
     present in the data. Residuals are relative (rate noise is
-    multiplicative). Raises ``FitError`` on non-convergence or efficiencies
-    outside (0, 1].
+    multiplicative). Raises ``FitError`` on non-convergence.
 
     The fit determines the gain scale, g_max and the efficiencies to about 9
     significant digits, not to the 17 a float prints: ``least_squares``
@@ -151,28 +147,33 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     detectors = sorted({pt.detector for pt in points})
     if not detectors:
         raise FitError("no calibration points")
-    for det in detectors:
-        powers = {pt.pump_power for pt in points if pt.detector == det}
-        if len(powers) < _MIN_DISTINCT_POWERS:
+    power = np.array([pt.pump_power for pt in points])
+    rate = np.array([pt.rate for pt in points])
+    detector_index = np.searchsorted(detectors, [pt.detector for pt in points])
+    for i, det in enumerate(detectors):
+        mine = detector_index == i
+        n_powers = len(np.unique(power[mine]))
+        if n_powers < _MIN_DISTINCT_POWERS:
             raise FitError(
-                f"detector {det} has {len(powers)} distinct powers; "
+                f"detector {det} has {n_powers} distinct powers; "
                 f"need at least {_MIN_DISTINCT_POWERS}"
             )
         # all-zero rates give every relative residual 1 at every parameter
         # value, so the optimizer would stop at its start point
-        if not any(pt.rate for pt in points if pt.detector == det):
+        if not rate[mine].any():
             raise FitError(f"detector {det} has rate 0 at every power")
 
     # Imported here: scipy.optimize is most of the package's import time.
     from scipy.optimize import least_squares
-    x0 = _initial_guess(points, repetition_rate, detectors)
+    sqrt_power = np.sqrt(power)
+    args = (sqrt_power, rate, detector_index, repetition_rate)
     lower = np.array([1e-12] + [1e-12] * len(detectors))
     upper = np.array([np.inf] + [1.0] * len(detectors))
     result = least_squares(
         _relative_residuals,
-        x0,
+        _initial_guess(*args),
         bounds=(lower, upper),
-        args=(points, repetition_rate, detectors),
+        args=args,
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
@@ -180,21 +181,15 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     if not result.success:
         raise FitError(f"fit did not converge: {result.message}")
     a = float(result.x[0])
-    etas = {det: float(e) for det, e in zip(detectors, result.x[1:])}
-    for det, eta in etas.items():
-        if not 0.0 < eta <= 1.0:
-            raise FitError(f"fitted efficiency for detector {det} is {eta}")
-
     dof = max(len(points) - len(result.x), 1)
     sigma2 = 2.0 * result.cost / dof
     jtj = result.jac.T @ result.jac
     covariance = sigma2 * np.linalg.pinv(jtj)
-    g_max = a * math.sqrt(max(pt.pump_power for pt in points))
     return CalibrationFit(
         gain_scale=a,
-        etas=etas,
+        etas={det: float(e) for det, e in zip(detectors, result.x[1:])},
         repetition_rate=repetition_rate,
-        g_max=g_max,
+        g_max=a * float(sqrt_power.max()),
         covariance=covariance,
         residuals=result.fun.copy(),
     )
@@ -218,13 +213,14 @@ def synthetic_calibration_points(
             f"noise fraction must be finite and non-negative, got {noise_fraction}"
         )
     rng = np.random.default_rng(seed)
+    gains = gain_scale * np.sqrt(powers)
     points = []
     for det, eta in sorted(etas.items()):
-        for power in powers:
-            rate = count_rate_model(gain_scale * math.sqrt(power), eta, repetition_rate)
-            if noise_fraction > 0.0:
-                rate *= 1.0 + noise_fraction * rng.standard_normal()
-            points.append(CalibrationPoint(power, max(rate, 0.0), det))
+        rates = count_rate_model(gains, eta, repetition_rate)
+        if noise_fraction > 0.0:
+            rates = rates * (1.0 + noise_fraction * rng.standard_normal(len(powers)))
+        points += [CalibrationPoint(power, max(float(r), 0.0), det)
+                   for power, r in zip(powers, rates)]
     return points
 
 

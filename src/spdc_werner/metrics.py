@@ -60,8 +60,7 @@ def werner_state(p: float) -> DensityMatrix:
 
     Physical for p in [-1/3, 1]; entangled exactly when p > 1/3.
     """
-    if not -1.0 / 3.0 <= p <= 1.0:
-        raise ValueError(f"Werner weight must lie in [-1/3, 1], got {p}")
+    WernerDescriptor(p)  # the range check
     psi = singlet_ket()
     m = p * np.outer(psi, psi.conj()) + (1.0 - p) / 4.0 * np.eye(4)
     return DensityMatrix(m)

@@ -126,8 +126,10 @@ def simulate_counts(
     carries the seed it was drawn with.
     """
     _require_flux(total_per_setting)
-    if total_per_setting > 2**53:  # beyond it float64 draws are not exact counts
-        raise ValueError(f"total_per_setting must be at most 2**53, got {total_per_setting}")
+    # Counts above 2**53 are not exact float64 integers; a draw at mean at
+    # most 2**52 exceeds 2**53 only 2**26 standard deviations out.
+    if total_per_setting > 2**52:
+        raise ValueError(f"total_per_setting must be at most 2**52, got {total_per_setting}")
     rng = np.random.default_rng(seed)
     records = []
     for setting in settings:

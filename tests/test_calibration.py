@@ -1,9 +1,11 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spdc_werner import calibration
 from spdc_werner.calibration import (
     CalibrationPoint,
     count_rate_model,
@@ -20,6 +22,12 @@ REPETITION_RATE = 250_000.0
 TRUE_GAIN_SCALE = 1.313  # g_max = 1.313 at unit power
 TRUE_ETAS = {1: 0.016, 2: 0.014}
 POWERS = np.linspace(0.05, 1.0, 12)
+DEMO_CSV = Path(__file__).resolve().parents[1] / "data" / "calibration_demo.csv"
+# numpy's vector loops for tanh and exp may round an element differently from
+# a one-element call; a few ulp through the rate's arithmetic stay below this
+# (the largest seen over gains 1e-8 to 400 and efficiencies down to 1e-300 is
+# 2.8e-16)
+ARRAY_REL = 1e-15
 
 
 class TestCountRateModel:
@@ -102,7 +110,59 @@ class TestCountRateModel:
             count_rate_model(1.0, 0.5, 0.0)
 
 
+    def test_scalar_input_gives_a_float(self):
+        assert type(count_rate_model(1.313, 0.016, REPETITION_RATE)) is float
+        assert type(count_rate_model(np.float64(1.313), 1, REPETITION_RATE)) is float
+
+    def test_gain_array_matches_scalar_calls(self):
+        gains = np.concatenate([[0.0], np.geomspace(1e-8, 400.0, 300)])
+        rates = count_rate_model(gains, 0.016, REPETITION_RATE)
+        assert rates.shape == gains.shape
+        expected = [count_rate_model(g, 0.016, REPETITION_RATE) for g in gains]
+        np.testing.assert_allclose(rates, expected, rtol=ARRAY_REL, atol=0.0)
+
+    def test_per_point_efficiency_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        gains = rng.uniform(0.0, 5.0, 300)
+        etas = np.geomspace(sys.float_info.min, 1.0, 300)
+        rates = count_rate_model(gains, etas, REPETITION_RATE)
+        expected = [count_rate_model(g, e, REPETITION_RATE) for g, e in zip(gains, etas)]
+        np.testing.assert_allclose(rates, expected, rtol=ARRAY_REL, atol=0.0)
+        # a stack of efficiency rows against one gain row, as the fit's start
+        # grid evaluates it
+        stacked = count_rate_model(gains, np.stack([etas, etas[::-1]]), REPETITION_RATE)
+        np.testing.assert_array_equal(
+            stacked[1], count_rate_model(gains, etas[::-1], REPETITION_RATE))
+
+    @pytest.mark.parametrize("g, eta, scalar", [
+        ([0.5, -1.0, 2.0, -3.0], 0.5, (-1.0, 0.5)),
+        ([0.5, math.nan, 2.0], 0.5, (math.nan, 0.5)),
+        ([0.5, 1.0, 2.0], [0.5, 0.0, 1.5], (1.0, 0.0)),
+        (1.0, [0.5, 5e-324], (1.0, 5e-324)),
+    ], ids=["negative-gain", "nan-gain", "zero-efficiency", "subnormal-efficiency"])
+    def test_one_bad_element_raises_the_scalar_error(self, g, eta, scalar):
+        with pytest.raises(ValueError) as expected:
+            count_rate_model(*scalar, REPETITION_RATE)
+        with pytest.raises(ValueError) as raised:
+            count_rate_model(np.array(g), np.array(eta), REPETITION_RATE)
+        assert str(raised.value) == str(expected.value)
+
+
 class TestSyntheticCalibrationPoints:
+    def test_noise_drawn_per_point_in_detector_then_power_order(self):
+        noisy = synthetic_calibration_points(
+            TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS,
+            noise_fraction=0.01, seed=7,
+        )
+        clean = synthetic_calibration_points(
+            TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS
+        )
+        assert [(pt.detector, pt.pump_power) for pt in noisy] == [
+            (det, power) for det in sorted(TRUE_ETAS) for power in POWERS]
+        rng = np.random.default_rng(7)
+        for pt, ref in zip(noisy, clean):
+            assert pt.rate == ref.rate * (1.0 + 0.01 * rng.standard_normal())
+
     @pytest.mark.parametrize("noise", [-0.5, math.nan, math.inf])
     def test_bad_noise_fraction_rejected(self, noise):
         # none of these may quietly give noiseless data
@@ -239,6 +299,28 @@ class TestFitGain:
         fit = fit_gain(points, REPETITION_RATE)
         assert fit.gain_scale == pytest.approx(TRUE_GAIN_SCALE, rel=1e-3)
         assert set(fit.etas) == {1}
+
+
+    def test_one_model_call_per_residual_evaluation(self, monkeypatch):
+        # the start grid scores its 60 candidates in one call, and each
+        # optimizer step evaluates every point in one call
+        calls = {"model": 0, "grid": 0, "optimizer": 0}
+        model, residuals = calibration.count_rate_model, calibration._relative_residuals
+
+        def counted_model(*args):
+            calls["model"] += 1
+            return model(*args)
+
+        def counted_residuals(params, *args):
+            calls["grid" if np.ndim(params) == 2 else "optimizer"] += 1
+            return residuals(params, *args)
+
+        monkeypatch.setattr(calibration, "count_rate_model", counted_model)
+        monkeypatch.setattr(calibration, "_relative_residuals", counted_residuals)
+        fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
+        assert calls["grid"] == 1
+        assert calls["optimizer"] > 0
+        assert calls["model"] == calls["optimizer"] + 1
 
 
 class TestCalibrationCSV:

@@ -360,13 +360,14 @@ class TestErrorPath:
         (["matrix", "--g", "1.313", "--eta", "1"], "transmittivity"),
         (["tomo", "simulate", "--g", "2", "--eta", "1", "--counts-per-setting", "10",
           "--seed", "1", "--out", "counts.csv"], "transmittivity"),
-        # counts drawn above 2**53 are not exact integers
+        # counts drawn above 2**53 are not exact integers; the flux stays a
+        # factor 2 below that
         (["tomo", "simulate", "--g", "1.313", "--eta", "0.016", "--counts-per-setting",
           "10000000000000000000", "--seed", "1", "--out", "counts.csv"],
-         "total_per_setting must be at most 2**53, got 10000000000000000000"),
+         "total_per_setting must be at most 2**52, got 10000000000000000000"),
         (["tomo", "simulate", "--g", "1.313", "--eta", "0.016", "--counts-per-setting",
           "100000000000000000000", "--seed", "1", "--out", "counts.csv"],
-         "total_per_setting must be at most 2**53, got 100000000000000000000"),
+         "total_per_setting must be at most 2**52, got 100000000000000000000"),
         # 10**400 used to overflow the flux estimate with a traceback
         (["tomo", "reconstruct", "--input", "big.csv"],
          "big.csv:2: malformed row: counts must be at most 2**53"),

@@ -131,17 +131,27 @@ class TestSimulateCounts:
             with pytest.raises(ValueError, match="total_per_setting must be positive"):
                 simulate_counts(werner_state(0.6), witness_settings(), flux, seed=1)
 
-    @pytest.mark.parametrize("flux", [2**53 + 1, 10**19, 1e19, 10**20])
+    @pytest.mark.parametrize("flux", [2**52 + 1, 2**53 + 1, 10**19, 1e19, 10**20])
     def test_flux_beyond_exact_counts_rejected(self, flux):
         # numpy fails at 1e20 ("lam value too large") and at 1e19 draws counts
-        # from float64 arithmetic, which above 2**53 are not exact integers
-        with pytest.raises(ValueError, match=r"total_per_setting must be at most 2\*\*53"):
+        # from float64 arithmetic, which above 2**53 are not exact integers;
+        # a mean of 2**53 draws above it half the time
+        with pytest.raises(ValueError, match=r"total_per_setting must be at most 2\*\*52"):
             simulate_counts(werner_state(0.6), witness_settings(), flux, seed=1)
 
     def test_largest_exact_flux_accepted(self):
-        records = simulate_counts(werner_state(1.0), witness_settings(), 2**53, seed=1)
+        records = simulate_counts(werner_state(1.0), witness_settings(), 2**52, seed=1)
         assert len(records) == 8
         assert all(0 <= r.counts < 2**53 for r in records)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_certain_outcome_at_largest_flux(self, seed):
+        # Born probability 1: the mean is the flux itself, and the draw must
+        # stay a count that CountRecord accepts (at a flux of 2**53 it did not
+        # for 12 of these seeds)
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+        (record,) = simulate_counts(rho, [ProjectorSetting("H", "H")], 2**52, seed=seed)
+        assert abs(record.counts - 2**52) < 2**30
 
 
 class TestLinearReconstruction:
