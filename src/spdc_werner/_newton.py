@@ -1,0 +1,114 @@
+"""Damped Newton minimization with a projection step, in numpy.
+
+The calibration fit and maximum-likelihood tomography share this loop. The
+caller supplies the objective as ``evaluate(x) -> (f, g, H)``, its value,
+gradient and a symmetric Hessian (the exact one, or J'J for least squares),
+and a ``project`` that maps a point back onto the feasible set. Each
+iteration solves
+
+    (H + lam * diag(d)) s = -g,    d_j = |H_jj|, floored at 1e-12 * max_j |H_jj|
+
+and tries x' = project(x + s). The damped quadratic model predicts the
+decrease -g's / 2. Where that prediction exceeds the rounding of f, taken
+as 64 ulps of |f|, x' is accepted if f(x') < f(x); below it f cannot check
+the step, and x' is accepted if its gradient is smaller (largest
+component). The damping lam follows Nielsen's rule (Madsen, Nielsen &
+Tingleff, "Methods for non-linear least squares problems", 2004): an
+accepted step divides it by at most 3, by less when the decrease falls
+short of the prediction; a rejected step, or a damped matrix that is not
+positive definite, multiplies it by a factor that doubles with each
+rejection in a row. With H = J'J this is Levenberg-Marquardt with
+Marquardt's diagonal scaling (More, Lecture Notes in Mathematics 630
+(1978)); with the exact Hessian the steps become full Newton steps near a
+non-degenerate minimum, where convergence is quadratic.
+
+Stop rules, in the order they are tested:
+
+* ``converged(x, f, g, H)``, the caller's stationarity test, at the
+  current point. It runs before the first step, so a start that passes
+  takes 0 iterations.
+* ``max_iter`` accepted steps: not converged.
+* An accepted step lowered f by more than 0 and at most ``ftol * |f|``
+  (off by default): converged.
+* A step whose predicted decrease is below the rounding of f does not make
+  the gradient smaller: neither f nor the gradient can improve on x, which
+  is returned as converged. Rejections shrink the step and its prediction,
+  so a run of them ends here.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+# Relative rounding of an objective summed over tens of terms, 64 ulps.
+_ROUNDING = 64 * np.finfo(float).eps
+_INITIAL_DAMPING = 1e-3
+
+
+class Minimum(NamedTuple):
+    """Where the loop stopped: the point, its objective value, the number
+    of accepted steps, and whether a stop rule other than the iteration
+    cap ended it (``message`` says which)."""
+
+    x: np.ndarray
+    value: float
+    iterations: int
+    converged: bool
+    message: str
+
+
+def minimize(
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    project: Callable[[np.ndarray], np.ndarray],
+    converged: Callable[[np.ndarray, float, np.ndarray, np.ndarray], bool],
+    max_iter: int,
+    ftol: float = 0.0,
+) -> Minimum:
+    """Minimize from the feasible point ``x``; see the module docstring."""
+    f, g, h = evaluate(x)
+    lam, grow = _INITIAL_DAMPING, 2.0
+    iterations = 0
+    while True:
+        if converged(x, f, g, h):
+            return Minimum(x, f, iterations, True, "gradient within tolerance")
+        if iterations == max_iter:
+            return Minimum(x, f, iterations, False,
+                           f"iteration limit {max_iter} reached")
+        diag = np.abs(np.diag(h))
+        # all zero where J'J underflows, as at a repetition rate of 1e300
+        scale = np.maximum(diag, 1e-12 * diag.max()) if diag.max() > 0 else np.ones(len(x))
+        damped = h + lam * np.diag(scale)
+        try:
+            np.linalg.cholesky(damped)
+        except np.linalg.LinAlgError:
+            lam, grow = lam * grow, 2.0 * grow
+            continue
+        step = np.linalg.solve(damped, -g)
+        # the decrease of the damped quadratic model at its minimizer, the step
+        predicted = -0.5 * (g @ step)
+        x_new = project(x + step)
+        f_new, g_new, h_new = evaluate(x_new)
+        # A predicted change below the rounding of f cannot be checked on f,
+        # so the gradient decides: the step must make it smaller.
+        if predicted > _ROUNDING * abs(f):
+            accept = f_new < f
+        elif np.max(np.abs(g_new)) < np.max(np.abs(g)):
+            accept = True
+        else:
+            return Minimum(x, f, iterations, True,
+                           "no step lowers the objective beyond its rounding")
+        if accept:
+            ratio = (f - f_new) / predicted
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            grow = 2.0
+            small = 0 < f - f_new <= ftol * abs(f)
+            x, f, g, h = x_new, f_new, g_new, h_new
+            iterations += 1
+            if small:
+                return Minimum(x, f, iterations, True,
+                               f"relative decrease below {ftol:g}")
+        else:
+            lam, grow = lam * grow, 2.0 * grow

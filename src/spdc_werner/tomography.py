@@ -8,8 +8,9 @@ basis {HH, HV, VH, VV}, whose outcome probabilities sum to one.
 Reconstruction comes in two stages: linear inversion of the Born
 probabilities (exact but possibly indefinite under shot noise) and a
 maximum-likelihood refinement over the Cholesky-like parameterization
-rho = T'T / Tr(T'T) with T complex lower triangular, which is positive
-semidefinite by construction.
+rho = V T'T V' / Tr(T'T) with T complex lower triangular and V the
+eigenvectors of the linear estimate, which is positive semidefinite by
+construction.
 
 Counts travel as CSV rows (label, stateA, stateB, counts, seed). A setting
 is its two letters, and its label is derived from them; the reader rejects
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _csv
+from . import _csv, _newton
 from .errors import ConvergenceError, DesignError
 from .fock import TWO_PHOTON_BASIS, DensityMatrix
 from .metrics import PAIR_PROJECTORS, POLARIZATION_KETS, WITNESS_SIGNS
@@ -35,6 +36,11 @@ _WITNESS_LABELS = tuple(WITNESS_SIGNS) + ("HV", "VH")
 
 # Fill order (1,0), (2,0), (2,1), (3,0), (3,1), (3,2) of the (re, im) parameters.
 _LOWER_INDICES = np.tril_indices(4, -1)
+# Parameter k multiplies _PARAM_COEFS[k] at (_PARAM_ROWS[k], _PARAM_COLS[k]) in T.
+_PARAM_ROWS = np.concatenate([np.arange(4), np.repeat(_LOWER_INDICES[0], 2)])
+_PARAM_COLS = np.concatenate([np.arange(4), np.repeat(_LOWER_INDICES[1], 2)])
+_PARAM_COEFS = np.array([1, 1, 1, 1] + [1, 1j] * 6)
+_SAME_ROW = _PARAM_ROWS[:, None] == _PARAM_ROWS[None, :]
 
 
 @dataclass(frozen=True)
@@ -224,26 +230,6 @@ def _triangular_from_params(t: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _params_from_state(m: np.ndarray) -> np.ndarray:
-    """Parameters of a unit-trace, full-rank version of the Hermitian ``m``.
-
-    Eigenvalues below 1e-4 are raised to 1e-4 before the trace is set to
-    one. An eigenvalue at zero would grow only at second order in T, so
-    the likelihood gradient could not lift it and ML would stall there.
-    """
-    vals, vecs = np.linalg.eigh(m)
-    m = (vecs * np.maximum(vals, 1e-4)) @ vecs.conj().T
-    m = m / m.trace().real
-    flip = np.eye(4)[::-1]
-    lower = np.linalg.cholesky(flip @ m @ flip)
-    factor = flip @ lower.conj().T @ flip
-    t = np.zeros(16)
-    t[:4] = np.diag(factor).real
-    t[4::2] = factor[_LOWER_INDICES].real
-    t[5::2] = factor[_LOWER_INDICES].imag
-    return t
-
-
 @dataclass(frozen=True)
 class MLReconstruction:
     """Maximum-likelihood estimate with optimizer diagnostics."""
@@ -253,68 +239,110 @@ class MLReconstruction:
     n_iterations: int
 
 
+def _cholesky_quadratic_forms(projectors: np.ndarray) -> np.ndarray:
+    """The 16x16 Q_i with Tr(T'T P_i) = t'Q_i t, one per projector.
+
+    T = sum_k t_k c_k E(row_k, col_k), so Tr(T'T P) is the sum over k, l of
+    t_k t_l conj(c_k) c_l P[col_l, col_k] for row_k = row_l; Q is its real
+    part, symmetric because P is Hermitian.
+    """
+    pair = projectors[:, _PARAM_COLS[None, :], _PARAM_COLS[:, None]]
+    return (_PARAM_COEFS.conj()[:, None] * _PARAM_COEFS * _SAME_ROW * pair).real
+
+
+def _negative_log_likelihood(projectors, counts, n_total):
+    """evaluate(t) -> (f, gradient, Hessian) for f = sum_i [mu_i - n_i log mu_i],
+    mu_i = N t'Q_i t / t't, floored at 1e-30 before the logarithm.
+
+    f does not change when t is scaled, so its Hessian is singular along t;
+    N t t', the Hessian of N (t't - 1)^2 / 8 on the unit sphere where every
+    iterate lies, is added to make the Newton system regular there.
+    """
+    quadratic = _cholesky_quadratic_forms(projectors)
+    identity = np.eye(16)
+
+    def evaluate(t):
+        qt = quadratic @ t
+        norm = t @ t
+        prob = qt @ t / norm
+        mu = np.maximum(n_total * prob, 1e-30)
+        value = float(mu.sum() - counts @ np.log(mu))
+        dprob = 2.0 * (qt - prob[:, None] * t) / norm
+        weight = n_total * (1.0 - counts / mu)  # df/dprob
+        grad = weight @ dprob
+        hess = (2.0 * np.tensordot(weight, quadratic, 1) - 2.0 * (weight @ prob) * identity
+                - 2.0 * (np.outer(grad, t) + np.outer(t, grad))) / norm
+        hess += (dprob.T * (counts * (n_total / mu) ** 2)) @ dprob
+        hess += n_total * np.outer(t, t)
+        return value, grad, hess
+
+    return evaluate
+
+
 def ml_reconstruction(
     records: Sequence[CountRecord],
     total_per_setting: float | None = None,
 ) -> MLReconstruction:
     """Maximize the Poisson log-likelihood over physical density matrices.
 
-    The objective is sum_i [n_i log mu_i - mu_i] with mu_i = N Tr[rho P_i]
-    and rho = T'T / Tr(T'T) over the 16 real parameters of the lower
-    triangular factor T (James, Kwiat, Munro & White, PRA 64, 052312
-    (2001)). The search starts from the linear estimate of the same data,
-    with its eigenvalues raised to at least 1e-4 by ``_params_from_state``.
-    Gradients are analytic; convergence is declared at projected-gradient
-    norm 1e-8 or relative objective change 1e-12, and exceeding 2000
-    iterations raises ``ConvergenceError``.
+    The objective is sum_i [n_i log mu_i - mu_i] with mu_i = N Tr[rho P_i].
+    The state is rho = V T'T V' / Tr(T'T), with V the eigenvectors of the
+    linear estimate of the same data in ascending order of eigenvalue, over
+    the 16 real parameters t of the lower triangular factor T (James, Kwiat,
+    Munro & White, PRA 64, 052312 (2001)), so Tr(T'T V'P_iV) = t'Q_i t and
+    Tr(T'T) = t't. The search starts from the linear estimate, where T is
+    diagonal, with its eigenvalues raised to at least 1e-4: an eigenvalue at
+    zero would grow only at second order in T, so the likelihood gradient
+    could not lift it. In that frame the small eigenvalues sit in the first
+    rows of T, which can vanish without the others moving, so an optimum
+    of lower rank lies near the start. The search is the damped Newton loop
+    of ``_newton`` on the exact gradient and Hessian, with t kept on the
+    unit sphere.
+
+    Stop rules:
+
+    * The largest gradient component is at most 1e-9 * N. The objective and
+      its gradient scale with the flux N; at an exact fit rounding leaves
+      below 1e-14 * N, and a gradient of 1e-9 * N leaves about 1e-18 * N of
+      likelihood to gain (the Hessian is of order N). Where the linear
+      estimate is positive definite with the flux estimated, it fits every
+      count and the loop stops before its first step.
+    * A step raises the log-likelihood by at most 1e-12 of its size, the
+      rule L-BFGS-B stopped on here before. At an optimum of lower rank
+      the factor T is not unique, the objective is flat along those
+      directions and Newton steps there gain little.
+    * Neither the objective nor its gradient can improve beyond rounding.
+    * After 2000 steps it raises ``ConvergenceError``.
     """
-    # Imported here: scipy.optimize is most of the package's import time.
-    from scipy.optimize import minimize
-    from scipy.special import xlogy
     projectors, counts, n_total = _tomography_data(records, total_per_setting)
-
-    def objective(t: np.ndarray):
-        factor = _triangular_from_params(t)
-        gram = factor.conj().T @ factor
-        norm = gram.trace().real
-        rho = gram / norm
-        mu = n_total * np.einsum("aij,ji->a", projectors, rho).real
-        mu = np.maximum(mu, 1e-30)
-        nll = -float(np.sum(xlogy(counts, mu) - mu))
-        # dL/d(rho) contracted against d(rho)/d(params)
-        weights = (counts / mu - 1.0) * n_total
-        grad_rho = np.einsum("a,aij->ij", weights, projectors)
-        inner = float(np.einsum("ij,ji->", grad_rho, rho).real)
-        m = (factor @ grad_rho - inner * factor) / norm
-        grad = np.zeros(16)
-        grad[:4] = -2.0 * np.diag(m).real
-        grad[4::2] = -2.0 * m[_LOWER_INDICES].real
-        grad[5::2] = -2.0 * m[_LOWER_INDICES].imag
-        return nll, grad
-
-    result = minimize(
-        objective,
-        _params_from_state(_linear_estimate(projectors, counts, n_total)),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8},
+    eigenvalues, frame = np.linalg.eigh(_linear_estimate(projectors, counts, n_total))
+    start = np.zeros(16)
+    start[:4] = np.sqrt(np.maximum(eigenvalues, 1e-4))
+    gtol = 1e-9 * n_total
+    result = _newton.minimize(
+        _negative_log_likelihood(frame.conj().T @ projectors @ frame, counts, n_total),
+        start / np.linalg.norm(start),
+        project=lambda t: t / np.linalg.norm(t),
+        converged=lambda t, value, grad, hess: np.max(np.abs(grad)) <= gtol,
+        max_iter=2000,
+        ftol=1e-12,
     )
-    if not result.success:
+    if not result.converged:
         raise ConvergenceError(
             f"likelihood maximization did not converge: {result.message}",
             diagnostics={
-                "iterations": int(result.nit),
-                "final_objective": float(result.fun),
-                "message": str(result.message),
+                "iterations": result.iterations,
+                "final_objective": result.value,
+                "message": result.message,
             },
         )
-    factor = _triangular_from_params(result.x)
+    factor = _triangular_from_params(result.x) @ frame.conj().T
     gram = factor.conj().T @ factor
     state = DensityMatrix(gram / gram.trace().real)
     return MLReconstruction(
         state=state,
-        log_likelihood=-float(result.fun),
-        n_iterations=int(result.nit),
+        log_likelihood=-result.value,
+        n_iterations=result.iterations,
     )
 
 

@@ -303,24 +303,135 @@ class TestFitGain:
 
     def test_one_model_call_per_residual_evaluation(self, monkeypatch):
         # the start grid scores its 60 candidates in one call, and each
-        # optimizer step evaluates every point in one call
+        # evaluation of the residuals and their Jacobian makes one call
         calls = {"model": 0, "grid": 0, "optimizer": 0}
-        model, residuals = calibration.count_rate_model, calibration._relative_residuals
+        model = calibration.count_rate_model
+        residuals = calibration._relative_residuals
+        terms = calibration._residuals_and_jacobian
 
         def counted_model(*args):
             calls["model"] += 1
             return model(*args)
 
         def counted_residuals(params, *args):
-            calls["grid" if np.ndim(params) == 2 else "optimizer"] += 1
+            calls["grid"] += 1
             return residuals(params, *args)
+
+        def counted_terms(params, *args):
+            calls["optimizer"] += 1
+            return terms(params, *args)
 
         monkeypatch.setattr(calibration, "count_rate_model", counted_model)
         monkeypatch.setattr(calibration, "_relative_residuals", counted_residuals)
+        monkeypatch.setattr(calibration, "_residuals_and_jacobian", counted_terms)
         fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
         assert calls["grid"] == 1
         assert calls["optimizer"] > 0
         assert calls["model"] == calls["optimizer"] + 1
+
+    def test_rate_at_or_above_repetition_rate_rejected(self):
+        # the model saturates at R, so no parameters reach such a rate
+        points = synthetic_calibration_points(
+            TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS)
+        top = max(pt.rate for pt in points)
+        first = next(i for i, pt in enumerate(points) if pt.rate >= top / 2) + 1
+        with pytest.raises(FitError, match=f"point {first} .* at or above the repetition rate"):
+            fit_gain(points, top / 2)
+        with pytest.raises(FitError, match="at or above the repetition rate"):
+            fit_gain(points, top)
+
+    def test_undetermined_parameters_rejected(self):
+        # at R = 1e300 every model rate is above 1e285, so each relative
+        # residual rounds to 1 whatever the parameters: the start point
+        # would come back as a fit with an all-zero covariance
+        points = read_calibration_csv(DEMO_CSV)
+        with pytest.raises(FitError, match="do not determine the parameters"):
+            fit_gain(points, 1e300)
+
+    def test_not_converged_raises(self, monkeypatch):
+        minimize = calibration._newton.minimize
+        monkeypatch.setattr(calibration._newton, "minimize",
+                            lambda *args, **kw: minimize(*args, **{**kw, "max_iter": 1}))
+        with pytest.raises(FitError, match="fit did not converge: iteration limit 1 reached"):
+            fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
+
+
+def _fit_arrays(points):
+    detectors = sorted({pt.detector for pt in points})
+    return (np.sqrt([pt.pump_power for pt in points]),
+            np.array([pt.rate for pt in points]),
+            np.searchsorted(detectors, [pt.detector for pt in points]),
+            REPETITION_RATE)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("params", [
+        [1.3237, 0.0156, 0.0137],  # near the demo fit
+        [0.05, 1e-9, 1e-9],  # the start grid's smallest gain scale and clip
+        [4.0, 0.9, 0.5],  # near saturation
+        [1e-9, 0.02, 0.01],  # every model rate below the 1e-12 floor
+    ])
+    def test_matches_central_differences(self, params):
+        points = read_calibration_csv(DEMO_CSV)
+        if params[0] < 1e-6:
+            # rates of that size, or the differences drown in residuals of 1e15
+            points = synthetic_calibration_points(
+                1.2 * params[0], {1: params[1], 2: params[2]}, REPETITION_RATE, POWERS)
+        # a point at zero power has g = 0, where dlog N / dg is infinite
+        points.append(CalibrationPoint(0.0, 3.0, 1))
+        args = _fit_arrays(points)
+        params = np.array(params)
+        _, jac = calibration._residuals_and_jacobian(params, *args)
+        for j in range(len(params)):
+            step = np.zeros_like(params)
+            step[j] = 1e-6 * params[j]
+            up, _ = calibration._residuals_and_jacobian(params + step, *args)
+            down, _ = calibration._residuals_and_jacobian(params - step, *args)
+            numeric = (up - down) / (2 * step[j])
+            np.testing.assert_allclose(jac[:, j], numeric, rtol=1e-6,
+                                       atol=1e-9 * np.abs(numeric).max())
+
+    def test_residuals_match_the_start_grid_residuals(self):
+        args = _fit_arrays(read_calibration_csv(DEMO_CSV))
+        params = np.array([1.3, 0.015, 0.014])
+        residuals, _ = calibration._residuals_and_jacobian(params, *args)
+        np.testing.assert_array_equal(
+            residuals, calibration._relative_residuals(params[None, :], *args)[0])
+
+
+def _scipy_fit(points):
+    """The fit as ``scipy.optimize.least_squares`` ran it: the same start,
+    bounds and residuals, at its 1e-14 tolerances."""
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    args = _fit_arrays(points)
+    n_detectors = args[2].max() + 1
+    result = least_squares(
+        calibration._relative_residuals, calibration._initial_guess(*args),
+        bounds=([1e-12] * (1 + n_detectors), [np.inf] + [1.0] * n_detectors),
+        args=args, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    assert result.success
+    return result.x
+
+
+class TestAgainstScipy:
+    """``fit_gain`` against the ``least_squares`` fit it replaced. That fit
+    stops where rounding in the residuals takes it, about 3e-9 relative from
+    the minimum on these data; 1e-8 bounds the difference."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_criterion_7_sets(self, seed):
+        points = synthetic_calibration_points(
+            TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS,
+            noise_fraction=0.01, seed=seed)
+        fit = fit_gain(points, REPETITION_RATE)
+        ours = [fit.gain_scale, fit.etas[1], fit.etas[2]]
+        np.testing.assert_allclose(ours, _scipy_fit(points), rtol=1e-8, atol=0)
+
+    def test_demo_data(self):
+        points = read_calibration_csv(DEMO_CSV)
+        fit = fit_gain(points, REPETITION_RATE)
+        ours = [fit.gain_scale, fit.etas[1], fit.etas[2]]
+        np.testing.assert_allclose(ours, _scipy_fit(points), rtol=1e-8, atol=0)
 
 
 class TestCalibrationCSV:

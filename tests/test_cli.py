@@ -25,6 +25,8 @@ from spdc_werner.metrics import (
 )
 from spdc_werner.source import GainChannelParams
 
+DEMO_CSV = str(Path(__file__).resolve().parents[1] / "data" / "calibration_demo.csv")
+
 
 def run(argv):
     return main(argv)
@@ -355,6 +357,14 @@ class TestErrorPath:
         (["matrix", "--g", "inf", "--eta", "0.01"], "gain must be finite, got inf"),
         (["fit", "--input", "calib.csv", "--rate", "nan"], "repetition rate"),
         (["fit", "--input", "calib.csv", "--rate", "inf"], "repetition rate"),
+        # the demo's rates reach 11,452/s, and the model saturates at the
+        # repetition rate; this used to exit 0 with g_max 18.5
+        (["fit", "--input", DEMO_CSV, "--rate", "1000"],
+         "has rate 1019.73675577 at or above the repetition rate 1000.0"),
+        # every relative residual rounds to 1: this used to return the start
+        # point with an all-zero covariance
+        (["fit", "--input", DEMO_CSV, "--rate", "1e300"],
+         "the data do not determine the parameters"),
         # above the high-loss warning threshold: the input is rejected before
         # any warning about it is printed
         (["matrix", "--g", "1.313", "--eta", "1"], "transmittivity"),
@@ -377,7 +387,8 @@ class TestErrorPath:
             "oracle-check-capacity", "oracle-check-late-eta", "oracle-check-negative-n",
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
             "matrix-inf-gain",
-            "fit-nan-rate", "fit-inf-rate", "matrix-no-warning",
+            "fit-nan-rate", "fit-inf-rate", "fit-rate-below-data", "fit-rate-1e300",
+            "matrix-no-warning",
             "tomo-simulate-no-warning", "tomo-simulate-1e19-counts",
             "tomo-simulate-1e20-counts", "tomo-reconstruct-2**53+1-counts",
             "tomo-reconstruct-10**400-counts"])
@@ -460,7 +471,8 @@ class TestFit:
 
 
 class TestLazyScipyImport:
-    """Only ``fit`` and ``tomo reconstruct`` optimize, so only they import scipy."""
+    """No subcommand imports scipy: the optimizers of ``fit`` and ``tomo
+    reconstruct`` are numpy code, and scipy is a test dependency only."""
 
     PRINT_SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules "
                      "if m == 'scipy' or m.startswith('scipy.')))")
@@ -497,10 +509,10 @@ class TestLazyScipyImport:
             "counts.csv", "matrix.json", "sweep.csv"]
 
     @pytest.mark.parametrize("argv", [
-        ["fit", "--input", str(Path(__file__).resolve().parents[1] / "data"
-                               / "calibration_demo.csv"), "--rate", "250000"],
+        ["fit", "--input", DEMO_CSV, "--rate", "250000"],
         ["tomo", "reconstruct", "--input", "counts.csv"],
-    ], ids=["fit", "tomo-reconstruct"])
+        ["tomo", "reconstruct", "--input", "counts.csv", "--counts-per-setting", "1000"],
+    ], ids=["fit", "tomo-reconstruct", "tomo-reconstruct-flux"])
     def test_commands_that_optimize(self, argv, tmp_path):
         assert run(["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
                     "--counts-per-setting", "1000", "--seed", "1",
@@ -508,6 +520,8 @@ class TestLazyScipyImport:
         code = "\n".join([
             "import spdc_werner.cli",
             f"assert spdc_werner.cli.main({argv!r}) == 0",
-            "import sys; print('scipy.optimize' in sys.modules)",
+            self.PRINT_SCIPY_MODULES,
         ])
-        assert self.python(code, tmp_path)[-1] == "True"
+        assert self.python(code, tmp_path)[-1] == "[]"
+        # and they run where scipy cannot be imported at all
+        self.python("import sys; sys.modules['scipy'] = None\n" + code, tmp_path)
