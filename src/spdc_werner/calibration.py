@@ -12,6 +12,7 @@ source; the gain at the highest measured power is reported as g_max.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -35,6 +36,10 @@ def count_rate_model(g, eta, repetition_rate: float) -> float | np.ndarray:
     gain and to R * tanh(g)^2 at eta = 1. eta must be a normal double: at a
     subnormal eta, exp(-2g) underflows to 0 while eta*sinh(g)^2 is still of
     order 1, and the rate would saturate at R too early.
+
+    The domain checks run here, on every call; the arithmetic is
+    ``_rate_kernel``, which ``fit_gain`` calls directly on parameters that
+    its bounds already keep in this domain.
     """
     g, eta = np.asarray(g), np.asarray(eta)
     bad_g = g[~(g >= 0)]
@@ -48,19 +53,23 @@ def count_rate_model(g, eta, repetition_rate: float) -> float | np.ndarray:
         )
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
-    # 1 - (1 - eta) * tanh(g)^2 written as eta * tanh(g)^2 + sech(g)^2: no
-    # cancellation where tanh(g)^2 and 1 - eta round to 1
-    tanh, sech2 = _tanh_and_sech2(g)
-    g2 = tanh**2
-    rate = repetition_rate * eta * g2 / (eta * g2 + sech2)
+    rate, _, _ = _rate_kernel(g, eta, repetition_rate)
     return float(rate) if rate.ndim == 0 else rate
 
 
-def _tanh_and_sech2(g):
-    """tanh(g) and sech(g)^2, the latter from exp(-2g) so that it neither
-    overflows nor cancels at any gain."""
+def _rate_kernel(g, eta, repetition_rate):
+    """``count_rate_model``'s rate without its checks, together with the
+    tanh(g) and sech(g)^2 it used.
+
+    sech(g)^2 comes from exp(-2g), so that it neither overflows nor cancels
+    at any gain, and 1 - (1 - eta) * tanh(g)^2 is written as
+    eta * tanh(g)^2 + sech(g)^2: no cancellation where tanh(g)^2 and 1 - eta
+    round to 1.
+    """
     e = np.exp(-2.0 * g)
-    return np.tanh(g), 4.0 * e / (1.0 + e) ** 2
+    tanh, sech2 = np.tanh(g), 4.0 * e / (1.0 + e) ** 2
+    g2 = tanh**2
+    return repetition_rate * eta * g2 / (eta * g2 + sech2), tanh, sech2
 
 
 def transmitted_photons_per_mode(params: GainChannelParams) -> float:
@@ -113,9 +122,19 @@ class CalibrationFit:
 def _relative_residuals(params, sqrt_power, rate, detector_index, repetition_rate):
     """Relative residual per point for params (a, eta per detector), or one
     row of residuals per row of a parameter stack."""
-    model = count_rate_model(params[..., :1] * sqrt_power,
-                             params[..., 1:][..., detector_index], repetition_rate)
+    model, _, _ = _rate_kernel(params[..., :1] * sqrt_power,
+                               params[..., 1:][..., detector_index], repetition_rate)
     return (model - rate) / np.maximum(model, 1e-12)
+
+
+@functools.cache
+def _start_gains() -> np.ndarray:
+    """The start grid's gains at the highest power, read-only. Built on first
+    use rather than at import: the first ``geomspace`` call pages in about
+    0.3 MB of numpy, which a process that never fits should not pay."""
+    gains = np.geomspace(0.05, 20.0, 60)
+    gains.setflags(write=False)
+    return gains
 
 
 def _initial_guess(sqrt_power, rate, detector_index, repetition_rate):
@@ -123,7 +142,7 @@ def _initial_guess(sqrt_power, rate, detector_index, repetition_rate):
     highest-power point of each detector."""
     ids = np.arange(detector_index.max() + 1)[:, None]
     top = np.argmax(np.where(detector_index == ids, sqrt_power, -1.0), axis=1)
-    a = np.geomspace(0.05, 20.0, 60) / sqrt_power.max()
+    a = _start_gains() / sqrt_power.max()
     g2 = np.tanh(a[:, None] * sqrt_power[top]) ** 2
     denom = g2 * np.maximum(repetition_rate - rate[top], 1e-9)
     eta = np.divide(rate[top] * (1.0 - g2), denom, out=np.full_like(denom, 0.5),
@@ -136,16 +155,15 @@ def _initial_guess(sqrt_power, rate, detector_index, repetition_rate):
 
 def _residuals_and_jacobian(params, sqrt_power, rate, detector_index, repetition_rate):
     """Relative residuals for params (a, eta per detector) and their
-    analytic Jacobian, from one model call."""
+    analytic Jacobian, from one kernel call."""
     g, eta = params[0] * sqrt_power, params[1:][detector_index]
-    model = count_rate_model(g, eta, repetition_rate)
+    model, tanh, sech2 = _rate_kernel(g, eta, repetition_rate)
     floored = np.maximum(model, 1e-12)
     residuals = (model - rate) / floored
     # dr/dN * dN/dtheta with dN/dg = R eta 2 tanh(g) sech(g)^2 / D^2 and
     # dN/deta = R tanh(g)^2 sech(g)^2 / D^2, D = eta tanh(g)^2 + sech(g)^2.
     # Above the floor dr/dN = (rate / N) / N, evaluated as (rate / N) times
     # dlog N / dtheta, which neither overflows nor divides by zero.
-    tanh, sech2 = _tanh_and_sech2(g)
     denominator = eta * tanh**2 + sech2
     scale = np.where(model > 1e-12, rate, model) / floored
     dlog_dg = np.divide(2.0 * sech2, tanh * denominator,
@@ -172,9 +190,16 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     against its bound). Rounding leaves about 1e-14 there at 1% noise, so
     the test is reachable; where it is not, as on noiseless data, the loop
     ends when neither the cost nor its gradient can improve. 300 steps
-    without either raise ``FitError``, and so does a Jacobian of rank below
-    the number of parameters at the end, where the data do not determine
-    them.
+    without either raise ``FitError``. So does a fit that ends with a or an
+    efficiency on the 1e-12 bound, which only keeps the model defined, or
+    with an efficiency at 1 and the cost pushing it further: the data ask
+    for a value the model cannot take, and no covariance means anything
+    there. And so does a Jacobian of rank below the number of parameters at
+    the end, where the data do not determine them.
+
+    Each evaluation makes one call to the unchecked ``_rate_kernel``: the
+    inputs are checked once here, and the bounds keep every parameter in
+    ``count_rate_model``'s domain.
 
     The parameters come out within about 3e-12 relative of the minimum (on
     criterion 7's 50 sets and the bundled demo data, against Gauss-Newton
@@ -236,6 +261,16 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     if not result.converged:
         raise FitError(f"fit did not converge: {result.message}")
     residuals, jac = _residuals_and_jacobian(result.x, *args)
+    grad, jtj = residuals @ jac, jac.T @ jac
+    # At eta = 1 the cost pushes outward when a Newton step in that efficiency
+    # alone, -grad_j / jtj_jj, passes 1 by more than 1e-10, well above the
+    # fit's 3e-12 precision; on noiseless data at eta = 1 it is about 1e-16.
+    held = (result.x <= lower) | ((result.x >= upper) & (-grad > 1e-10 * np.diag(jtj)))
+    if held.any():
+        names = ["gain scale"] + [f"efficiency {det}" for det in detectors]
+        raise FitError("the fit ends on a parameter bound, where the data ask for a "
+                       "value the model cannot take: " + ", ".join(
+                           f"{names[i]} = {result.x[i]:g}" for i in np.flatnonzero(held)))
     # Column j of jac * x is the change of the residuals per relative change
     # of parameter j. Singular values at or below rounding of residuals of
     # order one, or of the largest one, leave a direction the data cannot see.
@@ -248,7 +283,7 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
         )
     a = float(result.x[0])
     dof = max(len(points) - len(result.x), 1)
-    covariance = float(residuals @ residuals) / dof * np.linalg.inv(jac.T @ jac)
+    covariance = float(residuals @ residuals) / dof * np.linalg.inv(jtj)
     return CalibrationFit(
         gain_scale=a,
         etas={det: float(e) for det, e in zip(detectors, result.x[1:])},

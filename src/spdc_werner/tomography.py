@@ -20,10 +20,11 @@ beyond which float64 counts are not exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,12 +106,45 @@ def witness_settings() -> tuple[ProjectorSetting, ...]:
     return tuple(ProjectorSetting(lab[0], lab[1]) for lab in _WITNESS_LABELS)
 
 
+def _born_probabilities(rho: DensityMatrix, projectors: np.ndarray) -> np.ndarray:
+    """Tr[rho P] for each P of a projector stack, clipped to [0, 1] within a
+    1e-12 tolerance."""
+    p = np.trace(rho.entries @ projectors, axis1=1, axis2=2).real
+    bad = p[(p < -1e-12) | (p > 1.0 + 1e-12)]
+    if bad.size:
+        raise ValueError(f"Born probability {bad[0]} outside [0, 1] beyond tolerance")
+    return np.clip(p, 0.0, 1.0)
+
+
 def born_probability(rho: DensityMatrix, setting: ProjectorSetting) -> float:
     """Tr[rho P], clipped to [0, 1] within a 1e-12 tolerance."""
-    p = float(np.trace(rho.entries @ setting.projector()).real)
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise ValueError(f"Born probability {p} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, p))
+    return float(_born_probabilities(rho, setting.projector()[None])[0])
+
+
+class _Design(NamedTuple):
+    """What a sequence of settings fixes: the read-only projector stack, the
+    rank of the design matrix A with Tr[rho P_i] = (A vec(rho))_i, and A's
+    read-only pseudo-inverse."""
+
+    projectors: np.ndarray
+    rank: int
+    pinv: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _design(settings: tuple[ProjectorSetting, ...]) -> _Design:
+    """The design of ``settings``, built on first use and then cached: one
+    singular value decomposition per design and process."""
+    projectors = np.array([s.projector() for s in settings]).reshape(-1, 4, 4)
+    # Tr[rho P] = sum_ij P_ji rho_ij: each row is P transposed, flattened.
+    a = projectors.transpose(0, 2, 1).reshape(len(settings), 16)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    # np.linalg.matrix_rank's tolerance
+    kept = s > s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
+    pinv = (vh[kept].conj().T / s[kept]) @ u[:, kept].conj().T
+    projectors.setflags(write=False)
+    pinv.setflags(write=False)
+    return _Design(projectors, int(kept.sum()), pinv)
 
 
 def _require_flux(total_per_setting: float) -> None:
@@ -129,25 +163,22 @@ def simulate_counts(
     """Draw Poisson counts with mean total_per_setting * Tr[rho P].
 
     Reproducible: a fixed seed gives identical records, and each record
-    carries the seed it was drawn with.
+    carries the seed it was drawn with. The projector stack of the settings
+    is built once per process (``_design``); every call takes all Born
+    probabilities from one batched trace, checked and clipped as
+    ``born_probability`` does, and draws all counts in one vector Poisson
+    call, which gives the same counts as a scalar draw per setting in order.
     """
     _require_flux(total_per_setting)
     # Counts above 2**53 are not exact float64 integers; a draw at mean at
     # most 2**52 exceeds 2**53 only 2**26 standard deviations out.
     if total_per_setting > 2**52:
         raise ValueError(f"total_per_setting must be at most 2**52, got {total_per_setting}")
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting in settings:
-        mean = total_per_setting * born_probability(rho, setting)
-        records.append(
-            CountRecord(
-                setting=setting,
-                counts=int(rng.poisson(mean)),
-                seed=seed,
-            )
-        )
-    return records
+    settings = tuple(settings)
+    means = total_per_setting * _born_probabilities(rho, _design(settings).projectors)
+    counts = np.random.default_rng(seed).poisson(means)
+    return [CountRecord(setting=setting, counts=int(n), seed=seed)
+            for setting, n in zip(settings, counts)]
 
 
 def _estimate_total(records: Sequence[CountRecord]) -> float:
@@ -166,12 +197,15 @@ def _estimate_total(records: Sequence[CountRecord]) -> float:
 
 def _tomography_data(
     records: Sequence[CountRecord], total_per_setting: float | None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Projector stack, counts and flux, after the 16-setting, rank and flux checks."""
+) -> tuple[_Design, np.ndarray, float]:
+    """Design, counts and flux, after the 16-setting, rank and flux checks.
+
+    The design comes from the cache; the checks run on every call.
+    """
     if len(records) < 16:
         raise DesignError(f"need at least 16 settings, got {len(records)}")
-    projectors = np.array([r.setting.projector() for r in records])
-    if np.linalg.matrix_rank(projectors.reshape(len(records), 16)) < 16:
+    design = _design(tuple(r.setting for r in records))
+    if design.rank < 16:
         raise DesignError("settings do not span the two-qubit operator space")
     if total_per_setting is None:
         n_total = _estimate_total(records)
@@ -179,17 +213,13 @@ def _tomography_data(
         _require_flux(total_per_setting)
         n_total = total_per_setting
     counts = np.array([r.counts for r in records], dtype=float)
-    return projectors, counts, n_total
+    return design, counts, n_total
 
 
-def _linear_estimate(
-    projectors: np.ndarray, counts: np.ndarray, n_total: float
-) -> np.ndarray:
-    """Hermitian least-squares solution of Tr[rho P_i] = n_i / N, trace not fixed."""
-    # Tr[rho P] = sum_ij P_ji rho_ij: each row is P transposed, flattened.
-    a = projectors.transpose(0, 2, 1).reshape(len(counts), 16)
-    vec, *_ = np.linalg.lstsq(a, (counts / n_total).astype(complex), rcond=None)
-    m = vec.reshape(4, 4)
+def _linear_estimate(design: _Design, counts: np.ndarray, n_total: float) -> np.ndarray:
+    """Hermitian least-squares solution of Tr[rho P_i] = n_i / N, trace not
+    fixed: one product with the design's pseudo-inverse."""
+    m = (design.pinv @ (counts / n_total)).reshape(4, 4)
     return 0.5 * (m + m.conj().T)
 
 
@@ -205,9 +235,14 @@ def linear_reconstruction(
     Raises ``DesignError`` unless the settings span the 16-dimensional
     operator space, and ``ValueError`` if the estimate's trace is zero, as
     when a given flux meets HH, HV, VH and VV counts that are all zero.
+
+    The design matrix's pseudo-inverse and rank are computed once per
+    process and sequence of settings (``_design``), so a call is one
+    matrix-vector product; the setting count, rank, flux and trace checks
+    run on every call.
     """
-    projectors, counts, n_total = _tomography_data(records, total_per_setting)
-    m = _linear_estimate(projectors, counts, n_total)
+    design, counts, n_total = _tomography_data(records, total_per_setting)
+    m = _linear_estimate(design, counts, n_total)
     trace = m.trace().real
     # A trace that is zero in exact arithmetic leaves the solve as rounding
     # of a few 1e-15 of the largest rate (the 16-setting design's condition
@@ -313,14 +348,19 @@ def ml_reconstruction(
       directions and Newton steps there gain little.
     * Neither the objective nor its gradient can improve beyond rounding.
     * After 2000 steps it raises ``ConvergenceError``.
+
+    The projector stack and the pseudo-inverse behind the linear estimate
+    come from the per-process design cache, as in ``linear_reconstruction``,
+    with the same checks on every call; the quadratic forms depend on the
+    estimate's eigenbasis and are built per call.
     """
-    projectors, counts, n_total = _tomography_data(records, total_per_setting)
-    eigenvalues, frame = np.linalg.eigh(_linear_estimate(projectors, counts, n_total))
+    design, counts, n_total = _tomography_data(records, total_per_setting)
+    eigenvalues, frame = np.linalg.eigh(_linear_estimate(design, counts, n_total))
     start = np.zeros(16)
     start[:4] = np.sqrt(np.maximum(eigenvalues, 1e-4))
     gtol = 1e-9 * n_total
     result = _newton.minimize(
-        _negative_log_likelihood(frame.conj().T @ projectors @ frame, counts, n_total),
+        _negative_log_likelihood(frame.conj().T @ design.projectors @ frame, counts, n_total),
         start / np.linalg.norm(start),
         project=lambda t: t / np.linalg.norm(t),
         converged=lambda t, value, grad, hess: np.max(np.abs(grad)) <= gtol,

@@ -303,31 +303,25 @@ class TestFitGain:
 
     def test_one_model_call_per_residual_evaluation(self, monkeypatch):
         # the start grid scores its 60 candidates in one call, and each
-        # evaluation of the residuals and their Jacobian makes one call
-        calls = {"model": 0, "grid": 0, "optimizer": 0}
-        model = calibration.count_rate_model
-        residuals = calibration._relative_residuals
-        terms = calibration._residuals_and_jacobian
+        # evaluation of the residuals and their Jacobian makes one call of
+        # the unchecked rate kernel; the checked entry is not called at all
+        calls = {"kernel": 0, "checked": 0, "grid": 0, "optimizer": 0}
 
-        def counted_model(*args):
-            calls["model"] += 1
-            return model(*args)
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
 
-        def counted_residuals(params, *args):
-            calls["grid"] += 1
-            return residuals(params, *args)
-
-        def counted_terms(params, *args):
-            calls["optimizer"] += 1
-            return terms(params, *args)
-
-        monkeypatch.setattr(calibration, "count_rate_model", counted_model)
-        monkeypatch.setattr(calibration, "_relative_residuals", counted_residuals)
-        monkeypatch.setattr(calibration, "_residuals_and_jacobian", counted_terms)
+        for key, name in [("kernel", "_rate_kernel"), ("checked", "count_rate_model"),
+                          ("grid", "_relative_residuals"),
+                          ("optimizer", "_residuals_and_jacobian")]:
+            monkeypatch.setattr(calibration, name, counted(key, getattr(calibration, name)))
         fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
         assert calls["grid"] == 1
         assert calls["optimizer"] > 0
-        assert calls["model"] == calls["optimizer"] + 1
+        assert calls["kernel"] == calls["optimizer"] + 1
+        assert calls["checked"] == 0
 
     def test_rate_at_or_above_repetition_rate_rejected(self):
         # the model saturates at R, so no parameters reach such a rate
@@ -347,6 +341,31 @@ class TestFitGain:
         points = read_calibration_csv(DEMO_CSV)
         with pytest.raises(FitError, match="do not determine the parameters"):
             fit_gain(points, 1e300)
+
+    def test_efficiencies_on_the_artificial_bound_rejected(self):
+        # at R = 1e20 the demo data need efficiencies near 4e-17, below the
+        # 1e-12 bound that keeps the model defined; the fit used to end there
+        # with g_max 0.049 and residuals near 0.97, reported as converged
+        with pytest.raises(FitError, match=r"parameter bound.*: efficiency 1 = 1e-12, "
+                                           r"efficiency 2 = 1e-12$"):
+            fit_gain(read_calibration_csv(DEMO_CSV), 1e20)
+
+    def test_efficiency_pushed_past_one_rejected(self):
+        # at 1% noise around efficiency 1 this draw wants detector 1 above 1
+        points = synthetic_calibration_points(1.3, {1: 1.0, 2: 0.5}, REPETITION_RATE,
+                                              np.linspace(0.1, 1.0, 12),
+                                              noise_fraction=0.01, seed=4)
+        with pytest.raises(FitError, match=r"parameter bound.*: efficiency 1 = 1$"):
+            fit_gain(points, REPETITION_RATE)
+
+    @pytest.mark.parametrize("etas", [{1: 1.0, 2: 0.5}, {1: 1.0, 2: 1.0}])
+    def test_noiseless_unit_efficiency_accepted(self, etas):
+        # at the true efficiency 1 the gradient is rounding, not a push past 1
+        points = synthetic_calibration_points(1.3, etas, REPETITION_RATE,
+                                              np.linspace(0.1, 1.0, 12))
+        fit = fit_gain(points, REPETITION_RATE)
+        assert fit.etas == pytest.approx(etas, rel=1e-12)
+        assert fit.gain_scale == pytest.approx(1.3, rel=1e-12)
 
     def test_not_converged_raises(self, monkeypatch):
         minimize = calibration._newton.minimize

@@ -365,6 +365,10 @@ class TestErrorPath:
         # point with an all-zero covariance
         (["fit", "--input", DEMO_CSV, "--rate", "1e300"],
          "the data do not determine the parameters"),
+        # the data need efficiencies near 4e-17, below the 1e-12 bound: this
+        # used to exit 0 with both efficiencies on the bound and g_max 0.049
+        (["fit", "--input", DEMO_CSV, "--rate", "1e20"],
+         "efficiency 1 = 1e-12, efficiency 2 = 1e-12"),
         # above the high-loss warning threshold: the input is rejected before
         # any warning about it is printed
         (["matrix", "--g", "1.313", "--eta", "1"], "transmittivity"),
@@ -388,6 +392,7 @@ class TestErrorPath:
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
             "matrix-inf-gain",
             "fit-nan-rate", "fit-inf-rate", "fit-rate-below-data", "fit-rate-1e300",
+            "fit-rate-1e20",
             "matrix-no-warning",
             "tomo-simulate-no-warning", "tomo-simulate-1e19-counts",
             "tomo-simulate-1e20-counts", "tomo-reconstruct-2**53+1-counts",

@@ -17,7 +17,7 @@ from spdc_werner.tomography import (
     CountRecord,
     ProjectorSetting,
     _cholesky_quadratic_forms,
-    _linear_estimate,
+    _design,
     _negative_log_likelihood,
     _tomography_data,
     _triangular_from_params,
@@ -371,8 +371,8 @@ class TestTriangularParameters:
     def test_gradient_and_hessian_match_central_differences(self, total):
         records = simulate_counts(two_photon_state(GainChannelParams(g=0.3, eta=0.2)),
                                   standard_tomography_settings(), 1000, seed=5)
-        projectors, counts, n_total = _tomography_data(records, total)
-        evaluate = _negative_log_likelihood(projectors, counts, n_total)
+        design, counts, n_total = _tomography_data(records, total)
+        evaluate = _negative_log_likelihood(design.projectors, counts, n_total)
         t = np.random.default_rng(2).standard_normal(16)
         t /= np.linalg.norm(t)
         _, grad, hess = evaluate(t)
@@ -384,6 +384,15 @@ class TestTriangularParameters:
         # the Newton system adds N t t' along the direction f does not depend on
         np.testing.assert_allclose(hess - n_total * np.outer(t, t), hess_fd, rtol=0,
                                    atol=1e-7 * np.abs(hess_fd).max())
+
+
+def _lstsq_linear_estimate(projectors, counts, n_total):
+    """The linear estimate as ``lstsq`` solves it on the projector stack, the
+    route before the design cache, kept as its reference."""
+    a = projectors.transpose(0, 2, 1).reshape(len(counts), 16)
+    vec, *_ = np.linalg.lstsq(a, (counts / n_total).astype(complex), rcond=None)
+    m = vec.reshape(4, 4)
+    return 0.5 * (m + m.conj().T)
 
 
 def _flipped_cholesky_start(m):
@@ -404,7 +413,8 @@ def _scipy_log_likelihood(records, total_per_setting):
     """Log-likelihood that ``scipy.optimize``'s L-BFGS-B reached with the
     objective, start and tolerances ``ml_reconstruction`` used to pass it."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    projectors, counts, n_total = _tomography_data(records, total_per_setting)
+    design, counts, n_total = _tomography_data(records, total_per_setting)
+    projectors = design.projectors
     lower = tomography._LOWER_INDICES
 
     def objective(t):
@@ -421,7 +431,7 @@ def _scipy_log_likelihood(records, total_per_setting):
             np.diag(m).real, np.column_stack([m[lower].real, m[lower].imag]).ravel()])
         return float(np.sum(mu) - counts @ np.log(mu)), grad
 
-    result = minimize(objective, _flipped_cholesky_start(_linear_estimate(projectors, counts, n_total)),
+    result = minimize(objective, _flipped_cholesky_start(_lstsq_linear_estimate(projectors, counts, n_total)),
                       jac=True, method="L-BFGS-B",
                       options={"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8})
     assert result.success
@@ -474,6 +484,121 @@ class TestMLAgainstScipy:
                                           standard_tomography_settings(), total, seed)
                 for given in (None, total):
                     self.assert_not_below_scipy(records, given)
+
+
+def _reference_counts(rho, settings, total, seed):
+    """The per-setting loop ``simulate_counts`` ran before it was batched:
+    Tr[rho P] from one matrix product and trace, clipped, then one scalar
+    Poisson draw per setting."""
+    rng = np.random.default_rng(seed)
+    counts = []
+    for setting in settings:
+        p = float(np.trace(rho.entries @ setting.projector()).real)
+        counts.append(int(rng.poisson(total * min(1.0, max(0.0, p)))))
+    return counts
+
+
+def _random_state(rng):
+    """A full-rank two-qubit state with random complex coherences."""
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    gram = m @ m.conj().T
+    return DensityMatrix(gram / gram.trace().real)
+
+
+class TestAgainstPerCallRoute:
+    """The cached design, the batched trace and the vector Poisson draw
+    against the per-call route they replaced."""
+
+    @pytest.mark.parametrize("settings", [standard_tomography_settings(),
+                                          witness_settings()],
+                             ids=["standard", "witness"])
+    def test_counts_equal_the_per_setting_loop(self, settings):
+        rng = np.random.default_rng(17)
+        for seed in range(200):
+            if seed % 2:
+                rho = _random_state(rng)
+            else:
+                rho = two_photon_state(GainChannelParams(g=rng.uniform(0.05, 2.0),
+                                                         eta=rng.uniform(0.005, 0.5)))
+            total = (1_000, 10_000, 100_000)[seed % 3]
+            records = simulate_counts(rho, settings, total, seed)
+            assert [r.counts for r in records] == _reference_counts(rho, settings, total, seed)
+            assert [r.setting for r in records] == list(settings)
+
+    def test_born_probability_equals_one_trace(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            rho = _random_state(rng)
+            for setting in standard_tomography_settings():
+                p = float(np.trace(rho.entries @ setting.projector()).real)
+                assert born_probability(rho, setting) == min(1.0, max(0.0, p))
+
+    def test_settings_may_be_an_iterator(self):
+        settings = standard_tomography_settings()
+        records = simulate_counts(werner_state(0.6), iter(settings), 1000, seed=3)
+        assert [r.counts for r in records] == _reference_counts(
+            werner_state(0.6), settings, 1000, 3)
+
+    @pytest.mark.parametrize("given_flux", [False, True], ids=["flux-estimated", "flux-given"])
+    def test_linear_estimate_equals_lstsq(self, given_flux):
+        for records, total in _round_trip_datasets(seed=16, n_sets=150):
+            counts = np.array([r.counts for r in records], dtype=float)
+            n_total = total if given_flux else tomography._estimate_total(records)
+            projectors = np.array([r.setting.projector() for r in records])
+            reference = _lstsq_linear_estimate(projectors, counts, n_total)
+            reference = reference / reference.trace().real
+            estimate = linear_reconstruction(records, total if given_flux else None)
+            np.testing.assert_allclose(estimate, reference, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("given_flux", [False, True], ids=["flux-estimated", "flux-given"])
+    def test_ml_likelihood_not_below_the_lstsq_start(self, given_flux, monkeypatch):
+        datasets = list(_round_trip_datasets(seed=19, n_sets=300))
+        results = [ml_reconstruction(records, total if given_flux else None)
+                   for records, total in datasets]
+        monkeypatch.setattr(tomography, "_linear_estimate",
+                            lambda design, counts, n_total: _lstsq_linear_estimate(
+                                design.projectors, counts, n_total))
+        for result, (records, total) in zip(results, datasets):
+            reference = ml_reconstruction(records, total if given_flux else None)
+            assert result.log_likelihood >= (reference.log_likelihood
+                                             - 1e-12 * abs(reference.log_likelihood))
+
+
+class TestDesignCache:
+    def test_cached_arrays_are_read_only(self):
+        design = _design(standard_tomography_settings())
+        for array in (design.projectors, design.pinv):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        assert design.rank == 16
+        assert design.projectors.shape == (16, 4, 4)
+        assert design.pinv.shape == (16, 16)
+
+    def test_second_call_hits_the_cache(self):
+        records = simulate_counts(werner_state(0.6), standard_tomography_settings(),
+                                  1000, seed=4)
+        linear_reconstruction(records)
+        before = _design.cache_info()
+        linear_reconstruction(records)
+        ml_reconstruction(records)
+        simulate_counts(werner_state(0.6), standard_tomography_settings(), 1000, seed=5)
+        after = _design.cache_info()
+        assert after.hits == before.hits + 3
+        assert after.misses == before.misses
+        assert _design(standard_tomography_settings()) is _design(
+            tuple(r.setting for r in records))
+
+    def test_rank_deficient_design_raises_every_time(self):
+        records = noiseless_records(werner_state(0.6), [ProjectorSetting("H", "H")] * 16,
+                                    10**6)
+        messages = []
+        for estimator in (linear_reconstruction, ml_reconstruction, linear_reconstruction):
+            with pytest.raises(DesignError) as raised:
+                estimator(records)
+            messages.append(str(raised.value))
+        assert messages == ["settings do not span the two-qubit operator space"] * 3
+        assert _design(tuple(r.setting for r in records)).rank == 1
 
 
 class TestWitnessFromCounts:
