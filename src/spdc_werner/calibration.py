@@ -76,11 +76,10 @@ def transmitted_photons_per_mode(params: GainChannelParams) -> float:
     """eta * sinh(g)^2: mean photons per mode surviving the channel.
 
     The two-photon coincidence treatment assumes this is much less than 1;
-    the CLI warns above 0.1. 0 at eta = 0, even where sinh(g)^2 is inf.
+    the CLI warns above 0.1. Defined on the domain of GainChannelParams,
+    g > 0 and 0 < eta < 1; inf where sinh(g)^2 overflows.
     """
-    if params.eta == 0.0:
-        return 0.0
-    return params.eta * mean_photons_per_mode(params)
+    return params.eta * mean_photons_per_mode(params.g)
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
 from .fock import DensityMatrix, partial_trace
 from .metrics import werner_state
-from .source import GainChannelParams, n_pair_singlet
+from .source import GainChannelParams, n_pair_singlet, require_open_channel
 
 # The brute-force block costs O(n) in n: n = 1500 takes 0.09-0.10 s (best and
 # median of 7 calls) on a 2-core x86-64 host with Python 3.11 and numpy 2.4.
@@ -59,11 +59,6 @@ COINCIDENCE_OCCUPATIONS = (
     (0, 1, 1, 0),
     (0, 1, 0, 1),
 )
-
-
-def _require_open_channel(eta: float) -> None:
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"transmittivity must lie strictly in (0, 1), got {eta}")
 
 
 def _split_amplitude(amp: complex, occ: tuple[int, ...], ys: tuple[int, ...],
@@ -93,7 +88,7 @@ def apply_beamsplitters(state: Mapping[tuple[int, ...], complex],
     normalized and conserves the total photon number term by term. The
     tests trace it out as the reference for :func:`transmitted_reduced_state`.
     """
-    _require_open_channel(eta)
+    require_open_channel(eta)
     for occ in state:
         if len(occ) != 4 or any(n_i < 0 for n_i in occ):
             raise ValueError(f"expected four non-negative photon counts, got {occ}")
@@ -125,7 +120,7 @@ def transmitted_reduced_state(n: int, eta: float) -> tuple[tuple, np.ndarray]:
         raise CapacityError(
             f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
         )
-    _require_open_channel(eta)
+    require_open_channel(eta)
     landing: dict[tuple[int, ...], complex] = {}
     for occ, amp in n_pair_singlet(n).items():
         for t in COINCIDENCE_OCCUPATIONS:
@@ -180,7 +175,7 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     """
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
-    _require_open_channel(eta)
+    require_open_channel(eta)
     if n == 0:
         return DensityMatrix(np.zeros((4, 4)))
     # prefactor n * (1-eta)^(2n) * zeta^2 / 6 on the integer pattern
@@ -196,18 +191,11 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
 def singlet_weight(params: GainChannelParams) -> float:
     """Singlet weight of the gain-summed two-photon Werner state.
 
-    p = 1 / (2*((1-eta)*tanh g)^2 + 1), always in (1/3, 1]. The eta -> 0
-    limit is taken directly (the formula only involves (1-eta)*tanh g).
+    p = 1 / (2*((1-eta)*tanh g)^2 + 1), in (1/3, 1] on the domain of
+    :class:`GainChannelParams`, g > 0 and 0 < eta < 1; exactly 1/3 where
+    (1-eta)*tanh g rounds to 1.
     """
     return 1.0 / (2.0 * params.gamma_tilde**2 + 1.0)
-
-
-def require_two_photon_params(params: GainChannelParams) -> None:
-    """Raise ``ValueError`` unless the coincidence state is defined at params:
-    an open channel, 0 < eta < 1, and pairs emitted, g > 0."""
-    _require_open_channel(params.eta)
-    if params.g == 0.0:
-        raise ValueError("no pairs are emitted at g = 0; coincidence state undefined")
 
 
 def two_photon_state(params: GainChannelParams) -> DensityMatrix:
@@ -219,7 +207,6 @@ def two_photon_state(params: GainChannelParams) -> DensityMatrix:
     transmittivity. :func:`pair_number_series` sums the blocks themselves
     and serves as the independent check.
     """
-    require_two_photon_params(params)
     return werner_state(singlet_weight(params))
 
 
@@ -257,9 +244,8 @@ class PairSeries:
         )
 
 
-def pair_number_series(g, eta) -> PairSeries:
-    """Sum the pair-number series of the two-photon block over arrays of
-    (g, eta) points.
+def pair_number_series(points: Sequence[GainChannelParams]) -> PairSeries:
+    """Sum the pair-number series of the two-photon block at each of points.
 
     Weighs each block of :func:`two_photon_block_closed` by (n+1) *
     tanh(g)^(2n) / cosh(g)^4 and normalizes; the blocks add incoherently
@@ -275,11 +261,8 @@ def pair_number_series(g, eta) -> PairSeries:
     bound drops below ``SERIES_TAIL_TOL`` relative to the accumulated
     trace. Points that end above the tolerance are reported by
     :meth:`PairSeries.error`, not raised, so one call serves a whole grid.
-    Every point must pass :func:`require_two_photon_params`.
+    Each point is a :class:`GainChannelParams`: g > 0 and 0 < eta < 1.
     """
-    points = [GainChannelParams(g=a, eta=b) for a, b in zip(g, eta, strict=True)]
-    for params in points:
-        require_two_photon_params(params)
     # x comes from the same math-library calls as singlet_weight: numpy's
     # vectorized tanh can differ in the last bit, which the series raises to
     # powers in the thousands.
@@ -322,7 +305,7 @@ def pair_number_series_state(params: GainChannelParams) -> DensityMatrix:
     Raises the point's ``ConvergenceError`` when the tail bound at the
     truncation exceeds ``SERIES_TAIL_TOL``.
     """
-    series = pair_number_series([params.g], [params.eta])
+    series = pair_number_series([params])
     error = series.error(0)
     if error is not None:
         raise error

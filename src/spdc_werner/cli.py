@@ -29,7 +29,6 @@ from .calibration import (
 from .channel import (
     pair_number_series,
     post_select_two_photon,
-    require_two_photon_params,
     singlet_weight,
     transmitted_reduced_state,
     two_photon_block_closed,
@@ -114,32 +113,30 @@ def _warn_hl(params: GainChannelParams) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    # Each point is validated on its own; the series check then runs over
+    # Building each point validates it; the series check then runs over
     # every valid point in one call. Rows and errors keep the grid order.
     grid = []
     for g in args.g:
         for eta in args.eta:
             try:
-                params = GainChannelParams(g=g, eta=eta)
-                require_two_photon_params(params)
-                grid.append((g, eta, WernerDescriptor(singlet_weight(params))))
+                grid.append((g, eta, GainChannelParams(g=g, eta=eta)))
             except ValueError as exc:
                 grid.append((g, eta, exc))
-    valid = [(g, eta) for g, eta, werner in grid
-             if isinstance(werner, WernerDescriptor)]
-    series = pair_number_series([g for g, _ in valid], [eta for _, eta in valid])
+    valid = [params for *_, params in grid if isinstance(params, GainChannelParams)]
+    series = pair_number_series(valid)
     checks = iter(zip(series.p, map(series.error, range(len(valid)))))
     rows = []
     failed = False
-    for g, eta, werner in grid:
-        if isinstance(werner, ValueError):
-            error = werner
+    for g, eta, params in grid:
+        if isinstance(params, ValueError):
+            error = params
         else:
             p_series, error = next(checks)
         if error is not None:
             failed = True
             print(f"error: g={g} eta={eta}: {error}", file=sys.stderr)
             continue
+        werner = WernerDescriptor(singlet_weight(params))
         rows.append(dict(zip(_SWEEP_COLUMNS, (
             g, eta, werner.p, float(p_series), werner.tangle,
             werner.linear_entropy, werner.witness_value,

@@ -2,7 +2,8 @@
 
 
 class CapacityError(ValueError):
-    """Requested pair number exceeds the supported truncation."""
+    """Requested pair number exceeds the brute-force cap
+    ``channel.BRUTE_FORCE_MAX_PAIRS``."""
 
 
 class PhysicalityError(ValueError):

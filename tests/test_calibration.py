@@ -175,11 +175,15 @@ class TestSyntheticCalibrationPoints:
 
 class TestTransmittedPhotons:
     def test_zero_gain(self):
-        assert transmitted_photons_per_mode(GainChannelParams(g=0.0, eta=0.5)) == 0.0
+        # the smallest gain the domain holds; sinh(g)^2 underflows to 0
+        assert transmitted_photons_per_mode(GainChannelParams(g=5e-324, eta=0.5)) == 0.0
 
     @pytest.mark.parametrize("g", [355.0, 400.0, 800.0])
     def test_no_transmission_at_any_gain(self, g):
-        assert transmitted_photons_per_mode(GainChannelParams(g=g, eta=0.0)) == 0.0
+        # a closed channel is outside the domain, so no 0 * inf arises where
+        # sinh(g)^2 overflows
+        with pytest.raises(ValueError, match="transmittivity"):
+            transmitted_photons_per_mode(GainChannelParams(g=g, eta=0.0))
 
     @pytest.mark.parametrize("g", [400.0, 800.0])
     def test_overflowing_gain(self, g):

@@ -454,7 +454,7 @@ class TestPairNumberSeries:
         ],
     )
     def test_truncation_rule_unchanged(self, g, eta, n_terms):
-        series = pair_number_series([g], [eta])
+        series = pair_number_series([GainChannelParams(g=g, eta=eta)])
         assert series.n_terms[0] == n_terms
         assert series.error(0) is None
 
@@ -473,25 +473,26 @@ class TestPairNumberSeries:
         assert "series check" in str(err.value)
 
     def test_grid_matches_pointwise_calls(self):
-        gs = [0.05, 0.7, 2.5, 15.0, 0.7]
-        etas = [0.3, 0.01, 0.9, 1e-6, 0.3]
-        series = pair_number_series(gs, etas)
+        points = [GainChannelParams(g=g, eta=eta) for g, eta in
+                  [(0.05, 0.3), (0.7, 0.01), (2.5, 0.9), (15.0, 1e-6), (0.7, 0.3)]]
+        series = pair_number_series(points)
         assert series.error(3) is not None
-        for i, (g, eta) in enumerate(zip(gs, etas)):
-            single = pair_number_series([g], [eta])
+        for i, params in enumerate(points):
+            single = pair_number_series([params])
             assert single.n_terms[0] == series.n_terms[i]
             assert single.relative_tail_bound[0] == series.relative_tail_bound[i]
             np.testing.assert_array_equal(single.p[0], series.p[i])
             if series.error(i) is None:
-                rho = pair_number_series_state(GainChannelParams(g=g, eta=eta))
+                rho = pair_number_series_state(params)
                 assert singlet_weight_extract(rho) == series.p[i]
 
     def test_bounded_chunks_give_the_same_sums(self, monkeypatch):
-        gs, etas = [0.3, 2.0, 3.0, 6.0], [0.01, 0.1, 0.01, 0.001]
-        whole = pair_number_series(gs, etas)
+        points = [GainChannelParams(g=g, eta=eta) for g, eta in
+                  [(0.3, 0.01), (2.0, 0.1), (3.0, 0.01), (6.0, 0.001)]]
+        whole = pair_number_series(points)
         # rows split across chunks, and single rows split along n
         monkeypatch.setattr(channel, "_SERIES_CHUNK", 64)
-        chunked = pair_number_series(gs, etas)
+        chunked = pair_number_series(points)
         np.testing.assert_array_equal(chunked.n_terms, whole.n_terms)
         np.testing.assert_allclose(chunked.p, whole.p, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
@@ -527,7 +528,7 @@ class TestPairNumberSeries:
         monkeypatch.setattr(channel, "_add_terms", spy)
         g = math.atanh(math.sqrt(1.0 - one_minus_x))
         params = GainChannelParams(g=g, eta=1e-300)
-        series = pair_number_series([params.g], [params.eta])
+        series = pair_number_series([params])
         assert bool(summed_rows) is not reported
         if not reported:
             return
@@ -552,48 +553,60 @@ class TestPairNumberSeries:
     def test_extreme_loss_matches_singlet_weight(self, g, eta):
         # the series sees eta only through x = ((1-eta) tanh g)^2, which
         # stays far from underflow at any eta
-        series = pair_number_series([g], [eta])
+        params = GainChannelParams(g=g, eta=eta)
+        series = pair_number_series([params])
         assert series.error(0) is None
-        p = singlet_weight(GainChannelParams(g=g, eta=eta))
+        p = singlet_weight(params)
         assert abs(series.p[0] - p) <= 5e-12
 
     @pytest.mark.parametrize("g", [1e-170, 1e-300])
     def test_gain_where_x_underflows_to_zero(self, g):
         # x = ((1-eta) tanh g)^2 is 0.0; the single-pair term remains
-        series = pair_number_series([g], [0.5])
+        series = pair_number_series([GainChannelParams(g=g, eta=0.5)])
         assert series.n_terms[0] == channel.SERIES_MIN_TERMS
         assert series.p[0] == 1.0
 
     @pytest.mark.parametrize("g,eta", [(0.0, 0.1), (0.5, 0.0), (0.5, 1.0)])
     def test_invalid_points_rejected(self, g, eta):
+        # the series takes GainChannelParams, which cannot hold these points
         with pytest.raises(ValueError):
-            pair_number_series([0.3, g], [0.1, eta])
+            pair_number_series([GainChannelParams(g=0.3, eta=0.1),
+                                GainChannelParams(g=g, eta=eta)])
 
     def test_truncation_and_tolerance_are_fixed(self):
+        params = GainChannelParams(g=0.3, eta=0.1)
         for knob in ({"n_max": 60}, {"tail_tol": 1e-6}):
             with pytest.raises(TypeError):
-                pair_number_series([0.3], [0.1], **knob)
+                pair_number_series([params], **knob)
             with pytest.raises(TypeError):
-                pair_number_series_state(GainChannelParams(g=0.3, eta=0.1), **knob)
-        assert not hasattr(pair_number_series([0.3], [0.1]), "tail_tol")
+                pair_number_series_state(params, **knob)
+        assert not hasattr(pair_number_series([params]), "tail_tol")
+
+
+# The smallest transmittivity the domain holds: 1 - 5e-324 rounds to 1, so
+# every eta-dependent expression takes its eta -> 0 value there.
+ETA_MIN = 5e-324
 
 
 class TestSingletWeight:
     def test_zero_gain_is_pure(self):
-        assert singlet_weight(GainChannelParams(g=0.0, eta=0.0)) == 1.0
+        # the g -> 0 limit at the smallest gain the domain holds, where
+        # tanh(g)^2 underflows to 0
+        assert singlet_weight(GainChannelParams(g=5e-324, eta=ETA_MIN)) == 1.0
 
     def test_entanglement_edge_value(self):
-        # 1 / (1 + 2 tanh^2(1.084)) evaluated at eta -> 0
-        p = singlet_weight(GainChannelParams(g=1.084, eta=0.0))
+        # 1 / (1 + 2 tanh^2(1.084)), the eta -> 0 limit, bit for bit
+        p = singlet_weight(GainChannelParams(g=1.084, eta=ETA_MIN))
+        assert p == 1.0 / (2.0 * math.tanh(1.084) ** 2 + 1.0)
         assert p == pytest.approx(0.4418863318175008, abs=1e-12)
 
     def test_always_above_one_third(self):
         for g in (0.5, 2.0, 10.0, 15.0):
-            p = singlet_weight(GainChannelParams(g=g, eta=0.0))
+            p = singlet_weight(GainChannelParams(g=g, eta=ETA_MIN))
             assert 1.0 / 3.0 < p <= 1.0
         # beyond g ~ 19 double precision saturates tanh at 1, where the
         # analytic open bound collapses onto 1/3 exactly
-        assert singlet_weight(GainChannelParams(g=30.0, eta=0.0)) >= 1.0 / 3.0
+        assert singlet_weight(GainChannelParams(g=30.0, eta=ETA_MIN)) >= 1.0 / 3.0
 
     def test_monotone_in_gain_and_loss(self):
         weights_g = [
@@ -603,6 +616,6 @@ class TestSingletWeight:
         assert all(a > b for a, b in zip(weights_g, weights_g[1:]))
         weights_eta = [
             singlet_weight(GainChannelParams(g=1.0, eta=eta))
-            for eta in (0.0, 0.2, 0.5, 0.9)
+            for eta in (ETA_MIN, 0.2, 0.5, 0.9)
         ]
         assert all(a < b for a, b in zip(weights_eta, weights_eta[1:]))

@@ -74,6 +74,31 @@ class TestSweep:
         assert len(lines) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_each_point_is_built_once(self, monkeypatch, capsys):
+        # building a point is its one check; the series check reuses it
+        built = []
+        post_init = GainChannelParams.__post_init__
+
+        def counting(params):
+            built.append((params.g, params.eta))
+            post_init(params)
+
+        monkeypatch.setattr(GainChannelParams, "__post_init__", counting)
+        assert run(["sweep", "--g", "0,0.5,1", "--eta", "0.016"]) == 1
+        assert built == [(0.0, 0.016), (0.5, 0.016), (1.0, 0.016)]
+        assert capsys.readouterr().err == (
+            "error: g=0.0 eta=0.016: no pairs are emitted at g = 0; "
+            "coincidence state undefined\n"
+        )
+
+    def test_open_interval_message_for_any_bad_eta(self, capsys):
+        assert run(["sweep", "--g", "0.5", "--eta", "0,1,1.5,nan"]) == 1
+        assert capsys.readouterr().err == "".join(
+            f"error: g=0.5 eta={eta}: transmittivity must lie strictly in (0, 1), "
+            f"got {eta}\n"
+            for eta in ("0.0", "1.0", "1.5", "nan")
+        )
+
     def test_infinite_gain_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         assert run(["sweep", "--g", "inf,1", "--eta", "0.01", "--format", "json",

@@ -1,46 +1,100 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from spdc_werner.calibration import transmitted_photons_per_mode
+from spdc_werner.channel import pair_number_series, singlet_weight, two_photon_state
 from spdc_werner.source import (
     GainChannelParams,
     mean_photons_per_mode,
     n_pair_singlet,
 )
 
+# The domain edges and the values just outside them, mixed into every draw.
+EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52,
+               -5e-324, -1.0, 30.0, 1e308, math.nan, math.inf, -math.inf)
+
 
 class TestGainChannelParams:
     def test_derived_scalars(self):
         p = GainChannelParams(g=0.7, eta=0.2)
         assert p.gamma_tilde == pytest.approx(0.8 * math.tanh(0.7))
-        assert mean_photons_per_mode(p) == pytest.approx(math.sinh(0.7) ** 2)
+        assert mean_photons_per_mode(p.g) == pytest.approx(math.sinh(0.7) ** 2)
 
-    @given(st.floats(min_value=0.0, max_value=18.0),
-           st.floats(min_value=0.0, max_value=0.999))
+    @given(st.floats(min_value=0.0, max_value=18.0, exclude_min=True),
+           st.floats(min_value=0.0, max_value=0.999, exclude_min=True))
     def test_scalar_ranges(self, g, eta):
         p = GainChannelParams(g=g, eta=eta)
         assert 0.0 <= p.gamma_tilde <= math.tanh(g) < 1.0
 
     def test_gamma_saturates_in_double_precision(self):
-        # tanh rounds to 1.0 beyond g ~ 19; the open bound is analytic
-        assert GainChannelParams(g=25.0).gamma_tilde <= 1.0
+        # tanh rounds to 1.0 beyond g ~ 19, and 1 - 5e-324 to 1.0; the open
+        # bound is analytic
+        assert GainChannelParams(g=25.0, eta=5e-324).gamma_tilde <= 1.0
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
-            GainChannelParams(g=-0.1)
+            GainChannelParams(g=-0.1, eta=0.5)
 
     def test_nan_gain_rejected(self):
         with pytest.raises(ValueError, match="gain must be non-negative, got nan"):
-            GainChannelParams(g=float("nan"))
+            GainChannelParams(g=float("nan"), eta=0.5)
 
     def test_infinite_gain_rejected(self):
         with pytest.raises(ValueError, match="gain must be finite, got inf"):
-            GainChannelParams(g=math.inf)
+            GainChannelParams(g=math.inf, eta=0.5)
 
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             GainChannelParams(g=1.0, eta=1.5)
+
+    def test_zero_gain_rejected(self):
+        with pytest.raises(ValueError, match="no pairs are emitted at g = 0"):
+            GainChannelParams(g=0.0, eta=0.5)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, math.nan, -0.1, 1.5])
+    def test_closed_channel_rejected(self, eta):
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            GainChannelParams(g=0.5, eta=eta)
+
+    def test_eta_is_required(self):
+        with pytest.raises(TypeError):
+            GainChannelParams(g=0.5)
+
+    @pytest.mark.parametrize("g,eta,message", [
+        (-1.0, 2.0, "gain must be non-negative"),
+        (math.nan, math.nan, "gain must be non-negative"),
+        (math.inf, 0.0, "gain must be finite"),
+        (0.0, 0.0, "transmittivity"),
+        (0.0, 1.5, "transmittivity"),
+    ])
+    def test_checks_run_in_order(self, g, eta, message):
+        # gain sign, gain finite, eta, then g != 0: each input with several
+        # faults reports the first of them
+        with pytest.raises(ValueError, match=message):
+            GainChannelParams(g=g, eta=eta)
+
+
+class TestDomain:
+    @settings(deadline=None)
+    @given(g=st.one_of(st.sampled_from(EDGE_VALUES), st.floats()),
+           eta=st.one_of(st.sampled_from(EDGE_VALUES), st.floats()))
+    @example(g=5e-324, eta=5e-324)
+    @example(g=1e308, eta=1.0 - 2.0**-53)
+    def test_construction_succeeds_exactly_on_the_domain(self, g, eta):
+        on_domain = math.isfinite(g) and g > 0.0 and 0.0 < eta < 1.0
+        try:
+            params = GainChannelParams(g=g, eta=eta)
+        except ValueError:
+            assert not on_domain
+            return
+        assert on_domain
+        # every consumer takes the point as given
+        assert 1.0 / 3.0 <= singlet_weight(params) <= 1.0
+        two_photon_state(params)
+        pair_number_series([params])
+        assert transmitted_photons_per_mode(params) >= 0.0
 
 
 class TestNPairSinglet:
@@ -79,22 +133,22 @@ class TestNPairSinglet:
 
 class TestMeanPhotons:
     def test_zero_gain(self):
-        assert mean_photons_per_mode(GainChannelParams(g=0.0)) == 0.0
+        assert mean_photons_per_mode(0.0) == 0.0
 
     def test_peak_gain_value(self):
         # sinh^2(1.313) = 2.9727
-        nbar = mean_photons_per_mode(GainChannelParams(g=1.313))
+        nbar = mean_photons_per_mode(1.313)
         assert nbar == pytest.approx(2.97, abs=0.01)
 
     def test_four_mode_total_at_entanglement_edge(self):
         # 4 * sinh^2(1.084) = 6.855
-        total = 4.0 * mean_photons_per_mode(GainChannelParams(g=1.084))
+        total = 4.0 * mean_photons_per_mode(1.084)
         assert total == pytest.approx(6.85, abs=0.03)
 
     def test_largest_finite_gain(self):
-        assert mean_photons_per_mode(GainChannelParams(g=355.0)) == math.sinh(355.0) ** 2
+        assert mean_photons_per_mode(355.0) == math.sinh(355.0) ** 2
 
     @pytest.mark.parametrize("g", [400.0, 800.0])
     def test_overflow_is_inf(self, g):
         # sinh(g)^2 overflows a double beyond g of about 355.58
-        assert mean_photons_per_mode(GainChannelParams(g=g)) == math.inf
+        assert mean_photons_per_mode(g) == math.inf
