@@ -20,13 +20,11 @@ from .calibration import (
     count_rate_model,
     fit_gain,
     synthetic_calibration_points,
-    transmitted_photons_per_mode,
 )
-from .channel import singlet_weight, two_photon_state
+from .channel import two_photon_state
 from .errors import ConvergenceError, DesignError, FitError, PhysicalityError
 from .fock import TWO_PHOTON_BASIS, DensityMatrix
 from .metrics import (
-    WernerDescriptor,
     concurrence_tangle,
     fidelity,
     is_entangled_ppt,
@@ -39,7 +37,13 @@ from .metrics import (
     witness_expectation,
     witness_operator,
 )
-from .source import GainChannelParams, mean_photons_per_mode
+from .source import (
+    GainChannelParams,
+    WernerDescriptor,
+    mean_photons_per_mode,
+    singlet_weight,
+    transmitted_photons_per_mode,
+)
 from .tomography import (
     CountRecord,
     MLReconstruction,

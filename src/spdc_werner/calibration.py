@@ -7,7 +7,7 @@ A detector on one spatial mode sees the rate
 with R the pump repetition rate and eta the overall detection efficiency of
 that arm. The gain tracks the pump field amplitude, g = a * sqrt(P), so a
 joint fit of (a, eta_1, eta_2) to rate-versus-power data calibrates the
-source; the gain at the highest measured power is reported as g_max.
+source, reporting g_max at the highest power. No state model is used here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _csv, _newton
 from .errors import FitError
-from .source import GainChannelParams, mean_photons_per_mode
 
 _MIN_DISTINCT_POWERS = 5
 _EPS = np.finfo(float).eps
@@ -70,16 +69,6 @@ def _rate_kernel(g, eta, repetition_rate):
     tanh, sech2 = np.tanh(g), 4.0 * e / (1.0 + e) ** 2
     g2 = tanh**2
     return repetition_rate * eta * g2 / (eta * g2 + sech2), tanh, sech2
-
-
-def transmitted_photons_per_mode(params: GainChannelParams) -> float:
-    """eta * sinh(g)^2: mean photons per mode surviving the channel.
-
-    The two-photon coincidence treatment assumes this is much less than 1;
-    the CLI warns above 0.1. Defined on the domain of GainChannelParams,
-    g > 0 and 0 < eta < 1; inf where sinh(g)^2 overflows.
-    """
-    return params.eta * mean_photons_per_mode(params.g)
 
 
 @dataclass(frozen=True)

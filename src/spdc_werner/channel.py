@@ -20,7 +20,7 @@ as a machine-precision oracle, and check the brute-force block against the
 full expansion of :func:`apply_beamsplitters` over all eight slots.
 
 Summing the blocks over the pair-number distribution and normalizing yields
-a Werner state whose singlet weight is 1 / (2*((1-eta)*tanh g)^2 + 1).
+a Werner state, whose singlet weight ``source.singlet_weight`` defines.
 :func:`two_photon_state` returns that closed form; :func:`pair_number_series`
 sums the blocks themselves, over whole grids of points, as its check.
 """
@@ -37,7 +37,12 @@ import numpy as np
 from .errors import CapacityError, ConvergenceError
 from .fock import DensityMatrix, partial_trace
 from .metrics import werner_state
-from .source import GainChannelParams, n_pair_singlet, require_open_channel
+from .source import (
+    GainChannelParams,
+    n_pair_singlet,
+    require_open_channel,
+    singlet_weight,
+)
 
 # The brute-force block costs O(n) in n: n = 1500 takes 0.09-0.10 s (best and
 # median of 7 calls) on a 2-core x86-64 host with Python 3.11 and numpy 2.4.
@@ -114,15 +119,14 @@ def transmitted_reduced_state(n: int, eta: float) -> tuple[tuple, np.ndarray]:
     block is bitwise that of the full eight-slot expansion, in O(n) work.
     Supported for n <= ``BRUTE_FORCE_MAX_PAIRS``.
     """
-    if n < 0:
-        raise ValueError(f"pair number must be non-negative, got {n}")
     if n > BRUTE_FORCE_MAX_PAIRS:
         raise CapacityError(
             f"n={n} exceeds brute-force capacity {BRUTE_FORCE_MAX_PAIRS}"
         )
+    term = n_pair_singlet(n)  # raises on n < 0
     require_open_channel(eta)
     landing: dict[tuple[int, ...], complex] = {}
-    for occ, amp in n_pair_singlet(n).items():
+    for occ, amp in term.items():
         for t in COINCIDENCE_OCCUPATIONS:
             reflected = tuple(n_i - y for n_i, y in zip(occ, t))
             if min(reflected) >= 0:
@@ -168,7 +172,7 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     """Closed form of the post-selected two-photon block of the n-pair term.
 
     Unnormalized; the trace is n^2 * (1-eta)^(2n) * zeta^2. For n = 0 there
-    is no two-photon coincidence and the block is identically zero. The
+    is no two-photon coincidence and the prefactor n makes the block zero. The
     diagonal corners carry a factor (n-1), so the single-pair block is a pure
     singlet and the normalized block for n pairs is a Werner state with
     singlet weight (n+2)/(3n).
@@ -176,8 +180,6 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     if n < 0:
         raise ValueError(f"pair number must be non-negative, got {n}")
     require_open_channel(eta)
-    if n == 0:
-        return DensityMatrix(np.zeros((4, 4)))
     # prefactor n * (1-eta)^(2n) * zeta^2 / 6 on the integer pattern
     # (n-1, 1+2n, -(n+2)) of (corner, middle, off)
     zeta = eta / (1.0 - eta)
@@ -188,24 +190,13 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     return DensityMatrix(block)
 
 
-def singlet_weight(params: GainChannelParams) -> float:
-    """Singlet weight of the gain-summed two-photon Werner state.
-
-    p = 1 / (2*((1-eta)*tanh g)^2 + 1), in (1/3, 1] on the domain of
-    :class:`GainChannelParams`, g > 0 and 0 < eta < 1; exactly 1/3 where
-    (1-eta)*tanh g rounds to 1.
-    """
-    return 1.0 / (2.0 * params.gamma_tilde**2 + 1.0)
-
-
 def two_photon_state(params: GainChannelParams) -> DensityMatrix:
     """Post-selected two-photon state at gain g, summed over pair numbers.
 
     Weighing each pair-number block by (n+1) * tanh(g)^(2n) / cosh(g)^4 and
-    normalizing gives, in closed form, the Werner state with singlet weight
-    :func:`singlet_weight`; that is what this returns, at every gain and
-    transmittivity. :func:`pair_number_series` sums the blocks themselves
-    and serves as the independent check.
+    normalizing gives the Werner state of weight ``source.singlet_weight``,
+    returned here in closed form at every gain and transmittivity;
+    :func:`pair_number_series` sums the blocks themselves as the check.
     """
     return werner_state(singlet_weight(params))
 

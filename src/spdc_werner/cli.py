@@ -21,22 +21,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (
-    fit_gain,
-    read_calibration_csv,
-    transmitted_photons_per_mode,
-)
+from .calibration import fit_gain, read_calibration_csv
 from .channel import (
     pair_number_series,
     post_select_two_photon,
-    singlet_weight,
     transmitted_reduced_state,
     two_photon_block_closed,
     two_photon_state,
 )
 from .errors import ConvergenceError, FitError
-from .metrics import WernerDescriptor, metrics_report
-from .source import GainChannelParams
+from .metrics import metrics_report
+from .source import (
+    GainChannelParams,
+    WernerDescriptor,
+    singlet_weight,
+    transmitted_photons_per_mode,
+)
 from .tomography import (
     ml_reconstruction,
     read_count_records,

@@ -1,21 +1,21 @@
-"""Two-qubit entanglement metrics on the (HH, HV, VH, VV) polarization basis.
+"""Entanglement metrics of a two-qubit matrix; those of a Werner weight are in source.
 
 All spectral work (Wootters concurrence, state fidelity, partial-transpose
 test) goes through one primitive: eigendecomposition of Hermitian 4x4
-matrices, with matrix square roots formed spectrally after zeroing
-eigenvalues within the -1e-10 physicality tolerance.
+matrices on (HH, HV, VH, VV), with matrix square roots formed spectrally
+after zeroing eigenvalues within the -1e-10 physicality tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhysicalityError
 from .fock import EIGENVALUE_TOL, DensityMatrix
+from .source import WernerDescriptor
 
 # Single-photon polarization kets. D/F are the +/- diagonal states, L/R the
 # circular ones.
@@ -64,33 +64,6 @@ def werner_state(p: float) -> DensityMatrix:
     psi = singlet_ket()
     m = p * np.outer(psi, psi.conj()) + (1.0 - p) / 4.0 * np.eye(4)
     return DensityMatrix(m)
-
-
-@dataclass(frozen=True)
-class WernerDescriptor:
-    """Scalar summary of a Werner state with weight p."""
-
-    p: float
-
-    def __post_init__(self):
-        if not -1.0 / 3.0 <= self.p <= 1.0:
-            raise ValueError(f"Werner weight must lie in [-1/3, 1], got {self.p}")
-
-    @property
-    def is_entangled(self) -> bool:
-        return self.p > 1.0 / 3.0
-
-    @property
-    def tangle(self) -> float:
-        return max(0.0, (3.0 * self.p - 1.0) / 2.0) ** 2
-
-    @property
-    def linear_entropy(self) -> float:
-        return 1.0 - self.p**2
-
-    @property
-    def witness_value(self) -> float:
-        return (1.0 - 3.0 * self.p) / 4.0
 
 
 def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,11 +141,10 @@ def witness_operator() -> np.ndarray:
     """Entanglement witness for the Werner family.
 
     (1/2) * (|HH><HH| + |VV><VV| + |DD><DD| + |FF><FF| - |LR><LR| - |RL><RL|);
-    Hermitian, with non-negative expectation on every separable state and
-    expectation (1 - 3p)/4 on the Werner state of weight p.
+    exactly Hermitian, with non-negative expectation on every separable state
+    and expectation (1 - 3p)/4 on the Werner state of weight p.
     """
-    w = sum(sign * PAIR_PROJECTORS[lab] for lab, sign in WITNESS_SIGNS.items()) / 2.0
-    return 0.5 * (w + w.conj().T)
+    return sum(sign * PAIR_PROJECTORS[lab] for lab, sign in WITNESS_SIGNS.items()) / 2.0
 
 
 def witness_expectation(rho: DensityMatrix) -> float:

@@ -3,7 +3,8 @@
 Measurements are polarization projectors |a>|b><a|<b| set independently on
 the two spatial modes. Counts are Poisson with mean N * Tr[rho P]; the
 total flux N per setting is either supplied or estimated from the complete
-basis {HH, HV, VH, VV}, whose outcome probabilities sum to one.
+basis {HH, HV, VH, VV}, whose outcome probabilities sum to one; the estimate
+needs each of the four settings exactly once.
 
 Reconstruction comes in two stages: linear inversion of the Born
 probabilities (exact but possibly indefinite under shot noise) and a
@@ -182,11 +183,19 @@ def simulate_counts(
 
 
 def _estimate_total(records: Sequence[CountRecord]) -> float:
+    labels = [r.setting.label for r in records]
     by_label = {r.setting.label: r for r in records}
     missing = [lab for lab in TWO_PHOTON_BASIS if lab not in by_label]
     if missing:
         raise ValueError(
             f"cannot estimate flux: complete-basis settings {missing} absent "
+            "and no total_per_setting given"
+        )
+    # a repeated row would count once here but every time in the likelihood
+    repeated = [lab for lab in TWO_PHOTON_BASIS if labels.count(lab) > 1]
+    if repeated:
+        raise ValueError(
+            f"cannot estimate flux: complete-basis settings {repeated} repeated "
             "and no total_per_setting given"
         )
     total = float(sum(by_label[lab].counts for lab in TWO_PHOTON_BASIS))

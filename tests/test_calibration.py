@@ -12,11 +12,10 @@ from spdc_werner.calibration import (
     fit_gain,
     read_calibration_csv,
     synthetic_calibration_points,
-    transmitted_photons_per_mode,
     write_calibration_csv,
 )
 from spdc_werner.errors import FitError
-from spdc_werner.source import GainChannelParams
+from spdc_werner.source import GainChannelParams, transmitted_photons_per_mode
 
 REPETITION_RATE = 250_000.0
 TRUE_GAIN_SCALE = 1.313  # g_max = 1.313 at unit power

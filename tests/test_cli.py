@@ -216,6 +216,19 @@ class TestMatrix:
         else:
             assert len(written.read_text().splitlines()) == 17
 
+    @pytest.mark.parametrize("g, warning", [
+        ("360", ""),
+        ("720", "warning: eta*sinh^2(g) = 2.99e+301 > 0.1; "
+                "the two-photon treatment assumes high loss\n"),
+    ], ids=["360", "720"])
+    def test_warning_level_past_photon_number_overflow(self, g, warning, tmp_path,
+                                                       monkeypatch, capsys):
+        # sinh(g)^2 overflows, eta*sinh^2(g) need not: at g = 360 it is 6.1e-12,
+        # and both points used to warn "eta*sinh^2(g) = inf"
+        monkeypatch.setenv("SPDC_WERNER_OUTDIR", str(tmp_path))
+        assert run(["matrix", "--g", g, "--eta", "5e-324", "--out", "rho.json"]) == 0
+        assert capsys.readouterr().err == warning
+
     @pytest.mark.parametrize("command", [
         ["matrix"],
         ["tomo", "simulate", "--counts-per-setting", "10", "--seed", "1",
@@ -339,6 +352,21 @@ class TestTomo:
         assert capsys.readouterr().err == (
             "error: transmittivity must lie strictly in (0, 1), got 1.0\n"
         )
+
+    def test_reconstruct_repeated_complete_basis_setting(self, tmp_path, capsys):
+        # the flux estimate cannot tell which of two HH rows to count
+        counts = tmp_path / "counts.csv"
+        assert run(["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
+                    "--counts-per-setting", "1000", "--seed", "1",
+                    "--out", str(counts)]) == 0
+        header, *rows = counts.read_text().splitlines()
+        (hh,) = [row for row in rows if row.startswith("HH,")]
+        counts.write_text("\n".join([header, *rows, hh]) + "\n")
+        assert run(["tomo", "reconstruct", "--input", str(counts)]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: cannot estimate flux: complete-basis settings ['HH'] repeated "
+            "and no total_per_setting given\n"
+        ))
 
     def test_reconstruct_singlet_noiseless(self, tmp_path):
         # counts proportional to exact singlet probabilities

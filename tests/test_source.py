@@ -1,14 +1,18 @@
 import math
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spdc_werner.calibration import transmitted_photons_per_mode
+import spdc_werner.source
 from spdc_werner.channel import pair_number_series, singlet_weight, two_photon_state
 from spdc_werner.source import (
     GainChannelParams,
     mean_photons_per_mode,
     n_pair_singlet,
+    transmitted_photons_per_mode,
 )
 
 # The domain edges and the values just outside them, mixed into every draw.
@@ -152,3 +156,57 @@ class TestMeanPhotons:
     def test_overflow_is_inf(self, g):
         # sinh(g)^2 overflows a double beyond g of about 355.58
         assert mean_photons_per_mode(g) == math.inf
+
+
+def decimal_transmitted_photons(g: float, eta: float) -> Decimal:
+    """eta * sinh(g)^2 in 50-digit decimal arithmetic, from the exact doubles."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g_exact = Decimal(g)
+        sinh = (g_exact.exp() - (-g_exact).exp()) / 2
+        return Decimal(eta) * sinh * sinh
+
+
+class TestTransmittedPhotonsPastOverflow:
+    @pytest.mark.parametrize("g, eta", [(360.0, 5e-324), (720.0, 5e-324), (356.0, 0.25)])
+    def test_finite_where_only_sinh_squared_overflows(self, g, eta):
+        # this used to be eta * inf = inf; at g = 360 the value is 6.1e-12, at
+        # g = 356 and eta = 0.25 it is 1.0e308
+        level = transmitted_photons_per_mode(GainChannelParams(g=g, eta=eta))
+        reference = decimal_transmitted_photons(g, eta)
+        assert math.isfinite(level)
+        assert abs(Decimal(level) / reference - 1) <= Decimal("1e-12")
+
+    @pytest.mark.parametrize("g", [356.0, 800.0])
+    def test_inf_where_the_product_overflows(self, g):
+        # at g = 356 the value, e^712 / 8, is already above the largest double
+        assert transmitted_photons_per_mode(GainChannelParams(g=g, eta=0.5)) == math.inf
+
+    @pytest.mark.parametrize("g", [5e-324, 1e-170, 1e-8, 0.5, 1.313, 20.0, 100.0,
+                                   300.0, 355.0])
+    @pytest.mark.parametrize("eta", [5e-324, 1e-300, 1e-12, 0.016, 0.5,
+                                     1.0 - 2.0**-53])
+    def test_bitwise_the_product_where_sinh_squared_is_finite(self, g, eta):
+        level = transmitted_photons_per_mode(GainChannelParams(g=g, eta=eta))
+        assert level.hex() == (eta * math.sinh(g) ** 2).hex()
+
+
+def test_module_loads_alone_without_numpy():
+    # source.py, executed on its own in a fresh interpreter, holds the closed
+    # form of a point with the standard library only
+    code = "\n".join([
+        "import importlib.util, sys",
+        f"spec = importlib.util.spec_from_file_location('source', {spdc_werner.source.__file__!r})",
+        "module = importlib.util.module_from_spec(spec)",
+        "sys.modules['source'] = module  # dataclasses looks the module up",
+        "spec.loader.exec_module(module)",
+        "for name in ('singlet_weight', 'WernerDescriptor', 'transmitted_photons_per_mode'):",
+        "    assert hasattr(module, name), name",
+        "assert 'numpy' not in sys.modules",
+        "print(module.singlet_weight(module.GainChannelParams(g=1.313, eta=0.016)).hex())",
+    ])
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    expected = singlet_weight(GainChannelParams(g=1.313, eta=0.016)).hex()
+    assert proc.stdout == expected + "\n"

@@ -342,6 +342,35 @@ def test_flux_must_be_positive_and_finite(estimator, flux):
         estimator(records, total_per_setting=flux)
 
 
+def with_repeated_hh(first: bool) -> list[CountRecord]:
+    """Seed-1 counts of criterion 5's state at 1e5 per setting, with a second
+    HH row of three times the counts placed first or last."""
+    rho = two_photon_state(GainChannelParams(g=1.313, eta=0.016))
+    records = simulate_counts(rho, standard_tomography_settings(), 100_000, seed=1)
+    (hh,) = [r for r in records if r.setting.label == "HH"]
+    extra = CountRecord(setting=hh.setting, counts=3 * hh.counts, seed=hh.seed)
+    return [extra, *records] if first else [*records, extra]
+
+
+class TestRepeatedCompleteBasisSetting:
+    # The flux estimate used to count only the last of repeated rows while the
+    # likelihood counts all: ML gave p = 0.2501 with the extra row last and
+    # 0.2032 with it first (0.4094 without it).
+
+    @pytest.mark.parametrize("estimator", [linear_reconstruction, ml_reconstruction])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_flux_estimate_rejects_it(self, estimator, first):
+        with pytest.raises(ValueError, match=r"settings \['HH'\] repeated"):
+            estimator(with_repeated_hh(first))
+
+    def test_given_flux_takes_it_in_either_order(self):
+        p_first, p_last = (
+            singlet_weight_extract(ml_reconstruction(with_repeated_hh(first), 100_000).state)
+            for first in (True, False)
+        )
+        assert abs(p_first - p_last) <= 1e-15
+
+
 class TestTriangularParameters:
     # Reference: the entry-by-entry fill order of the 12 off-diagonal
     # parameters, as (real, imaginary) pairs.
