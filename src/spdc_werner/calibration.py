@@ -8,6 +8,15 @@ with R the pump repetition rate and eta the overall detection efficiency of
 that arm. The gain tracks the pump field amplitude, g = a * sqrt(P), so a
 joint fit of (a, eta_1, eta_2) to rate-versus-power data calibrates the
 source, reporting g_max at the highest power. No state model is used here.
+
+The fit works in g_max = a * sqrt(P_max), which has no unit, so its result
+does not depend on the unit of power. Above a floor of 1e-12 counts/s, a
+point's relative residual is linear in 1/eta, so at each g_max every
+efficiency has a closed-form least-squares value (variable projection).
+The fit's start is the minimum of the cost with the efficiencies profiled
+out, found by a one-dimensional Newton search on g_max; Levenberg-Marquardt
+then only certifies that minimum, and on the bundled and test data takes no
+step.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from . import _csv, _newton
 from .errors import FitError
 
 _MIN_DISTINCT_POWERS = 5
+# bisection alone narrows a grid step of _start_gains to rounding in 50
+_SEARCH_STEPS = 50
 _EPS = np.finfo(float).eps
 
 
@@ -107,44 +118,145 @@ class CalibrationFit:
     residuals: np.ndarray = field(repr=False)
 
 
-def _relative_residuals(params, sqrt_power, rate, detector_index, repetition_rate):
-    """Relative residual per point for params (a, eta per detector), or one
-    row of residuals per row of a parameter stack."""
-    model, _, _ = _rate_kernel(params[..., :1] * sqrt_power,
-                               params[..., 1:][..., detector_index], repetition_rate)
-    return (model - rate) / np.maximum(model, 1e-12)
-
-
 @functools.cache
 def _start_gains() -> np.ndarray:
-    """The start grid's gains at the highest power, read-only. Built on first
-    use rather than at import: the first ``geomspace`` call pages in about
-    0.3 MB of numpy, which a process that never fits should not pay."""
+    """The start grid's values of g_max, read-only. Built on first use rather
+    than at import: the first ``geomspace`` call pages in about 0.3 MB of
+    numpy, which a process that never fits should not pay."""
     gains = np.geomspace(0.05, 20.0, 60)
     gains.setflags(write=False)
     return gains
 
 
-def _initial_guess(sqrt_power, rate, detector_index, repetition_rate):
-    """Coarse grid over the gain scale, efficiency solved from the
-    highest-power point of each detector."""
-    ids = np.arange(detector_index.max() + 1)[:, None]
-    top = np.argmax(np.where(detector_index == ids, sqrt_power, -1.0), axis=1)
-    a = _start_gains() / sqrt_power.max()
-    g2 = np.tanh(a[:, None] * sqrt_power[top]) ** 2
-    denom = g2 * np.maximum(repetition_rate - rate[top], 1e-9)
-    eta = np.divide(rate[top] * (1.0 - g2), denom, out=np.full_like(denom, 0.5),
-                    where=denom > 0)
-    guesses = np.column_stack([a, np.clip(eta, 1e-9, 1.0)])
-    sse = np.sum(_relative_residuals(guesses, sqrt_power, rate, detector_index,
-                                     repetition_rate) ** 2, axis=1)
-    return guesses[np.argmin(sse)]
+class _ProfiledCost:
+    """The least-squares cost as a function of g_max alone, each detector's
+    efficiency at its best value for that g_max (variable projection; Golub
+    & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
+
+    Above the 1e-12 floor a point's relative residual is r = b - c u, with
+    b = 1 - rate/R, c = (rate/R) / sinh(g_max s)^2, s = sqrt(P / P_max) and
+    u = 1/eta: linear in u. So u_d = sum b c / sum c^2 over detector d's
+    points, and the reduced cost is phi = sum r^2 at those u. Only ratios of
+    c within a detector enter phi, so c is kept up to a constant factor per
+    detector, as kappa (s / sinh(g_max s))^2 with kappa proportional to
+    rate / s^2 and largest value 1: neither c nor c^2 over- or underflows,
+    whatever R and the range of powers. Points at zero power are left out;
+    their residual does not depend on the parameters.
+    """
+
+    def __init__(self, s, rate, detector_index, repetition_rate):
+        keep = s > 0
+        self.s, rate, index = s[keep], rate[keep], detector_index[keep]
+        self.b = 1.0 - rate / repetition_rate
+        self.onehot = (index[:, None] == np.arange(detector_index.max() + 1)).astype(float)
+        with np.errstate(divide="ignore"):
+            log_kappa = np.log(rate) - 2.0 * np.log(self.s)
+        top = np.array([log_kappa[index == d].max() for d in range(self.onehot.shape[1])])
+        self.kappa = np.exp(log_kappa - top[index])
+        # c in the units of r is kappa (s / sinh(g_max s))^2 times this
+        with np.errstate(over="ignore"):
+            self.unit = np.exp(top - math.log(repetition_rate))
+
+    def _c(self, g):
+        """x = g s and c at g_max = g, a float or a column of values with one
+        row of results each."""
+        x = g * self.s
+        t = self.s / np.sinh(x)
+        return x, self.kappa * t * t
+
+    def __call__(self, g):
+        """phi at each g_max in the 1-D array g."""
+        _, c = self._c(g[:, None])
+        u = ((self.b * c) @ self.onehot) / ((c * c) @ self.onehot)
+        r = self.b - (u @ self.onehot.T) * c
+        return np.einsum("ij,ij->i", r, r)
+
+    def derivatives(self, g: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """phi', phi'', and u and u' per detector at g_max = g.
+
+        With x = g s, w = c x coth(x) and q = 3 (x coth(x))^2 - x^2,
+        c' = -2 c s coth(x) = -(2/g) w and c'' = 2 c s^2 (3 coth(x)^2 - 1)
+        = (2/g^2) c q. With u at its optimum, phi' = -2 sum_d u sum r c' and
+        phi'' = 2 sum_d (u^2 sum c'^2 - u sum r c'' - u'^2 sum c^2), where
+        u' = (sum r c' - u sum c c') / sum c^2. Sums of r y are taken as
+        sum b y - u sum c y.
+        """
+        x, c = self._c(g)
+        h = x / np.tanh(x)  # x coth(x), 1 at x -> 0
+        w = c * h
+        # each detector's sums of c, w and c q times c, b and w, as floats:
+        # per detector the rest is a few scalar operations
+        sums = (np.array([c, w, c * (3.0 * h * h - x * x)])[:, None]
+                * np.array([c, self.b, w])) @ self.onehot
+        d1 = d2 = 0.0
+        u, du = [], []
+        for (cc, bc, cw), (_, bw, ww), (ccq, bcq, _) in sums.transpose(2, 0, 1).tolist():
+            ud = bc / cc
+            rw = bw - ud * cw
+            dud = (rw - ud * cw) / cc  # u' = -(2/g) dud
+            d1 += ud * rw
+            d2 += ud * (2.0 * ud * ww - bcq + ud * ccq) - 2.0 * dud * dud * cc
+            u.append(ud)
+            du.append(dud)
+        return (4.0 / g) * d1, (4.0 / g**2) * d2, np.array(u), (-2.0 / g) * np.array(du)
+
+    def etas(self, u: np.ndarray) -> np.ndarray:
+        """Each detector's efficiency 1/u_d, for u_d in the units of this
+        scaling of c, clipped to the fit's bounds 1e-12 <= eta <= 1; u_d <= 0
+        gives 1."""
+        return np.clip(np.divide(self.unit, u, out=np.ones_like(u), where=u > 0),
+                       1e-12, 1.0)
 
 
-def _residuals_and_jacobian(params, sqrt_power, rate, detector_index, repetition_rate):
-    """Relative residuals for params (a, eta per detector) and their
-    analytic Jacobian, from one kernel call."""
-    g, eta = params[0] * sqrt_power, params[1:][detector_index]
+def _profiled_start(s, rate, detector_index, repetition_rate):
+    """(g_max, eta per detector) at the minimum of ``_ProfiledCost``.
+
+    phi is scored on the 60 values of ``_start_gains``. From the vertex of
+    the parabola through the best value and its two neighbours, which saves
+    one Newton step, a Newton search on phi' = 0 stays between those
+    neighbours, and bisects where a Newton step would leave them or phi'' is
+    not positive. It stops after a Newton step of at most 1e-8 g_max, which
+    leaves an error of order its square, and moves each u by u' times that
+    step, with an error of the same order. The efficiencies are clipped to
+    the fit's bounds, and below the floor of 1e-12 counts/s r is not linear
+    in u: where the data take the fit there, the start is only a point
+    inside the bounds, and ``fit_gain``'s Levenberg-Marquardt loop finishes
+    the search.
+    """
+    profile = _ProfiledCost(s, rate, detector_index, repetition_rate)
+    grid = _start_gains()
+    phi = profile(grid)
+    k = int(np.argmin(phi))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    g = float(grid[k])
+    if 0 < k < len(grid) - 1 and phi[k - 1] + phi[k + 1] > 2.0 * phi[k]:
+        # the vertex of the parabola through the three values, inside (lo, hi)
+        a, b = g - lo, hi - g
+        f0, f2 = phi[k - 1] - phi[k], phi[k + 1] - phi[k]
+        g += 0.5 * (b * b * f0 - a * a * f2) / (a * f2 + b * f0)
+    for _ in range(_SEARCH_STEPS):
+        d1, d2, u, du = profile.derivatives(g)
+        if d1 > 0:
+            hi = g
+        elif d1 < 0:
+            lo = g
+        else:
+            break
+        newton = d2 > 0 and lo < g - d1 / d2 < hi
+        step = -d1 / d2 if newton else 0.5 * (lo + hi) - g
+        g += step
+        u = u + du * step
+        if newton and abs(step) <= 1e-8 * g or step == 0.0:
+            break
+    return np.concatenate([[g], profile.etas(u)])
+
+
+def _residuals_and_jacobian(params, s, rate, detector_index, repetition_rate):
+    """Relative residuals for params (gain factor, eta per detector) and
+    their analytic Jacobian, from one kernel call. Point i has the gain
+    params[0] * s[i]: ``fit_gain`` passes g_max and s = sqrt(P / P_max), and
+    a gain scale a with s = sqrt(P) gives the same residuals."""
+    g, eta = params[0] * s, params[1:][detector_index]
     model, tanh, sech2 = _rate_kernel(g, eta, repetition_rate)
     floored = np.maximum(model, 1e-12)
     residuals = (model - rate) / floored
@@ -157,7 +269,7 @@ def _residuals_and_jacobian(params, sqrt_power, rate, detector_index, repetition
     dlog_dg = np.divide(2.0 * sech2, tanh * denominator,
                         out=np.zeros_like(g), where=model > 0)
     jac = np.zeros((len(rate), len(params)))
-    jac[:, 0] = scale * dlog_dg * sqrt_power
+    jac[:, 0] = scale * dlog_dg * s
     jac[np.arange(len(rate)), 1 + detector_index] = scale * sech2 / (eta * denominator)
     return residuals, jac
 
@@ -167,32 +279,43 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
 
     Requires at least 5 distinct powers, a nonzero rate per detector
     present in the data and every rate below the repetition rate, where the
-    model saturates. Residuals are relative (rate noise is multiplicative).
+    model saturates. A point at zero power must have rate 0, which the model
+    gives there whatever the parameters; its residual is 0. Residuals are
+    relative (rate noise is multiplicative).
 
-    The search is Levenberg-Marquardt: the damped Newton loop of ``_newton``
-    with H = J'J and the analytic Jacobian J of the residuals, from the best
-    point of a coarse start grid, each step clipped to the bounds a >= 1e-12
-    and 1e-12 <= eta <= 1. It stops when every column of J is within 1e-12
-    of orthogonal to the residual vector r (MINPACK's gtol test,
-    |J_j'r| <= 1e-12 |J_j| |r|, skipping a parameter that the cost pushes
-    against its bound). Rounding leaves about 1e-14 there at 1% noise, so
-    the test is reachable; where it is not, as on noiseless data, the loop
-    ends when neither the cost nor its gradient can improve. 300 steps
-    without either raise ``FitError``. So does a fit that ends with a or an
-    efficiency on the 1e-12 bound, which only keeps the model defined, or
-    with an efficiency at 1 and the cost pushing it further: the data ask
+    The parameters are g_max = a * sqrt(P_max) and the efficiencies. The
+    start is the least-squares minimum from ``_profiled_start``: each
+    efficiency in closed form at every g_max, and a Newton search on g_max
+    alone. Levenberg-Marquardt, the damped Newton loop of ``_newton`` with
+    H = J'J and the analytic Jacobian J of the residuals, each step clipped
+    to the bounds g_max >= 1e-12 and 1e-12 <= eta <= 1, then only certifies
+    the minimum: it takes 0 steps on criterion 7's 50 sets and the bundled
+    demo data, and finishes the search where the start is not the minimum,
+    as where an efficiency is clipped to a bound. It stops when every
+    column of J is within 1e-12 of orthogonal to the residual vector r
+    (MINPACK's gtol test, |J_j'r| <= 1e-12 |J_j| |r|, skipping a parameter
+    that the cost pushes against its bound). Rounding leaves about 1e-14
+    there at 1% noise, so the test is reachable; where it is not, as on
+    noiseless data, the loop ends when neither the cost nor its gradient
+    can improve. 300 steps without either raise ``FitError``. So does a
+    Jacobian of rank below the number of parameters at the end, where the
+    data do not determine them; this is tested first, because such data
+    leave the search at its start. And so does a fit that ends with g_max
+    or an efficiency on the 1e-12 bound, which only keeps the model defined,
+    or with an efficiency at 1 and the cost pushing it further: the data ask
     for a value the model cannot take, and no covariance means anything
-    there. And so does a Jacobian of rank below the number of parameters at
-    the end, where the data do not determine them.
+    there.
 
     Each evaluation makes one call to the unchecked ``_rate_kernel``: the
     inputs are checked once here, and the bounds keep every parameter in
-    ``count_rate_model``'s domain.
+    ``count_rate_model``'s domain. The start makes no call.
 
-    The parameters come out within about 3e-12 relative of the minimum (on
+    The parameters come out within about 2e-14 relative of the minimum (on
     criterion 7's 50 sets and the bundled demo data, against Gauss-Newton
-    iterated to a cosine of 1e-14), and scaling the model by 1 - 1e-15 to
-    1 + 4e-15 moves g_max on the demo data by at most 2.5e-15 relative.
+    iterated in long double), and scaling every power by 1e-300 to 1e300
+    moves g_max and the efficiencies by at most about 3e-14 relative. The
+    covariance comes from the singular value decomposition of J, and is
+    reported for (a, eta) with a = g_max / sqrt(P_max).
     """
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
@@ -210,10 +333,17 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
             f"has rate {pt.rate} at or above the repetition rate {repetition_rate}, "
             "which the model never reaches"
         )
+    dark = np.flatnonzero((power == 0) & (rate > 0))
+    if dark.size:
+        pt = points[dark[0]]
+        raise FitError(
+            f"point {dark[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
+            f"has rate {pt.rate} > 0, but the model gives 0 at zero power"
+        )
     detector_index = np.searchsorted(detectors, [pt.detector for pt in points])
     for i, det in enumerate(detectors):
         mine = detector_index == i
-        n_powers = len(np.unique(power[mine]))
+        n_powers = len(set(power[mine].tolist()))
         if n_powers < _MIN_DISTINCT_POWERS:
             raise FitError(
                 f"detector {det} has {n_powers} distinct powers; "
@@ -224,59 +354,71 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
         if not rate[mine].any():
             raise FitError(f"detector {det} has rate 0 at every power")
 
-    sqrt_power = np.sqrt(power)
-    args = (sqrt_power, rate, detector_index, repetition_rate)
+    sqrt_top = float(np.sqrt(power.max()))
+    args = (np.sqrt(power) / sqrt_top, rate, detector_index, repetition_rate)
     lower = np.array([1e-12] + [1e-12] * len(detectors))
     upper = np.array([np.inf] + [1.0] * len(detectors))
 
+    # every evaluated point by its bytes, so that the checks at the end reuse
+    # the one where the search stopped
+    evaluated = {}
+
     def evaluate(params):
         residuals, jac = _residuals_and_jacobian(params, *args)
-        return 0.5 * float(residuals @ residuals), residuals @ jac, jac.T @ jac
+        grad, jtj = residuals @ jac, jac.T @ jac
+        evaluated[params.tobytes()] = residuals, jac, grad, jtj
+        return 0.5 * float(residuals @ residuals), grad, jtj
 
     def converged(x, cost, grad, jtj):
         # a parameter at a bound that the cost pushes against is settled
         pinned = ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
-        orthogonal = np.abs(grad) <= 1e-12 * np.sqrt(2.0 * cost * np.diag(jtj))
+        orthogonal = np.abs(grad) <= 1e-12 * np.sqrt(2.0 * cost * jtj.diagonal())
         return bool(np.all(pinned | orthogonal))
 
     result = _newton.minimize(
         evaluate,
-        _initial_guess(*args),
+        _profiled_start(*args),
         project=lambda x: np.clip(x, lower, upper),
         converged=converged,
         max_iter=300,
     )
     if not result.converged:
         raise FitError(f"fit did not converge: {result.message}")
-    residuals, jac = _residuals_and_jacobian(result.x, *args)
-    grad, jtj = residuals @ jac, jac.T @ jac
-    # At eta = 1 the cost pushes outward when a Newton step in that efficiency
-    # alone, -grad_j / jtj_jj, passes 1 by more than 1e-10, well above the
-    # fit's 3e-12 precision; on noiseless data at eta = 1 it is about 1e-16.
-    held = (result.x <= lower) | ((result.x >= upper) & (-grad > 1e-10 * np.diag(jtj)))
-    if held.any():
-        names = ["gain scale"] + [f"efficiency {det}" for det in detectors]
-        raise FitError("the fit ends on a parameter bound, where the data ask for a "
-                       "value the model cannot take: " + ", ".join(
-                           f"{names[i]} = {result.x[i]:g}" for i in np.flatnonzero(held)))
+    residuals, jac, grad, jtj = evaluated[result.x.tobytes()]
     # Column j of jac * x is the change of the residuals per relative change
     # of parameter j. Singular values at or below rounding of residuals of
     # order one, or of the largest one, leave a direction the data cannot see.
-    singular = np.linalg.svd(jac * result.x, compute_uv=False)
+    # Tested first: where the residuals do not depend on the parameters, the
+    # search stops at its start, and a bound there says nothing.
+    _, singular, vt = np.linalg.svd(jac * result.x, full_matrices=False)
     rank = int(np.sum(singular > len(rate) * _EPS * max(singular[0], 1.0)))
     if rank < len(result.x):
         raise FitError(
             f"the data do not determine the parameters: the Jacobian at the fit "
             f"has rank {rank} < {len(result.x)}"
         )
-    a = float(result.x[0])
+    # At eta = 1 the cost pushes outward when a Newton step in that efficiency
+    # alone, -grad_j / jtj_jj, passes 1 by more than 1e-10, well above the
+    # fit's 2e-14 precision; on noiseless data at eta = 1 it is about 1e-16.
+    held = (result.x <= lower) | ((result.x >= upper) & (-grad > 1e-10 * jtj.diagonal()))
+    if held.any():
+        names = ["g_max"] + [f"efficiency {det}" for det in detectors]
+        raise FitError("the fit ends on a parameter bound, where the data ask for a "
+                       "value the model cannot take: " + ", ".join(
+                           f"{names[i]} = {result.x[i]:g}" for i in np.flatnonzero(held)))
+    g_max = float(result.x[0])
     dof = max(len(points) - len(result.x), 1)
-    covariance = float(residuals @ residuals) / dof * np.linalg.inv(jtj)
+    # With J X = U S V', X = diag(x), (J'J)^-1 = X V S^-2 V' X: taken from the
+    # SVD, as inverting J'J squares J's condition number. The gain scale is
+    # a = g_max / sqrt(P_max), so the row of g_max is scaled to it.
+    spread = vt.T / singular * result.x[:, None]
+    spread[0] /= sqrt_top
+    covariance = float(residuals @ residuals) / dof * (spread @ spread.T)
     return CalibrationFit(
-        gain_scale=a,
+        gain_scale=g_max / sqrt_top,
         etas={det: float(e) for det, e in zip(detectors, result.x[1:])},
         repetition_rate=repetition_rate,
-        g_max=a * float(sqrt_power.max()),
+        g_max=g_max,
         covariance=covariance,
         residuals=residuals,
     )
@@ -292,9 +434,14 @@ def synthetic_calibration_points(
 ) -> list[CalibrationPoint]:
     """Model-generated rate data with multiplicative Gaussian noise.
 
-    ``noise_fraction`` is the noise's standard deviation relative to the
-    rate, finite and non-negative.
+    ``gain_scale``, every power and ``noise_fraction``, the noise's standard
+    deviation relative to the rate, must be finite and non-negative.
     """
+    if not 0.0 <= gain_scale < math.inf:
+        raise ValueError(f"gain scale must be finite and non-negative, got {gain_scale}")
+    for power in powers:
+        if not 0.0 <= power < math.inf:
+            raise ValueError(f"pump power must be finite and non-negative, got {power}")
     if not 0.0 <= noise_fraction < math.inf:
         raise ValueError(
             f"noise fraction must be finite and non-negative, got {noise_fraction}"

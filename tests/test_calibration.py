@@ -1,9 +1,11 @@
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spdc_werner import calibration
 from spdc_werner.calibration import (
@@ -127,8 +129,7 @@ class TestCountRateModel:
         rates = count_rate_model(gains, etas, REPETITION_RATE)
         expected = [count_rate_model(g, e, REPETITION_RATE) for g, e in zip(gains, etas)]
         np.testing.assert_allclose(rates, expected, rtol=ARRAY_REL, atol=0.0)
-        # a stack of efficiency rows against one gain row, as the fit's start
-        # grid evaluates it
+        # a stack of efficiency rows against one gain row
         stacked = count_rate_model(gains, np.stack([etas, etas[::-1]]), REPETITION_RATE)
         np.testing.assert_array_equal(
             stacked[1], count_rate_model(gains, etas[::-1], REPETITION_RATE))
@@ -161,6 +162,22 @@ class TestSyntheticCalibrationPoints:
         rng = np.random.default_rng(7)
         for pt, ref in zip(noisy, clean):
             assert pt.rate == ref.rate * (1.0 + 0.01 * rng.standard_normal())
+
+    @pytest.mark.parametrize("power", [-0.5, math.nan, math.inf])
+    def test_bad_power_rejected_by_name(self, power):
+        # a negative power used to raise numpy's invalid-value warning in
+        # sqrt, or a ValueError that blamed the gain
+        with pytest.raises(ValueError,
+                           match=f"pump power must be finite and non-negative, got {power}"):
+            synthetic_calibration_points(TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE,
+                                         [0.2, power, 1.0])
+
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+    def test_bad_gain_scale_rejected(self, scale):
+        # an infinite gain scale used to give every rate equal to R
+        with pytest.raises(ValueError,
+                           match=f"gain scale must be finite and non-negative, got {scale}"):
+            synthetic_calibration_points(scale, TRUE_ETAS, REPETITION_RATE, POWERS)
 
     @pytest.mark.parametrize("noise", [-0.5, math.nan, math.inf])
     def test_bad_noise_fraction_rejected(self, noise):
@@ -295,6 +312,33 @@ class TestFitGain:
         assert fit.covariance.shape == (3, 3)
         assert np.all(np.diag(fit.covariance) >= 0.0)
 
+    def test_covariance_is_the_scaled_inverse_of_jtj(self):
+        # sigma^2 (J'J)^-1 in (g_max, eta), with the row and column of g_max
+        # scaled to the gain scale a = g_max / sqrt(P_max)
+        points = [CalibrationPoint(4.0 * pt.pump_power, pt.rate, pt.detector)
+                  for pt in read_calibration_csv(DEMO_CSV)]
+        fit = fit_gain(points, REPETITION_RATE)
+        args = _start_arrays(points)
+        residuals, jac = calibration._residuals_and_jacobian(
+            np.array([fit.g_max, fit.etas[1], fit.etas[2]]), *args)
+        to_a = np.diag([0.5, 1.0, 1.0])  # 1 / sqrt(P_max), P_max = 4
+        expected = (residuals @ residuals / (len(points) - 3)
+                    * to_a @ np.linalg.inv(jac.T @ jac) @ to_a)
+        np.testing.assert_allclose(fit.covariance, expected, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("headroom", [3e-16, 3e-15, 1e-13, 1e-10])
+    def test_covariance_where_jtj_is_numerically_singular(self, headroom):
+        # noiseless data over 11 decades of power, with R just above the top
+        # rate, which only a saturated gain reaches: the fit ends on a ridge
+        # where J's condition number is about 1e9 and J'J's about 1e18, and
+        # inverting J'J raised numpy's LinAlgError at each of these R
+        powers = [79507528974.0, 4.0, 1.0, 0.5, 0.03125]
+        points = synthetic_calibration_points(1.0 / math.sqrt(max(powers)), {1: 1.0},
+                                              REPETITION_RATE, powers)
+        fit = fit_gain(points, max(pt.rate for pt in points) * (1.0 + headroom))
+        assert np.all(np.isfinite(fit.covariance))
+        assert np.all(np.diag(fit.covariance) > 0)
+
     def test_single_detector_data(self):
         points = synthetic_calibration_points(
             TRUE_GAIN_SCALE, {1: 0.016}, REPETITION_RATE, POWERS
@@ -305,10 +349,10 @@ class TestFitGain:
 
 
     def test_one_model_call_per_residual_evaluation(self, monkeypatch):
-        # the start grid scores its 60 candidates in one call, and each
-        # evaluation of the residuals and their Jacobian makes one call of
-        # the unchecked rate kernel; the checked entry is not called at all
-        calls = {"kernel": 0, "checked": 0, "grid": 0, "optimizer": 0}
+        # each evaluation of the residuals and their Jacobian makes one call
+        # of the unchecked rate kernel, and the profiled start makes none; the
+        # checked entry is not called at all
+        calls = {"kernel": 0, "checked": 0, "optimizer": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -317,13 +361,11 @@ class TestFitGain:
             return wrapper
 
         for key, name in [("kernel", "_rate_kernel"), ("checked", "count_rate_model"),
-                          ("grid", "_relative_residuals"),
                           ("optimizer", "_residuals_and_jacobian")]:
             monkeypatch.setattr(calibration, name, counted(key, getattr(calibration, name)))
         fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
-        assert calls["grid"] == 1
         assert calls["optimizer"] > 0
-        assert calls["kernel"] == calls["optimizer"] + 1
+        assert calls["kernel"] == calls["optimizer"]
         assert calls["checked"] == 0
 
     def test_rate_at_or_above_repetition_rate_rejected(self):
@@ -336,6 +378,38 @@ class TestFitGain:
             fit_gain(points, top / 2)
         with pytest.raises(FitError, match="at or above the repetition rate"):
             fit_gain(points, top)
+
+    def test_rate_at_zero_power_rejected(self):
+        # the model gives 0 at zero power whatever the parameters, so the
+        # point's residual of -3e12 is constant; it used to end the fit at its
+        # start with both efficiencies on the bound at 1
+        points = read_calibration_csv(DEMO_CSV) + [CalibrationPoint(0.0, 3.0, 1)]
+        with pytest.raises(FitError, match=re.escape(
+                "point 25 (power 0.0, detector 1) has rate 3.0 > 0, but the model "
+                "gives 0 at zero power")):
+            fit_gain(points, REPETITION_RATE)
+
+    def test_zero_rate_at_zero_power_accepted(self):
+        # a residual of 0 and a zero row of the Jacobian: only the covariance's
+        # degrees of freedom change
+        points = read_calibration_csv(DEMO_CSV)
+        fit = fit_gain(points, REPETITION_RATE)
+        dark = fit_gain(points + [CalibrationPoint(0.0, 0.0, 1), CalibrationPoint(0.0, 0.0, 2)],
+                        REPETITION_RATE)
+        assert dark.g_max == pytest.approx(fit.g_max, rel=1e-12)
+        assert dark.etas == pytest.approx(fit.etas, rel=1e-12)
+        assert list(dark.residuals[-2:]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
+    def test_result_does_not_depend_on_the_unit_of_power(self, scale):
+        # at 1e-30 and below the fit used to return g_max 2.4% low and claim
+        # success; at 1e30 it stopped with the gain scale on its bound
+        _assert_power_unit_free(scale)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=-300.0, max_value=300.0))
+    def test_result_does_not_depend_on_the_unit_of_power_at_any_exponent(self, exponent):
+        _assert_power_unit_free(10.0 ** exponent)
 
     def test_undetermined_parameters_rejected(self):
         # at R = 1e300 every model rate is above 1e285, so each relative
@@ -371,11 +445,25 @@ class TestFitGain:
         assert fit.gain_scale == pytest.approx(1.3, rel=1e-12)
 
     def test_not_converged_raises(self, monkeypatch):
+        # from the profiled start the search takes no step, so it starts at
+        # the old grid point instead, from which it needs several
+        monkeypatch.setattr(calibration, "_profiled_start", _grid_start)
         minimize = calibration._newton.minimize
         monkeypatch.setattr(calibration._newton, "minimize",
                             lambda *args, **kw: minimize(*args, **{**kw, "max_iter": 1}))
         with pytest.raises(FitError, match="fit did not converge: iteration limit 1 reached"):
             fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
+
+
+def _assert_power_unit_free(scale):
+    points = synthetic_calibration_points(TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE,
+                                          POWERS, noise_fraction=0.01, seed=1)
+    fit = fit_gain(points, REPETITION_RATE)
+    scaled = fit_gain([CalibrationPoint(pt.pump_power * scale, pt.rate, pt.detector)
+                       for pt in points], REPETITION_RATE)
+    assert scaled.g_max == pytest.approx(fit.g_max, rel=1e-12)
+    assert scaled.etas == pytest.approx(fit.etas, rel=1e-12)
+    assert scaled.gain_scale * math.sqrt(scale) == pytest.approx(fit.gain_scale, rel=1e-12)
 
 
 def _fit_arrays(points):
@@ -389,7 +477,7 @@ def _fit_arrays(points):
 class TestJacobian:
     @pytest.mark.parametrize("params", [
         [1.3237, 0.0156, 0.0137],  # near the demo fit
-        [0.05, 1e-9, 1e-9],  # the start grid's smallest gain scale and clip
+        [0.05, 1e-9, 1e-9],  # the old start grid's smallest gain scale and clip
         [4.0, 0.9, 0.5],  # near saturation
         [1e-9, 0.02, 0.01],  # every model rate below the 1e-12 floor
     ])
@@ -413,22 +501,113 @@ class TestJacobian:
             np.testing.assert_allclose(jac[:, j], numeric, rtol=1e-6,
                                        atol=1e-9 * np.abs(numeric).max())
 
-    def test_residuals_match_the_start_grid_residuals(self):
-        args = _fit_arrays(read_calibration_csv(DEMO_CSV))
-        params = np.array([1.3, 0.015, 0.014])
-        residuals, _ = calibration._residuals_and_jacobian(params, *args)
-        np.testing.assert_array_equal(
-            residuals, calibration._relative_residuals(params[None, :], *args)[0])
+
+def _start_arrays(points, repetition_rate=REPETITION_RATE):
+    """The arrays as ``fit_gain`` passes them: s = sqrt(P / P_max)."""
+    sqrt_power, rate, detector_index, _ = _fit_arrays(points)
+    return sqrt_power / sqrt_power.max(), rate, detector_index, repetition_rate
+
+
+class TestProfiledStart:
+    @pytest.mark.parametrize("g", [1.0, 1.313, 1.6])
+    def test_phi_is_twice_the_cost_at_the_profiled_efficiencies(self, g):
+        args = _start_arrays(read_calibration_csv(DEMO_CSV))
+        profile = calibration._ProfiledCost(*args)
+        etas = profile.etas(profile.derivatives(g)[2])
+        assert np.all((1e-12 < etas) & (etas < 1.0))  # inside the bounds, not clipped
+        residuals, _ = calibration._residuals_and_jacobian(np.r_[g, etas], *args)
+        assert profile(np.array([g]))[0] == pytest.approx(residuals @ residuals, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [0.5, 1.313, 4.0])
+    def test_derivatives_match_central_differences(self, g):
+        # phi' and phi'' from phi and phi', and u' from u
+        profile = calibration._ProfiledCost(*_start_arrays(read_calibration_csv(DEMO_CSV)))
+        h = 1e-5 * g
+        d1, d2, _, du = profile.derivatives(g)
+        down, up = profile(np.array([g - h, g + h]))
+        assert d1 == pytest.approx((up - down) / (2 * h), rel=1e-7)
+        (up, _, u_up, _), (down, _, u_down, _) = (profile.derivatives(g + h),
+                                                 profile.derivatives(g - h))
+        assert d2 == pytest.approx((up - down) / (2 * h), rel=1e-7)
+        np.testing.assert_allclose(du, (u_up - u_down) / (2 * h), rtol=1e-7)
+
+    def test_levenberg_marquardt_takes_no_step(self, monkeypatch):
+        # the start is the minimum to within the stop test's 1e-12
+        steps = []
+        minimize = calibration._newton.minimize
+
+        def counted(*args, **kw):
+            result = minimize(*args, **kw)
+            steps.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(calibration._newton, "minimize", counted)
+        for seed in range(50):
+            fit_gain(synthetic_calibration_points(
+                TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS,
+                noise_fraction=0.01, seed=seed), REPETITION_RATE)
+        fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
+        assert steps == [0] * 51
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        gain_scale=st.floats(min_value=1e-3, max_value=30.0),
+        etas=st.lists(st.one_of(st.floats(min_value=1e-12, max_value=1e-11),
+                                st.floats(min_value=1e-11, max_value=1.0),
+                                st.floats(min_value=1.0 - 1e-9, max_value=1.0)),
+                      min_size=1, max_size=2),
+        powers=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=5,
+                        max_size=12, unique=True),
+        dark_rows=st.integers(min_value=0, max_value=2),
+        noise=st.sampled_from([0.0, 0.01, 0.3]),
+        rate_headroom=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_start_is_finite_and_inside_the_bounds(self, gain_scale, etas, powers,
+                                                     dark_rows, noise, rate_headroom):
+        points = synthetic_calibration_points(
+            gain_scale / math.sqrt(max(powers)), dict(enumerate(etas, start=1)),
+            REPETITION_RATE, powers, noise_fraction=noise, seed=0)
+        for det in range(1, len(etas) + 1):
+            assume(any(pt.rate > 0 for pt in points if pt.detector == det))
+        points += [CalibrationPoint(0.0, 0.0, 1 + i % len(etas)) for i in range(dark_rows)]
+        # R from just above the largest rate up to 1e300
+        top = max(pt.rate for pt in points)
+        rate = max(math.nextafter(top, math.inf), min(10.0 ** (
+            (1.0 - rate_headroom) * math.log10(top) + rate_headroom * 300.0), 1e300))
+        start = calibration._profiled_start(*_start_arrays(points, rate))
+        assert np.all(np.isfinite(start))
+        assert start[0] >= 1e-12
+        assert np.all((1e-12 <= start[1:]) & (start[1:] <= 1.0))
+
+
+def _grid_start(sqrt_power, rate, detector_index, repetition_rate):
+    """The fit's start before the profiled one: a coarse grid over the gain
+    scale, each efficiency solved from the highest-power point of its
+    detector, scored by the residuals of ``_residuals_and_jacobian``."""
+    ids = np.arange(detector_index.max() + 1)[:, None]
+    top = np.argmax(np.where(detector_index == ids, sqrt_power, -1.0), axis=1)
+    a = np.geomspace(0.05, 20.0, 60) / sqrt_power.max()
+    g2 = np.tanh(a[:, None] * sqrt_power[top]) ** 2
+    denom = g2 * np.maximum(repetition_rate - rate[top], 1e-9)
+    eta = np.divide(rate[top] * (1.0 - g2), denom, out=np.full_like(denom, 0.5),
+                    where=denom > 0)
+    guesses = np.column_stack([a, np.clip(eta, 1e-9, 1.0)])
+    sse = [np.sum(calibration._residuals_and_jacobian(
+        guess, sqrt_power, rate, detector_index, repetition_rate)[0] ** 2)
+        for guess in guesses]
+    return guesses[np.argmin(sse)]
 
 
 def _scipy_fit(points):
-    """The fit as ``scipy.optimize.least_squares`` ran it: the same start,
-    bounds and residuals, at its 1e-14 tolerances."""
+    """The fit as ``scipy.optimize.least_squares`` ran it: in the gain scale
+    a and the efficiencies, from the old grid start, with the same bounds and
+    residuals, at its 1e-14 tolerances."""
     least_squares = pytest.importorskip("scipy.optimize").least_squares
     args = _fit_arrays(points)
     n_detectors = args[2].max() + 1
     result = least_squares(
-        calibration._relative_residuals, calibration._initial_guess(*args),
+        lambda params, *args: calibration._residuals_and_jacobian(params, *args)[0],
+        _grid_start(*args),
         bounds=([1e-12] * (1 + n_detectors), [np.inf] + [1.0] * n_detectors),
         args=args, xtol=1e-14, ftol=1e-14, gtol=1e-14)
     assert result.success

@@ -422,6 +422,11 @@ class TestErrorPath:
         # used to exit 0 with both efficiencies on the bound and g_max 0.049
         (["fit", "--input", DEMO_CSV, "--rate", "1e20"],
          "efficiency 1 = 1e-12, efficiency 2 = 1e-12"),
+        # the model gives rate 0 at zero power, whatever the parameters: this
+        # used to end the fit at its start with both efficiencies at 1
+        (["fit", "--input", "dark.csv", "--rate", "250000"],
+         "point 25 (power 0.0, detector 1) has rate 3.0 > 0, but the model gives 0 "
+         "at zero power"),
         # above the high-loss warning threshold: the input is rejected before
         # any warning about it is printed
         (["matrix", "--g", "1.313", "--eta", "1"], "transmittivity"),
@@ -445,7 +450,7 @@ class TestErrorPath:
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
             "matrix-inf-gain",
             "fit-nan-rate", "fit-inf-rate", "fit-rate-below-data", "fit-rate-1e300",
-            "fit-rate-1e20",
+            "fit-rate-1e20", "fit-dark-rate",
             "matrix-no-warning",
             "tomo-simulate-no-warning", "tomo-simulate-1e19-counts",
             "tomo-simulate-1e20-counts", "tomo-reconstruct-2**53+1-counts",
@@ -473,6 +478,7 @@ class TestErrorPath:
         tomo = Path("tomo.csv").read_text().splitlines()
         for name, counts in (("big.csv", 2**53 + 1), ("huge.csv", 10**400)):
             Path(name).write_text("\n".join([tomo[0], f"HH,H,H,{counts},1", *tomo[2:]]) + "\n")
+        Path("dark.csv").write_text(Path(DEMO_CSV).read_text() + "0,3,1\n")
         write_calibration_csv(
             synthetic_calibration_points(1.313, {1: 0.016}, 250000.0,
                                          np.linspace(0.1, 1.0, 6)),
