@@ -1,10 +1,13 @@
 """Damped Newton minimization with a projection step, in numpy.
 
 The calibration fit and maximum-likelihood tomography share this loop. The
-caller supplies the objective as ``evaluate(x) -> (f, g, H)``, its value,
-gradient and a symmetric Hessian (the exact one, or J'J for least squares),
-and a ``project`` that maps a point back onto the feasible set. Each
-iteration solves
+caller supplies the objective as ``evaluate(x) -> (f, g, hessian)``, its
+value, gradient and a zero-argument callable that returns a symmetric
+Hessian (the exact one, or J'J for least squares), and a ``project`` that
+maps a point back onto the feasible set. The loop calls ``hessian`` only
+when it is about to try a step, at most once per point: never where a stop
+test ends the search before a step, and never at a trial point it rejects.
+Each iteration solves
 
     (H + lam * diag(d)) s = -g,    d_j = |H_jj|, floored at 1e-12 * max_j |H_jj|
 
@@ -24,9 +27,9 @@ non-degenerate minimum, where convergence is quadratic.
 
 Stop rules, in the order they are tested:
 
-* ``converged(x, f, g, H)``, the caller's stationarity test, at the
-  current point. It runs before the first step, so a start that passes
-  takes 0 iterations.
+* ``converged(x, f, g, hessian)``, the caller's stationarity test, at the
+  current point, with the same callable ``evaluate`` returned there. It
+  runs before the first step, so a start that passes takes 0 iterations.
 * ``max_iter`` accepted steps: not converged.
 * An accepted step lowered f by more than 0 and at most ``ftol * |f|``
   (off by default): converged.
@@ -59,24 +62,30 @@ class Minimum(NamedTuple):
     message: str
 
 
+Hessian = Callable[[], np.ndarray]
+
+
 def minimize(
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, Hessian]],
     x: np.ndarray,
     project: Callable[[np.ndarray], np.ndarray],
-    converged: Callable[[np.ndarray, float, np.ndarray, np.ndarray], bool],
+    converged: Callable[[np.ndarray, float, np.ndarray, Hessian], bool],
     max_iter: int,
     ftol: float = 0.0,
 ) -> Minimum:
     """Minimize from the feasible point ``x``; see the module docstring."""
-    f, g, h = evaluate(x)
+    f, g, hessian = evaluate(x)
+    h = None  # the Hessian at x, once a step from x needs it
     lam, grow = _INITIAL_DAMPING, 2.0
     iterations = 0
     while True:
-        if converged(x, f, g, h):
+        if converged(x, f, g, hessian):
             return Minimum(x, f, iterations, True, "gradient within tolerance")
         if iterations == max_iter:
             return Minimum(x, f, iterations, False,
                            f"iteration limit {max_iter} reached")
+        if h is None:
+            h = hessian()
         diag = np.abs(np.diag(h))
         # all zero where J'J underflows, as at a repetition rate of 1e300
         scale = np.maximum(diag, 1e-12 * diag.max()) if diag.max() > 0 else np.ones(len(x))
@@ -90,7 +99,7 @@ def minimize(
         # the decrease of the damped quadratic model at its minimizer, the step
         predicted = -0.5 * (g @ step)
         x_new = project(x + step)
-        f_new, g_new, h_new = evaluate(x_new)
+        f_new, g_new, hessian_new = evaluate(x_new)
         # A predicted change below the rounding of f cannot be checked on f,
         # so the gradient decides: the step must make it smaller.
         if predicted > _ROUNDING * abs(f):
@@ -105,7 +114,7 @@ def minimize(
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
             grow = 2.0
             small = 0 < f - f_new <= ftol * abs(f)
-            x, f, g, h = x_new, f_new, g_new, h_new
+            x, f, g, hessian, h = x_new, f_new, g_new, hessian_new, None
             iterations += 1
             if small:
                 return Minimum(x, f, iterations, True,

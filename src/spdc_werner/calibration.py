@@ -304,7 +304,8 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     or an efficiency on the 1e-12 bound, which only keeps the model defined,
     or with an efficiency at 1 and the cost pushing it further: the data ask
     for a value the model cannot take, and no covariance means anything
-    there.
+    there. Last, a standard error of g_max above g_max itself raises
+    ``FitError``: the data then do not determine the gain.
 
     Each evaluation makes one call to the unchecked ``_rate_kernel``: the
     inputs are checked once here, and the bounds keep every parameter in
@@ -367,12 +368,13 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
         residuals, jac = _residuals_and_jacobian(params, *args)
         grad, jtj = residuals @ jac, jac.T @ jac
         evaluated[params.tobytes()] = residuals, jac, grad, jtj
-        return 0.5 * float(residuals @ residuals), grad, jtj
+        # J'J is formed here anyway: the stop test reads its diagonal
+        return 0.5 * float(residuals @ residuals), grad, lambda: jtj
 
-    def converged(x, cost, grad, jtj):
+    def converged(x, cost, grad, hessian):
         # a parameter at a bound that the cost pushes against is settled
         pinned = ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
-        orthogonal = np.abs(grad) <= 1e-12 * np.sqrt(2.0 * cost * jtj.diagonal())
+        orthogonal = np.abs(grad) <= 1e-12 * np.sqrt(2.0 * cost * hessian().diagonal())
         return bool(np.all(pinned | orthogonal))
 
     result = _newton.minimize(
@@ -414,6 +416,11 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     spread = vt.T / singular * result.x[:, None]
     spread[0] /= sqrt_top
     covariance = float(residuals @ residuals) / dof * (spread @ spread.T)
+    # at 1% noise this ratio stays near 0.01; above 1 the data leave the gain open
+    relative_error = math.sqrt(covariance[0, 0]) / (g_max / sqrt_top)
+    if not relative_error <= 1.0:
+        raise FitError(f"the data do not determine the gain: the standard error of "
+                       f"g_max is {relative_error:.3g} times g_max = {g_max:g}")
     return CalibrationFit(
         gain_scale=g_max / sqrt_top,
         etas={det: float(e) for det, e in zip(detectors, result.x[1:])},

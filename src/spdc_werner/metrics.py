@@ -8,6 +8,7 @@ after zeroing eigenvalues within the -1e-10 physicality tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -104,9 +105,12 @@ def concurrence_tangle(rho: DensityMatrix) -> tuple[float, float]:
 
     Computed Hermitianly as the eigenvalues of sqrt(rho) rho_tilde sqrt(rho).
     """
-    m = rho.entries
+    return _concurrence_tangle(rho.entries, _sqrtm_psd(rho.entries))
+
+
+def _concurrence_tangle(m: np.ndarray, sqrt_rho: np.ndarray) -> tuple[float, float]:
+    """``concurrence_tangle`` of the matrix m, given its square root."""
     rho_tilde = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    sqrt_rho = _sqrtm_psd(m)
     inner = sqrt_rho @ rho_tilde @ sqrt_rho
     vals, _ = _clipped_eigh(0.5 * (inner + inner.conj().T))
     lams = np.sqrt(vals)[::-1]
@@ -142,14 +146,23 @@ def witness_operator() -> np.ndarray:
 
     (1/2) * (|HH><HH| + |VV><VV| + |DD><DD| + |FF><FF| - |LR><LR| - |RL><RL|);
     exactly Hermitian, with non-negative expectation on every separable state
-    and expectation (1 - 3p)/4 on the Werner state of weight p.
+    and expectation (1 - 3p)/4 on the Werner state of weight p. A fresh copy
+    on every call.
     """
-    return sum(sign * PAIR_PROJECTORS[lab] for lab, sign in WITNESS_SIGNS.items()) / 2.0
+    return _witness().copy()
+
+
+@functools.cache
+def _witness() -> np.ndarray:
+    """The read-only witness operator, built on first use."""
+    witness = sum(sign * PAIR_PROJECTORS[lab] for lab, sign in WITNESS_SIGNS.items()) / 2.0
+    witness.setflags(write=False)
+    return witness
 
 
 def witness_expectation(rho: DensityMatrix) -> float:
     """Tr[witness * rho]; negative only on entangled states."""
-    return float(np.trace(witness_operator() @ rho.entries).real)
+    return float(np.trace(_witness() @ rho.entries).real)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -157,7 +170,11 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Symmetric, in [0, 1], and 1 exactly at equality.
     """
-    sqrt_rho = _sqrtm_psd(rho.entries)
+    return _fidelity(_sqrtm_psd(rho.entries), sigma)
+
+
+def _fidelity(sqrt_rho: np.ndarray, sigma: DensityMatrix) -> float:
+    """``fidelity`` given sqrt(rho)."""
     inner = sqrt_rho @ sigma.entries @ sqrt_rho
     vals, _ = _clipped_eigh(0.5 * (inner + inner.conj().T))
     f = float(np.sum(np.sqrt(vals)) ** 2)
@@ -180,8 +197,10 @@ def metrics_report(rho: DensityMatrix, reference: DensityMatrix | None = None) -
     """Scalar metrics of a normalized two-photon state, JSON-ready.
 
     When ``reference`` is given the report includes the fidelity against it.
+    The concurrence and the fidelity share one sqrt(rho).
     """
-    c, tau = concurrence_tangle(rho)
+    sqrt_rho = _sqrtm_psd(rho.entries)
+    c, tau = _concurrence_tangle(rho.entries, sqrt_rho)
     report = {
         "p": singlet_weight_extract(rho),
         "concurrence": c,
@@ -191,5 +210,5 @@ def metrics_report(rho: DensityMatrix, reference: DensityMatrix | None = None) -
         "ppt_entangled": is_entangled_ppt(rho),
     }
     if reference is not None:
-        report["fidelity_vs_theory"] = fidelity(rho, reference)
+        report["fidelity_vs_theory"] = _fidelity(sqrt_rho, reference)
     return report

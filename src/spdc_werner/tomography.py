@@ -61,10 +61,14 @@ class ProjectorSetting:
             if not (isinstance(value, str) and value in POLARIZATION_KETS):
                 raise ValueError(f"unknown polarization label {value!r}")
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
         """The two letters, ``state_a + state_b``."""
         return self.state_a + self.state_b
+
+    def __hash__(self):
+        # equal settings have equal labels; a str caches its own hash
+        return hash(self.label)
 
     def projector(self) -> np.ndarray:
         """The read-only |ab><ab| from ``metrics.PAIR_PROJECTORS``."""
@@ -86,25 +90,35 @@ class CountRecord:
             raise ValueError(f"counts must be at most 2**53, got {self.counts}")
 
 
+@functools.cache
+def _settings_by_letters() -> dict[tuple[str, str], ProjectorSetting]:
+    """The 36 settings, one object per pair of letters, built on first use."""
+    return {(a, b): ProjectorSetting(a, b)
+            for a, b in itertools.product(POLARIZATION_KETS, repeat=2)}
+
+
+@functools.cache
 def standard_tomography_settings() -> tuple[ProjectorSetting, ...]:
     """The 16 product settings {H, V, D, L} x {H, V, D, L}.
 
     Informationally complete for two qubits: the four single-qubit
-    projectors span the single-qubit operator space.
+    projectors span the single-qubit operator space. One tuple per process,
+    built on the first call.
     """
-    letters = "HVDL"
-    return tuple(
-        ProjectorSetting(a, b) for a, b in itertools.product(letters, letters)
-    )
+    settings = _settings_by_letters()
+    return tuple(settings[ab] for ab in itertools.product("HVDL", repeat=2))
 
 
+@functools.cache
 def witness_settings() -> tuple[ProjectorSetting, ...]:
     """The 8 settings of the witness protocol.
 
     Six projectors enter the witness combination; HV and VH complete the
-    H/V basis used to normalize the rates.
+    H/V basis used to normalize the rates. One tuple per process, built on
+    the first call.
     """
-    return tuple(ProjectorSetting(lab[0], lab[1]) for lab in _WITNESS_LABELS)
+    settings = _settings_by_letters()
+    return tuple(settings[lab[0], lab[1]] for lab in _WITNESS_LABELS)
 
 
 def _born_probabilities(rho: DensityMatrix, projectors: np.ndarray) -> np.ndarray:
@@ -178,8 +192,8 @@ def simulate_counts(
     settings = tuple(settings)
     means = total_per_setting * _born_probabilities(rho, _design(settings).projectors)
     counts = np.random.default_rng(seed).poisson(means)
-    return [CountRecord(setting=setting, counts=int(n), seed=seed)
-            for setting, n in zip(settings, counts)]
+    return [CountRecord(setting=setting, counts=n, seed=seed)
+            for setting, n in zip(settings, counts.tolist())]
 
 
 def _estimate_total(records: Sequence[CountRecord]) -> float:
@@ -276,11 +290,13 @@ def _triangular_from_params(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MLReconstruction:
-    """Maximum-likelihood estimate with optimizer diagnostics."""
+    """Maximum-likelihood estimate with optimizer diagnostics: the number of
+    Newton steps and the stop rule that ended the search."""
 
     state: DensityMatrix
     log_likelihood: float
     n_iterations: int
+    stop_reason: str
 
 
 def _cholesky_quadratic_forms(projectors: np.ndarray) -> np.ndarray:
@@ -295,8 +311,9 @@ def _cholesky_quadratic_forms(projectors: np.ndarray) -> np.ndarray:
 
 
 def _negative_log_likelihood(projectors, counts, n_total):
-    """evaluate(t) -> (f, gradient, Hessian) for f = sum_i [mu_i - n_i log mu_i],
-    mu_i = N t'Q_i t / t't, floored at 1e-30 before the logarithm.
+    """evaluate(t) -> (f, gradient, hessian) for f = sum_i [mu_i - n_i log mu_i],
+    mu_i = N t'Q_i t / t't, floored at 1e-30 before the logarithm; ``hessian``
+    builds the Hessian when called, which ``_newton`` does only where it steps.
 
     f does not change when t is scaled, so its Hessian is singular along t;
     N t t', the Hessian of N (t't - 1)^2 / 8 on the unit sphere where every
@@ -314,11 +331,15 @@ def _negative_log_likelihood(projectors, counts, n_total):
         dprob = 2.0 * (qt - prob[:, None] * t) / norm
         weight = n_total * (1.0 - counts / mu)  # df/dprob
         grad = weight @ dprob
-        hess = (2.0 * np.tensordot(weight, quadratic, 1) - 2.0 * (weight @ prob) * identity
-                - 2.0 * (np.outer(grad, t) + np.outer(t, grad))) / norm
-        hess += (dprob.T * (counts * (n_total / mu) ** 2)) @ dprob
-        hess += n_total * np.outer(t, t)
-        return value, grad, hess
+
+        def hessian():
+            hess = (2.0 * np.tensordot(weight, quadratic, 1) - 2.0 * (weight @ prob) * identity
+                    - 2.0 * (np.outer(grad, t) + np.outer(t, grad))) / norm
+            hess += (dprob.T * (counts * (n_total / mu) ** 2)) @ dprob
+            hess += n_total * np.outer(t, t)
+            return hess
+
+        return value, grad, hessian
 
     return evaluate
 
@@ -341,16 +362,20 @@ def ml_reconstruction(
     rows of T, which can vanish without the others moving, so an optimum
     of lower rank lies near the start. The search is the damped Newton loop
     of ``_newton`` on the exact gradient and Hessian, with t kept on the
-    unit sphere.
+    unit sphere; the Hessian is built only at the points the loop steps
+    from. ``stop_reason`` is the rule that ended the search, ``_newton``'s
+    message.
 
     Stop rules:
 
     * The largest gradient component is at most 1e-9 * N. The objective and
       its gradient scale with the flux N; at an exact fit rounding leaves
       below 1e-14 * N, and a gradient of 1e-9 * N leaves about 1e-18 * N of
-      likelihood to gain (the Hessian is of order N). Where the linear
-      estimate is positive definite with the flux estimated, it fits every
-      count and the loop stops before its first step.
+      likelihood to gain (the Hessian is of order N). Where the design is
+      square, as with the 16 standard settings, and the linear estimate is
+      positive definite with the flux estimated, that estimate fits every
+      count, and the loop stops before its first step without building a
+      Hessian.
     * A step raises the log-likelihood by at most 1e-12 of its size, the
       rule L-BFGS-B stopped on here before. At an optimum of lower rank
       the factor T is not unique, the objective is flat along those
@@ -372,7 +397,7 @@ def ml_reconstruction(
         _negative_log_likelihood(frame.conj().T @ design.projectors @ frame, counts, n_total),
         start / np.linalg.norm(start),
         project=lambda t: t / np.linalg.norm(t),
-        converged=lambda t, value, grad, hess: np.max(np.abs(grad)) <= gtol,
+        converged=lambda t, value, grad, hessian: np.max(np.abs(grad)) <= gtol,
         max_iter=2000,
         ftol=1e-12,
     )
@@ -392,6 +417,7 @@ def ml_reconstruction(
         state=state,
         log_likelihood=-result.value,
         n_iterations=result.iterations,
+        stop_reason=result.message,
     )
 
 
@@ -443,7 +469,9 @@ def _count_row(record: CountRecord) -> list:
 
 def _count_record(row: list[str]) -> CountRecord:
     label, state_a, state_b, counts, seed = row
-    setting = ProjectorSetting(state_a, state_b)
+    setting = _settings_by_letters().get((state_a, state_b))
+    if setting is None:
+        setting = ProjectorSetting(state_a, state_b)  # raises on the unknown letter
     if label != setting.label:
         raise ValueError(
             f"label {label!r} does not match the letter states {setting.label!r}"

@@ -339,6 +339,35 @@ class TestFitGain:
         assert np.all(np.isfinite(fit.covariance))
         assert np.all(np.diag(fit.covariance) > 0)
 
+    def test_undetermined_gain_raises(self):
+        # one detector at 30% noise with R one ulp above the top rate: J has
+        # full rank, but the fit ended at g_max 22.58 and eta = 1 with a
+        # standard error of g_max 2.7e13 times g_max
+        powers = [222154.67, 223936.30, 215517.20, 305755.14, 1.0]
+        points = synthetic_calibration_points(26.919 / math.sqrt(max(powers)), {1: 1.0},
+                                              1e6, powers, noise_fraction=0.3, seed=0)
+        rate = math.nextafter(max(pt.rate for pt in points), math.inf)
+        with pytest.raises(FitError, match=r"^the data do not determine the gain: the "
+                           r"standard error of g_max is [0-9.]+e\+13 times g_max"):
+            fit_gain(points, rate)
+
+    def test_demo_gain_is_determined(self):
+        fit = fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
+        assert math.sqrt(fit.covariance[0, 0]) / fit.gain_scale == pytest.approx(
+            0.0067, abs=1e-4)
+
+    def test_gain_determined_at_one_percent_noise(self):
+        # the benchmark's fits: 12 powers, 2 detectors, 1% noise; the relative
+        # standard error of g_max stays near 0.01, far below the limit of 1
+        powers = [0.05 + 0.95 * i / 11 for i in range(12)]
+        worst = 0.0
+        for seed in range(300):
+            points = synthetic_calibration_points(TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE,
+                                                  powers, noise_fraction=0.01, seed=seed)
+            fit = fit_gain(points, REPETITION_RATE)
+            worst = max(worst, math.sqrt(fit.covariance[0, 0]) / fit.gain_scale)
+        assert worst < 0.02
+
     def test_single_detector_data(self):
         points = synthetic_calibration_points(
             TRUE_GAIN_SCALE, {1: 0.016}, REPETITION_RATE, POWERS

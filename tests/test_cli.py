@@ -572,6 +572,20 @@ class TestLazyScipyImport:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "counts.csv", "matrix.json", "sweep.csv"]
 
+    def test_import_does_no_work(self, tmp_path):
+        # the import stays cheap: numpy.random is not loaded, and the settings
+        # and the witness operator are built on first use, not at import
+        code = "\n".join([
+            "import sys",
+            "import spdc_werner, spdc_werner.cli",
+            "from spdc_werner import metrics, tomography",
+            "print('numpy.random' in sys.modules)",
+            "print([f.cache_info().currsize for f in (",
+            "    tomography._settings_by_letters, tomography.standard_tomography_settings,",
+            "    tomography.witness_settings, metrics._witness, tomography._design)])",
+        ])
+        assert self.python(code, tmp_path) == ["False", "[0, 0, 0, 0, 0]"]
+
     @pytest.mark.parametrize("argv", [
         ["fit", "--input", DEMO_CSV, "--rate", "250000"],
         ["tomo", "reconstruct", "--input", "counts.csv"],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdc_werner import metrics
 from spdc_werner.errors import PhysicalityError
 from spdc_werner.fock import DensityMatrix
 from spdc_werner.metrics import (
@@ -158,6 +159,24 @@ class TestWitness:
     def test_fully_mixed_expectation(self):
         assert witness_expectation(werner_state(0.0)) == pytest.approx(0.25, abs=1e-12)
 
+    def test_operator_is_a_fresh_array_each_call(self):
+        first = witness_operator()
+        assert first is not witness_operator()
+        first[0, 0] = 7.0
+        assert witness_operator()[0, 0] == 0.5
+        assert witness_expectation(werner_state(0.0)) == pytest.approx(0.25, abs=1e-12)
+
+    def test_expectation_uses_the_operator_built_once(self):
+        rng = np.random.default_rng(31)
+        before = metrics._witness.cache_info()
+        for _ in range(20):
+            rho = random_two_qubit_density(rng)
+            assert witness_expectation(rho) == float(
+                np.trace(witness_operator() @ rho.entries).real)
+        after = metrics._witness.cache_info()
+        assert after.currsize == 1
+        assert after.misses <= before.misses + 1
+
     def test_boundary_weight_is_zero(self):
         assert witness_expectation(werner_state(1.0 / 3.0)) == pytest.approx(
             0.0, abs=1e-12
@@ -266,6 +285,42 @@ class TestWernerDescriptor:
 
 
 class TestMetricsReport:
+    @staticmethod
+    def states(rng):
+        """Random full-rank, pure and product states, and Werner states on
+        both sides of p = 1/3."""
+        for _ in range(20):
+            yield random_two_qubit_density(rng)
+            ket = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            yield DensityMatrix(np.outer(ket, ket.conj()) / (ket.conj() @ ket).real)
+            yield random_product_density(rng)
+        for p in WERNER_GRID:
+            yield werner_state(p)
+
+    def test_values_equal_the_metrics_one_by_one(self):
+        rng = np.random.default_rng(41)
+        states = list(self.states(rng))
+        for rho, reference in zip(states, states[1:] + states[:1]):
+            c, tau = concurrence_tangle(rho)
+            expected = {
+                "p": singlet_weight_extract(rho),
+                "concurrence": c,
+                "tangle": tau,
+                "linear_entropy": linear_entropy(rho),
+                "witness": witness_expectation(rho),
+                "ppt_entangled": is_entangled_ppt(rho),
+            }
+            assert metrics_report(rho) == expected
+            expected["fidelity_vs_theory"] = fidelity(rho, reference)
+            assert metrics_report(rho, reference=reference) == expected
+
+    def test_one_square_root_per_report(self, monkeypatch):
+        calls = []
+        sqrtm = metrics._sqrtm_psd
+        monkeypatch.setattr(metrics, "_sqrtm_psd", lambda m: calls.append(m) or sqrtm(m))
+        metrics_report(werner_state(0.6), reference=werner_state(0.5))
+        assert len(calls) == 1
+
     def test_keys_and_reference_fidelity(self):
         report = metrics_report(werner_state(0.6), reference=werner_state(0.6))
         assert report["p"] == pytest.approx(0.6)

@@ -5,12 +5,12 @@ from spdc_werner import _newton
 
 
 def quadratic(center, curvature):
-    """f = (x - c)' A (x - c) / 2 with its gradient and Hessian."""
+    """f = (x - c)' A (x - c) / 2 with its gradient and Hessian callable."""
     center, curvature = np.asarray(center, float), np.asarray(curvature, float)
 
     def evaluate(x):
         d = x - center
-        return 0.5 * float(d @ curvature @ d), curvature @ d, curvature
+        return 0.5 * float(d @ curvature @ d), curvature @ d, lambda: curvature
 
     return evaluate
 
@@ -20,11 +20,11 @@ def rosenbrock(x):
     value = (1 - a) ** 2 + 100 * (b - a * a) ** 2
     grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
     hess = np.array([[2 - 400 * (b - 3 * a * a), -400 * a], [-400 * a, 200.0]])
-    return value, grad, hess
+    return value, grad, lambda: hess
 
 
 def gradient_below(tol):
-    return lambda x, value, grad, hess: bool(np.max(np.abs(grad)) <= tol)
+    return lambda x, value, grad, hessian: bool(np.max(np.abs(grad)) <= tol)
 
 
 def no_projection(x):
@@ -62,7 +62,7 @@ def test_indefinite_hessian_far_from_the_minimum():
 def test_projection_keeps_the_point_feasible():
     # the unconstrained minimum (2, 0.5) lies outside x0 <= 1; the test
     # ignores a gradient that pushes against the bound
-    def converged(x, value, grad, hess):
+    def converged(x, value, grad, hessian):
         return bool(np.all((x >= 1.0) & (grad < 0) | (np.abs(grad) <= 1e-6)))
 
     result = _newton.minimize(quadratic([2.0, 0.5], np.eye(2)), np.zeros(2),
@@ -95,10 +95,62 @@ def test_iteration_limit_is_not_converged():
 
 def test_relative_decrease_rule():
     def shifted(x):  # minimum value 1, so a relative decrease is defined
-        value, grad, hess = rosenbrock(x)
-        return value + 1.0, grad, hess
+        value, grad, hessian = rosenbrock(x)
+        return value + 1.0, grad, hessian
 
     result = _newton.minimize(shifted, np.array([-1.2, 1.0]), no_projection,
                               gradient_below(0.0), max_iter=200, ftol=1e-3)
     assert result.converged and result.message == "relative decrease below 0.001"
     assert result.iterations < 200
+
+
+def counting_hessians(evaluate):
+    """``evaluate`` whose Hessian callables record each call in ``calls``."""
+    calls = []
+
+    def counted(x):
+        value, grad, hessian = evaluate(x)
+
+        def recorded():
+            calls.append(x.copy())
+            return hessian()
+
+        return value, grad, recorded
+
+    return counted, calls
+
+
+def test_no_hessian_where_the_start_passes():
+    evaluate, calls = counting_hessians(quadratic([1.0, 2.0], np.eye(2)))
+    result = _newton.minimize(evaluate, np.array([1.0, 2.0]), no_projection,
+                              gradient_below(1e-12), max_iter=10)
+    assert result.iterations == 0
+    assert calls == []
+
+
+def test_one_hessian_per_point_stepped_from():
+    # rosenbrock from the usual start rejects steps on the way; the Hessian
+    # is built once at each point the loop steps from, and never at a
+    # rejected trial point or at the point where it stops
+    trials = []
+
+    def recorded(x):
+        trials.append(x.copy())
+        return rosenbrock(x)
+
+    evaluate, calls = counting_hessians(recorded)
+    result = _newton.minimize(evaluate, np.array([-1.2, 1.0]), no_projection,
+                              gradient_below(1e-10), max_iter=200)
+    assert result.message == "gradient within tolerance"
+    assert len(calls) == result.iterations
+    assert len(trials) > result.iterations + 1  # some steps were rejected
+    assert len({c.tobytes() for c in calls}) == len(calls)
+    assert result.x.tobytes() not in {c.tobytes() for c in calls}
+
+
+def test_no_hessian_at_the_iteration_limit():
+    evaluate, calls = counting_hessians(rosenbrock)
+    result = _newton.minimize(evaluate, np.array([-1.2, 1.0]), no_projection,
+                              gradient_below(0.0), max_iter=3)
+    assert result.iterations == 3
+    assert len(calls) == 3

@@ -52,6 +52,16 @@ class TestProjectorSetting:
         expected[1, 1] = 1.0
         np.testing.assert_allclose(s.projector(), expected, atol=1e-15)
 
+    def test_equal_settings_hash_equal(self):
+        # the design cache is keyed by settings built anywhere, not only by
+        # the shared ones
+        built = [ProjectorSetting(a, b) for a in "HVDFLR" for b in "HVDFLR"]
+        for setting, shared in zip(built, tomography._settings_by_letters().values(), strict=True):
+            assert setting == shared and hash(setting) == hash(shared)
+        assert len(set(built)) == 36
+        assert _design(tuple(ProjectorSetting(a, b) for a in "HVDL" for b in "HVDL")) is _design(
+            standard_tomography_settings())
+
     def test_unknown_letter_rejected(self):
         # settings are polarization letters only; a ket is not a letter
         for state in ("Q", (0.0, 1.0), np.array([0.0, 1.0])):
@@ -404,7 +414,8 @@ class TestTriangularParameters:
         evaluate = _negative_log_likelihood(design.projectors, counts, n_total)
         t = np.random.default_rng(2).standard_normal(16)
         t /= np.linalg.norm(t)
-        _, grad, hess = evaluate(t)
+        _, grad, hessian = evaluate(t)
+        hess = hessian()
         h = 1e-6
         steps = h * np.eye(16)
         grad_fd = np.array([(evaluate(t + e)[0] - evaluate(t - e)[0]) / (2 * h) for e in steps])
@@ -591,6 +602,147 @@ class TestAgainstPerCallRoute:
             reference = ml_reconstruction(records, total if given_flux else None)
             assert result.log_likelihood >= (reference.log_likelihood
                                              - 1e-12 * abs(reference.log_likelihood))
+
+
+def _eager_negative_log_likelihood(projectors, counts, n_total):
+    """The ML objective as it was before the Hessian was built on demand:
+    value, gradient and Hessian in one evaluation, the Hessian handed over
+    already built."""
+    quadratic = _cholesky_quadratic_forms(projectors)
+    identity = np.eye(16)
+
+    def evaluate(t):
+        qt = quadratic @ t
+        norm = t @ t
+        prob = qt @ t / norm
+        mu = np.maximum(n_total * prob, 1e-30)
+        value = float(mu.sum() - counts @ np.log(mu))
+        dprob = 2.0 * (qt - prob[:, None] * t) / norm
+        weight = n_total * (1.0 - counts / mu)
+        grad = weight @ dprob
+        hess = (2.0 * np.tensordot(weight, quadratic, 1) - 2.0 * (weight @ prob) * identity
+                - 2.0 * (np.outer(grad, t) + np.outer(t, grad))) / norm
+        hess += (dprob.T * (counts * (n_total / mu) ** 2)) @ dprob
+        hess += n_total * np.outer(t, t)
+        return value, grad, lambda: hess
+
+    return evaluate
+
+
+def _counting_hessians(calls):
+    """``_negative_log_likelihood`` whose Hessian callables record each call."""
+    original = tomography._negative_log_likelihood
+
+    def factory(*args):
+        evaluate = original(*args)
+
+        def counted(t):
+            value, grad, hessian = evaluate(t)
+
+            def recorded():
+                calls.append(t.copy())
+                return hessian()
+
+            return value, grad, recorded
+
+        return counted
+
+    return factory
+
+
+class TestHessianOnDemand:
+    """ML asks for the Hessian only where the Newton loop steps, and gives
+    the results of the evaluation that built it every time."""
+
+    def test_positive_definite_start_builds_no_hessian(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tomography, "_negative_log_likelihood", _counting_hessians(calls))
+        zero_step = 0
+        for records, total in _round_trip_datasets(seed=23, n_sets=60):
+            if np.linalg.eigvalsh(linear_reconstruction(records))[0] <= 0:
+                continue
+            result = ml_reconstruction(records)
+            assert (result.n_iterations, result.stop_reason) == (
+                0, "gradient within tolerance")
+            zero_step += 1
+        assert zero_step >= 30
+        assert calls == []
+
+    @pytest.mark.parametrize("given_flux", [False, True], ids=["flux-estimated", "flux-given"])
+    def test_one_hessian_per_step(self, given_flux, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tomography, "_negative_log_likelihood", _counting_hessians(calls))
+        steps = 0
+        for records, total in _round_trip_datasets(seed=24, n_sets=60):
+            calls.clear()
+            result = ml_reconstruction(records, total if given_flux else None)
+            # where no step lowers the objective, the Hessian of the point it
+            # stops at was built for the step it tried
+            stuck = result.stop_reason == "no step lowers the objective beyond its rounding"
+            assert len(calls) == result.n_iterations + stuck
+            steps += result.n_iterations
+        assert steps > 0
+
+    @pytest.mark.parametrize("given_flux", [False, True], ids=["flux-estimated", "flux-given"])
+    def test_results_equal_the_eager_hessian(self, given_flux, monkeypatch):
+        datasets = list(_round_trip_datasets(seed=25, n_sets=200))
+        results = [ml_reconstruction(records, total if given_flux else None)
+                   for records, total in datasets]
+        monkeypatch.setattr(tomography, "_negative_log_likelihood",
+                            _eager_negative_log_likelihood)
+        for result, (records, total) in zip(results, datasets):
+            reference = ml_reconstruction(records, total if given_flux else None)
+            assert np.array_equal(result.state.entries, reference.state.entries)
+            assert result.log_likelihood == reference.log_likelihood
+            assert result.n_iterations == reference.n_iterations
+            assert result.stop_reason == reference.stop_reason
+        assert sum(r.n_iterations for r in results) > 0
+
+    def test_stop_reason_of_a_positive_definite_start(self):
+        records = noiseless_records(werner_state(0.6), standard_tomography_settings(), 1_200_000)
+        result = ml_reconstruction(records)
+        assert result.n_iterations == 0
+        assert result.stop_reason == "gradient within tolerance"
+
+    def test_stop_reason_where_the_search_steps(self):
+        # the indefinite linear estimate of test_unphysical_init_produces_physical_output
+        records = simulate_counts(werner_state(0.6), standard_tomography_settings(), 200, seed=8)
+        result = ml_reconstruction(records)
+        assert result.n_iterations > 0
+        assert result.stop_reason == "relative decrease below 1e-12"
+
+
+class TestSettingsOncePerProcess:
+    def test_settings_functions_return_one_tuple(self):
+        assert standard_tomography_settings() is standard_tomography_settings()
+        assert witness_settings() is witness_settings()
+        assert [s.label for s in witness_settings()] == [
+            "HH", "VV", "DD", "FF", "LR", "RL", "HV", "VH"]
+        assert len(set(standard_tomography_settings())) == 16
+
+    def test_settings_read_from_csv_are_the_shared_objects(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        for settings in (standard_tomography_settings(), witness_settings()):
+            write_count_records(simulate_counts(werner_state(0.6), settings, 1000, seed=1), path)
+            loaded = [r.setting for r in read_count_records(path)]
+            assert all(a is b for a, b in zip(loaded, settings, strict=True))
+
+    def test_every_letter_pair_is_read(self, tmp_path):
+        letters = "HVDFLR"
+        path = tmp_path / "counts.csv"
+        path.write_text("label,stateA,stateB,counts,seed\n" + "".join(
+            f"{a}{b},{a},{b},1,0\n" for a in letters for b in letters))
+        loaded = read_count_records(path)
+        assert [r.setting for r in loaded] == [
+            ProjectorSetting(a, b) for a in letters for b in letters]
+
+    @pytest.mark.parametrize("row", ["QH,Q,H,10,0", "HQ,H,Q,10,0", "HH,h,H,10,0"])
+    def test_unknown_letter_raises_on_every_read(self, row, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"label,stateA,stateB,counts,seed\nHH,H,H,5,0\n{row}\n")
+        for _ in range(3):
+            with pytest.raises(ValueError, match=":3: malformed row: unknown polarization label"):
+                read_count_records(path)
 
 
 class TestDesignCache:
