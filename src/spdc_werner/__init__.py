@@ -6,10 +6,12 @@ coincidence-count simulation, maximum-likelihood state tomography,
 entanglement metrics, and gain calibration from detector rates.
 
 The top level exports that chain. The oracles that check the closed form
-(the n-pair source state, the beam-splitter Fock expansion and its traced
-coincidence block, the pair-number series and their ``CapacityError``) are
-imported from the modules that define them: ``channel``, ``fock``,
-``source`` and ``errors``.
+are imported from the modules that define them: ``channel``, ``fock``,
+``source`` and ``errors``. They are the n-pair source state, the
+beam-splitter Fock expansion over eight slots with its coincidence block
+traced onto the four transmitted ones, that brute force's
+``CapacityError``, and the pair-number series, which reports each point's
+``ConvergenceError`` rather than raising it.
 """
 
 __version__ = "0.1.0"

@@ -11,11 +11,12 @@ Each iteration solves
 
     (H + lam * diag(d)) s = -g,    d_j = |H_jj|, floored at 1e-12 * max_j |H_jj|
 
-and tries x' = project(x + s). The damped quadratic model predicts the
-decrease -g's / 2. Where that prediction exceeds the rounding of f, taken
-as 64 ulps of |f|, x' is accepted if f(x') < f(x); below it f cannot check
-the step, and x' is accepted if its gradient is smaller (largest
-component). The damping lam follows Nielsen's rule (Madsen, Nielsen &
+(d_j = 1 for every j where that floor is 0, as it is when the diagonal
+underflows) and tries x' = project(x + s). The damped quadratic model
+predicts the decrease -g's / 2. Where that prediction exceeds the rounding
+of f, taken as 64 ulps of |f|, x' is accepted if f(x') < f(x); below it f
+cannot check the step, and x' is accepted if its gradient is smaller
+(largest component). The damping lam follows Nielsen's rule (Madsen, Nielsen &
 Tingleff, "Methods for non-linear least squares problems", 2004): an
 accepted step divides it by at most 3, by less when the decrease falls
 short of the prediction; a rejected step, or a damped matrix that is not
@@ -87,8 +88,11 @@ def minimize(
         if h is None:
             h = hessian()
         diag = np.abs(np.diag(h))
-        # all zero where J'J underflows, as at a repetition rate of 1e300
-        scale = np.maximum(diag, 1e-12 * diag.max()) if diag.max() > 0 else np.ones(len(x))
+        # the floor underflows to 0 where J'J does, as at a repetition rate
+        # of 1e185 or 1e300; a zero scale would keep every damped matrix
+        # singular
+        floor = 1e-12 * diag.max()
+        scale = np.maximum(diag, floor) if floor > 0 else np.ones(len(x))
         damped = h + lam * np.diag(scale)
         try:
             np.linalg.cholesky(damped)

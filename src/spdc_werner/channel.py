@@ -8,9 +8,9 @@ of the n-pair term:
 * brute force: split each of the state's occupation tuples into the
   transmitted part on the four coincidence occupations (one photon per
   spatial mode) and the reflected rest, and trace the reflected modes out
-  of those beam-splitter amplitudes with ``fock.partial_trace``, giving an
-  ``(occupations, matrix)`` pair that :func:`post_select_two_photon` turns
-  into a ``DensityMatrix``;
+  of those eight-slot beam-splitter amplitudes with ``fock.partial_trace``,
+  giving an ``(occupations, matrix)`` pair that
+  :func:`post_select_two_photon` turns into a ``DensityMatrix``;
 * closed form: the 4x4 block written directly in terms of n and eta.
 
 The two agree exactly (not approximately): loss only redistributes weight
@@ -110,9 +110,9 @@ def transmitted_reduced_state(n: int, eta: float) -> tuple[tuple, np.ndarray]:
     restricted to the coincidence occupations.
 
     Returns an ``(occupations, matrix)`` pair over the coincidence
-    occupations the term reaches, sorted (none, an empty pair, at n = 0),
-    which :func:`post_select_two_photon` places in the 4x4 block.
-    Brute-force route: each of the term's occupations sends each
+    occupations the term reaches, sorted (the empty pair at n = 0, which
+    reaches none), which :func:`post_select_two_photon` places in the 4x4
+    block. Brute-force route: each of the term's occupations sends each
     coincidence occupation t to the transmitted modes and the rest to the
     reflected ones, with the amplitude :func:`apply_beamsplitters` gives
     it, and ``fock.partial_trace`` traces the reflected modes out. So the
@@ -131,9 +131,7 @@ def transmitted_reduced_state(n: int, eta: float) -> tuple[tuple, np.ndarray]:
             reflected = tuple(n_i - y for n_i, y in zip(occ, t))
             if min(reflected) >= 0:
                 landing[t + reflected] = _split_amplitude(amp, occ, t, eta)
-    if not landing:
-        return (), np.zeros((0, 0), dtype=complex)
-    return partial_trace(landing, keep=range(4))
+    return partial_trace(landing)
 
 
 def post_select_two_photon(reduced: tuple[tuple, np.ndarray]) -> DensityMatrix:
@@ -154,20 +152,6 @@ def post_select_two_photon(reduced: tuple[tuple, np.ndarray]) -> DensityMatrix:
     return DensityMatrix(block)
 
 
-def _assemble_block(corner, middle, off) -> np.ndarray:
-    """The 4x4 block [[c, 0, 0, 0], [0, m, o, 0], [0, o, m, 0], [0, 0, 0, c]]
-    on (HH, HV, VH, VV)."""
-    return np.array(
-        [
-            [corner, 0.0, 0.0, 0.0],
-            [0.0, middle, off, 0.0],
-            [0.0, off, middle, 0.0],
-            [0.0, 0.0, 0.0, corner],
-        ],
-        dtype=complex,
-    )
-
-
 def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     """Closed form of the post-selected two-photon block of the n-pair term.
 
@@ -184,10 +168,11 @@ def two_photon_block_closed(n: int, eta: float) -> DensityMatrix:
     # (n-1, 1+2n, -(n+2)) of (corner, middle, off)
     zeta = eta / (1.0 - eta)
     pref = n * (1.0 - eta) ** (2.0 * n) * zeta**2 / 6.0
-    block = _assemble_block(
-        pref * (n - 1.0), pref * (1.0 + 2.0 * n), pref * -(n + 2.0)
-    )
-    return DensityMatrix(block)
+    corner, middle, off = pref * (n - 1.0), pref * (1.0 + 2.0 * n), pref * -(n + 2.0)
+    return DensityMatrix(np.array([[corner, 0.0, 0.0, 0.0],
+                                   [0.0, middle, off, 0.0],
+                                   [0.0, off, middle, 0.0],
+                                   [0.0, 0.0, 0.0, corner]], dtype=complex))
 
 
 def two_photon_state(params: GainChannelParams) -> DensityMatrix:
@@ -288,20 +273,6 @@ def pair_number_series(points: Sequence[GainChannelParams]) -> PairSeries:
     middle[converged] = (corner_sum + minus_off) / trace
     off[converged] = -minus_off / trace
     return PairSeries(n_terms, tail, corner, middle, off)
-
-
-def pair_number_series_state(params: GainChannelParams) -> DensityMatrix:
-    """:func:`pair_number_series` at one point, as a density matrix.
-
-    Raises the point's ``ConvergenceError`` when the tail bound at the
-    truncation exceeds ``SERIES_TAIL_TOL``.
-    """
-    series = pair_number_series([params])
-    error = series.error(0)
-    if error is not None:
-        raise error
-    block = _assemble_block(series.corner[0], series.middle[0], series.off[0])
-    return DensityMatrix(block)
 
 
 def _add_terms(sums: np.ndarray, x: np.ndarray, rows: np.ndarray,

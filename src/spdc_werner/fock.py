@@ -6,19 +6,20 @@ and validated eagerly, so one that has a non-finite entry, or is not
 Hermitian or not positive semidefinite (beyond tolerance), raises instead
 of propagating silently.
 
-A Fock state is a plain dict from occupation tuple (one photon count per
-mode slot) to complex amplitude; absent tuples have amplitude zero. Its
-matrices are plain ``(occupations, matrix)`` pairs: a tuple of occupation
-tuples and the dense complex matrix over them, in that order. A pure
-state's reduced matrix on some of its slots comes straight from its
-amplitudes, without the projector over all of them: that is
-:func:`partial_trace`, which the brute-force oracle in ``channel`` uses.
+A Fock state of the oracle is a plain dict from occupation tuple to complex
+amplitude; absent tuples have amplitude zero. Its tuples have eight slots:
+the photon counts of the transmitted modes 1H, 1V, 2H, 2V, then of the
+same four reflected modes. Its matrices are plain ``(occupations,
+matrix)`` pairs: a tuple of occupation tuples and the dense complex matrix
+over them, in that order. :func:`partial_trace` gives the reduced matrix
+on the transmitted slots straight from the amplitudes, without the
+projector over all eight; the brute-force oracle in ``channel`` uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -94,36 +95,24 @@ def outer_product(state: Mapping[tuple[int, ...], complex]) -> tuple[tuple, np.n
     return occs, np.outer(vec, vec.conj())
 
 
-def partial_trace(state: Mapping[tuple[int, ...], complex],
-                  keep: Iterable[int]) -> tuple[tuple, np.ndarray]:
-    """``(occupations, matrix)`` of the reduced state of ``state`` on the
-    mode slots listed in ``keep``.
+def partial_trace(state: Mapping[tuple[int, ...], complex]) -> tuple[tuple, np.ndarray]:
+    """``(occupations, matrix)`` of the reduced state of the eight-slot
+    ``state`` on its four transmitted slots.
 
-    ``keep`` holds slot indices into the state's occupation tuples. The
-    matrix is the sum of psi_r psi_r^H over the traced-out occupations r in
-    sorted order, where psi_r holds the amplitudes whose traced-out part is
-    r, placed at their kept parts; the occupations are the sorted kept ones
-    and the trace is the state's squared norm. Each element gets at most one
-    term per r, so this adds the terms of tracing the full projector
+    The matrix is the sum of psi_r psi_r^H over the reflected occupations r
+    in sorted order, where psi_r holds the amplitudes whose reflected part
+    is r, placed at their transmitted parts; the occupations are the sorted
+    transmitted ones and the trace is the state's squared norm, so an empty
+    state gives the empty pair. Each element gets at most one term per r,
+    so this adds the terms of tracing the full projector
     ``outer_product(state)`` in that projector's row order, without forming
     it. ``channel.transmitted_reduced_state`` traces its coincidence
     amplitudes with it, and the tests trace the full beam-splitter
     expansion with it as that function's reference.
     """
-    if not state:
-        raise ValueError("cannot trace an empty state")
-    n_slots = len(next(iter(state)))
-    keep = tuple(keep)
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate indices in keep")
-    if any(k < 0 or k >= n_slots for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n_slots} slots")
-    traced = tuple(i for i in range(n_slots) if i not in keep)
-
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]] = {}
     for occ, amp in state.items():
-        kept_part = tuple(occ[k] for k in keep)
-        groups.setdefault(tuple(occ[t] for t in traced), []).append((kept_part, amp))
+        groups.setdefault(occ[4:], []).append((occ[:4], amp))
     out_occs = tuple(sorted({kept for group in groups.values() for kept, _ in group}))
     index = {o: i for i, o in enumerate(out_occs)}
     out = np.zeros((len(out_occs), len(out_occs)), dtype=complex)

@@ -12,7 +12,7 @@ import pytest
 
 from spdc_werner.calibration import fit_gain, synthetic_calibration_points
 from spdc_werner.channel import (
-    pair_number_series_state,
+    pair_number_series,
     post_select_two_photon,
     singlet_weight,
     transmitted_reduced_state,
@@ -24,7 +24,6 @@ from spdc_werner.metrics import (
     fidelity,
     is_entangled_ppt,
     linear_entropy,
-    singlet_weight_extract,
     tangle_from_entropy_werner,
     werner_state,
     witness_expectation,
@@ -68,13 +67,15 @@ def test_criterion_2_werner_limit_identity():
     for g in (0.1, 0.3, 0.5, 1.0, 1.5):
         for eta in (0.001, 0.01, 0.05):
             params = GainChannelParams(g=g, eta=eta)
-            rho = pair_number_series_state(params)
-            reference = werner_state(singlet_weight(params))
-            worst = max(worst, float(np.max(np.abs(rho.entries - reference.entries))))
-            weights.append(singlet_weight_extract(rho))
-    saturated = singlet_weight_extract(
-        pair_number_series_state(GainChannelParams(g=20.0, eta=1e-4))
-    )
+            series = pair_number_series([params])
+            assert series.error(0) is None
+            reference = werner_state(singlet_weight(params)).entries.real
+            for entry, (i, j) in (("corner", (0, 0)), ("middle", (1, 1)), ("off", (1, 2))):
+                worst = max(worst, abs(getattr(series, entry)[0] - reference[i, j]))
+            weights.append(series.p[0])
+    saturated_series = pair_number_series([GainChannelParams(g=20.0, eta=1e-4)])
+    assert saturated_series.error(0) is None
+    saturated = saturated_series.p[0]
     ok = (
         worst <= 1e-8
         and all(p > 1.0 / 3.0 for p in weights)

@@ -30,6 +30,22 @@ DEMO_CSV = Path(__file__).resolve().parents[1] / "data" / "calibration_demo.csv"
 # 2.8e-16)
 ARRAY_REL = 1e-15
 
+# The edge domain of the fit's inputs: gains from far below to far above
+# saturation, efficiencies down to the 1e-12 bound and up to 1, powers over
+# twelve decades, dark rows, noise, and repetition rates up to 1e300.
+EDGE_DOMAIN = dict(
+    gain_scale=st.floats(min_value=1e-3, max_value=30.0),
+    etas=st.lists(st.one_of(st.floats(min_value=1e-12, max_value=1e-11),
+                            st.floats(min_value=1e-11, max_value=1.0),
+                            st.floats(min_value=1.0 - 1e-9, max_value=1.0)),
+                  min_size=1, max_size=2),
+    powers=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=5,
+                    max_size=12, unique=True),
+    dark_rows=st.integers(min_value=0, max_value=2),
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+    rate_headroom=st.floats(min_value=0.0, max_value=1.0),
+)
+
 
 class TestCountRateModel:
     def test_zero_gain_gives_zero_rate(self):
@@ -448,6 +464,14 @@ class TestFitGain:
         with pytest.raises(FitError, match="do not determine the parameters"):
             fit_gain(points, 1e300)
 
+    def test_rate_where_the_damping_floor_underflows(self):
+        # at R = 1e185 the diagonal of J'J is [0, 2.2e-314, 1.7e-314], so 1e-12
+        # times its largest entry underflows to 0; the damping scale must not
+        # keep that zero, or every damped matrix stays singular until the
+        # damping reaches inf, and inf * 0 warns
+        with pytest.raises(FitError, match=r"^the data do not determine the parameters: "):
+            fit_gain(read_calibration_csv(DEMO_CSV), 1e185)
+
     def test_efficiencies_on_the_artificial_bound_rejected(self):
         # at R = 1e20 the demo data need efficiencies near 4e-17, below the
         # 1e-12 bound that keeps the model defined; the fit used to end there
@@ -482,6 +506,21 @@ class TestFitGain:
                             lambda *args, **kw: minimize(*args, **{**kw, "max_iter": 1}))
         with pytest.raises(FitError, match="fit did not converge: iteration limit 1 reached"):
             fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
+
+    @settings(deadline=None, max_examples=100)
+    @given(**EDGE_DOMAIN)
+    def test_fit_is_finite_and_inside_the_bounds_or_raises(self, gain_scale, etas, powers,
+                                                           dark_rows, noise, rate_headroom):
+        # pytest turns any numpy warning on the way into a failure
+        points, rate = _edge_draw(gain_scale, etas, powers, dark_rows, noise, rate_headroom)
+        try:
+            fit = fit_gain(points, rate)
+        except FitError:
+            return
+        params = np.array([fit.g_max, fit.gain_scale, *fit.etas.values()])
+        assert np.all(np.isfinite(params)) and np.all(np.isfinite(fit.covariance))
+        assert fit.g_max >= 1e-12
+        assert all(1e-12 <= eta <= 1.0 for eta in fit.etas.values())
 
 
 def _assert_power_unit_free(scale):
@@ -579,34 +618,29 @@ class TestProfiledStart:
         assert steps == [0] * 51
 
     @settings(deadline=None, max_examples=300)
-    @given(
-        gain_scale=st.floats(min_value=1e-3, max_value=30.0),
-        etas=st.lists(st.one_of(st.floats(min_value=1e-12, max_value=1e-11),
-                                st.floats(min_value=1e-11, max_value=1.0),
-                                st.floats(min_value=1.0 - 1e-9, max_value=1.0)),
-                      min_size=1, max_size=2),
-        powers=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=5,
-                        max_size=12, unique=True),
-        dark_rows=st.integers(min_value=0, max_value=2),
-        noise=st.sampled_from([0.0, 0.01, 0.3]),
-        rate_headroom=st.floats(min_value=0.0, max_value=1.0),
-    )
+    @given(**EDGE_DOMAIN)
     def test_start_is_finite_and_inside_the_bounds(self, gain_scale, etas, powers,
                                                      dark_rows, noise, rate_headroom):
-        points = synthetic_calibration_points(
-            gain_scale / math.sqrt(max(powers)), dict(enumerate(etas, start=1)),
-            REPETITION_RATE, powers, noise_fraction=noise, seed=0)
-        for det in range(1, len(etas) + 1):
-            assume(any(pt.rate > 0 for pt in points if pt.detector == det))
-        points += [CalibrationPoint(0.0, 0.0, 1 + i % len(etas)) for i in range(dark_rows)]
-        # R from just above the largest rate up to 1e300
-        top = max(pt.rate for pt in points)
-        rate = max(math.nextafter(top, math.inf), min(10.0 ** (
-            (1.0 - rate_headroom) * math.log10(top) + rate_headroom * 300.0), 1e300))
+        points, rate = _edge_draw(gain_scale, etas, powers, dark_rows, noise, rate_headroom)
         start = calibration._profiled_start(*_start_arrays(points, rate))
         assert np.all(np.isfinite(start))
         assert start[0] >= 1e-12
         assert np.all((1e-12 <= start[1:]) & (start[1:] <= 1.0))
+
+
+def _edge_draw(gain_scale, etas, powers, dark_rows, noise, rate_headroom):
+    """The points and repetition rate of one ``EDGE_DOMAIN`` draw: g_max is
+    gain_scale, and R runs from just above the largest rate up to 1e300."""
+    points = synthetic_calibration_points(
+        gain_scale / math.sqrt(max(powers)), dict(enumerate(etas, start=1)),
+        REPETITION_RATE, powers, noise_fraction=noise, seed=0)
+    for det in range(1, len(etas) + 1):
+        assume(any(pt.rate > 0 for pt in points if pt.detector == det))
+    points += [CalibrationPoint(0.0, 0.0, 1 + i % len(etas)) for i in range(dark_rows)]
+    top = max(pt.rate for pt in points)
+    rate = max(math.nextafter(top, math.inf), min(10.0 ** (
+        (1.0 - rate_headroom) * math.log10(top) + rate_headroom * 300.0), 1e300))
+    return points, rate
 
 
 def _grid_start(sqrt_power, rate, detector_index, repetition_rate):

@@ -12,7 +12,6 @@ from spdc_werner.channel import (
     COINCIDENCE_OCCUPATIONS,
     apply_beamsplitters,
     pair_number_series,
-    pair_number_series_state,
     post_select_two_photon,
     singlet_weight,
     transmitted_reduced_state,
@@ -29,7 +28,7 @@ def eight_slot_reduced_state(n, eta):
     """The reference route: the ``(occupations, matrix)`` pair of the full
     reduced state on the transmitted modes, traced out of the beam-splitter
     expansion over all eight slots."""
-    return partial_trace(apply_beamsplitters(n_pair_singlet(n), eta), keep=range(4))
+    return partial_trace(apply_beamsplitters(n_pair_singlet(n), eta))
 
 
 def _binom(a: int, k: int) -> int:
@@ -381,14 +380,14 @@ class TestGainSummedState:
         with pytest.raises(ValueError):
             two_photon_state(GainChannelParams(g=0.0, eta=0.01))
 
-    def test_insufficient_truncation_raises_with_tail_bound(self, monkeypatch):
+    def test_insufficient_truncation_reports_tail_bound(self, monkeypatch):
         # (g=1.0, eta=0.001) needs 100 terms; a cap at the first truncation
         # leaves the tail bound above tolerance.
         monkeypatch.setattr(channel, "_SERIES_HARD_CAP", channel.SERIES_MIN_TERMS)
-        with pytest.raises(ConvergenceError) as err:
-            pair_number_series_state(GainChannelParams(g=1.0, eta=0.001))
-        assert err.value.diagnostics["n_terms"] == channel.SERIES_MIN_TERMS
-        assert err.value.diagnostics["relative_tail_bound"] > channel.SERIES_TAIL_TOL
+        error = pair_number_series([GainChannelParams(g=1.0, eta=0.001)]).error(0)
+        assert isinstance(error, ConvergenceError)
+        assert error.diagnostics["n_terms"] == channel.SERIES_MIN_TERMS
+        assert error.diagnostics["relative_tail_bound"] > channel.SERIES_TAIL_TOL
 
 
 # The edge grid: g from far below to far above saturation, eta from
@@ -430,14 +429,21 @@ class TestClosedFormRoute:
             two_photon_state(GainChannelParams(g=0.5, eta=eta))
 
 
+def assert_series_is_werner(params, atol):
+    """The series at params converges, and its corner, middle and off
+    entries are those of the Werner state of ``singlet_weight`` within atol."""
+    series = pair_number_series([params])
+    assert series.error(0) is None
+    reference = werner_state(singlet_weight(params)).entries.real
+    for entry, (i, j) in (("corner", (0, 0)), ("middle", (1, 1)), ("off", (1, 2))):
+        assert abs(getattr(series, entry)[0] - reference[i, j]) <= atol
+
+
 class TestPairNumberSeries:
     @pytest.mark.parametrize("g", [0.1, 0.3, 0.5, 1.0, 1.5, 3.0])
     @pytest.mark.parametrize("eta", [0.001, 0.01, 0.05, 0.5])
     def test_sums_to_werner_identity(self, g, eta):
-        params = GainChannelParams(g=g, eta=eta)
-        rho = pair_number_series_state(params)
-        reference = werner_state(singlet_weight(params))
-        np.testing.assert_allclose(rho.entries, reference.entries, atol=1e-12)
+        assert_series_is_werner(GainChannelParams(g=g, eta=eta), atol=1e-12)
 
     # Truncations reached by the rule (start at 50, double, stop at a 1e-12
     # relative tail bound) before it moved into the series check.
@@ -460,17 +466,14 @@ class TestPairNumberSeries:
 
     @pytest.mark.parametrize("g", [200.0, 800.0])
     def test_gain_past_cosh_overflow(self, g):
-        params = GainChannelParams(g=g, eta=0.5)
-        rho = pair_number_series_state(params)
-        reference = werner_state(singlet_weight(params))
-        np.testing.assert_allclose(rho.entries, reference.entries, atol=1e-12)
+        assert_series_is_werner(GainChannelParams(g=g, eta=0.5), atol=1e-12)
 
     def test_hard_cap_is_exact(self):
-        with pytest.raises(ConvergenceError) as err:
-            pair_number_series_state(GainChannelParams(g=8.0, eta=1e-6))
-        assert err.value.diagnostics["n_terms"] == 5_000_000
-        assert err.value.diagnostics["relative_tail_bound"] > 1e-12
-        assert "series check" in str(err.value)
+        error = pair_number_series([GainChannelParams(g=8.0, eta=1e-6)]).error(0)
+        assert isinstance(error, ConvergenceError)
+        assert error.diagnostics["n_terms"] == 5_000_000
+        assert error.diagnostics["relative_tail_bound"] > 1e-12
+        assert "series check" in str(error)
 
     def test_grid_matches_pointwise_calls(self):
         points = [GainChannelParams(g=g, eta=eta) for g, eta in
@@ -481,10 +484,9 @@ class TestPairNumberSeries:
             single = pair_number_series([params])
             assert single.n_terms[0] == series.n_terms[i]
             assert single.relative_tail_bound[0] == series.relative_tail_bound[i]
-            np.testing.assert_array_equal(single.p[0], series.p[i])
-            if series.error(i) is None:
-                rho = pair_number_series_state(params)
-                assert singlet_weight_extract(rho) == series.p[i]
+            for entry in ("corner", "middle", "off", "p"):
+                np.testing.assert_array_equal(getattr(single, entry)[0],
+                                              getattr(series, entry)[i])
 
     def test_bounded_chunks_give_the_same_sums(self, monkeypatch):
         points = [GainChannelParams(g=g, eta=eta) for g, eta in
@@ -578,8 +580,6 @@ class TestPairNumberSeries:
         for knob in ({"n_max": 60}, {"tail_tol": 1e-6}):
             with pytest.raises(TypeError):
                 pair_number_series([params], **knob)
-            with pytest.raises(TypeError):
-                pair_number_series_state(params, **knob)
         assert not hasattr(pair_number_series([params]), "tail_tol")
 
 

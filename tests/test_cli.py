@@ -10,7 +10,7 @@ import pytest
 
 import spdc_werner
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
-from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS, pair_number_series_state
+from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS, pair_number_series
 from spdc_werner import channel, cli, fock
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
@@ -150,9 +150,9 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert [(r["g"], r["eta"]) for r in rows] == [(g, e) for g in gs for e in etas]
         for row in rows:
-            params = GainChannelParams(g=row["g"], eta=row["eta"])
-            series = pair_number_series_state(params)
-            assert row["p_series"] == singlet_weight_extract(series)
+            series = pair_number_series([GainChannelParams(g=row["g"], eta=row["eta"])])
+            assert series.error(0) is None
+            assert row["p_series"] == series.p[0]
             werner = WernerDescriptor(row["p_theory"])
             assert row["tangle"] == werner.tangle
             assert row["linear_entropy"] == werner.linear_entropy

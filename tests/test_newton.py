@@ -154,3 +154,17 @@ def test_no_hessian_at_the_iteration_limit():
                               gradient_below(0.0), max_iter=3)
     assert result.iterations == 3
     assert len(calls) == 3
+
+
+def test_unit_damping_scale_where_its_floor_underflows():
+    # the diagonal of J'J that the calibration fit meets at a repetition rate
+    # of 1e185: 1e-12 times its largest entry underflows to 0, so scaling the
+    # damping by the diagonal would leave every damped matrix singular, until
+    # the damping reached inf and inf * 0 warned
+    curvature = np.diag([0.0, 2.2e-314, 1.7e-314])
+    assert 1e-12 * curvature.max() == 0.0
+    result = _newton.minimize(quadratic(np.zeros(3), curvature), np.ones(3),
+                              no_projection, gradient_below(0.0), max_iter=10)
+    assert (result.iterations, result.converged) == (0, True)
+    assert result.message == "no step lowers the objective beyond its rounding"
+    np.testing.assert_array_equal(result.x, np.ones(3))
