@@ -464,13 +464,14 @@ class TestFitGain:
         with pytest.raises(FitError, match="do not determine the parameters"):
             fit_gain(points, 1e300)
 
-    def test_rate_where_the_damping_floor_underflows(self):
+    @pytest.mark.parametrize("rate", [1e184, 1e185, 1e189])
+    def test_rate_where_the_damping_floor_underflows(self, rate):
         # at R = 1e185 the diagonal of J'J is [0, 2.2e-314, 1.7e-314], so 1e-12
-        # times its largest entry underflows to 0; the damping scale must not
-        # keep that zero, or every damped matrix stays singular until the
-        # damping reaches inf, and inf * 0 warns
+        # times its largest entry underflows to 0, as it does from 1e184 to
+        # 1e189; the damping scale must not keep that zero, or every damped
+        # matrix stays singular until the damping reaches inf, and inf * 0 warns
         with pytest.raises(FitError, match=r"^the data do not determine the parameters: "):
-            fit_gain(read_calibration_csv(DEMO_CSV), 1e185)
+            fit_gain(read_calibration_csv(DEMO_CSV), rate)
 
     def test_efficiencies_on_the_artificial_bound_rejected(self):
         # at R = 1e20 the demo data need efficiencies near 4e-17, below the

@@ -167,6 +167,25 @@ class TestPartialTrace:
         assert occupations == ()
         assert reduced.shape == (0, 0) and reduced.dtype == complex
 
+    def test_every_photon_reflected_gives_the_vacuum_block(self):
+        state = random_pure_state([(0, 0, 0, 0) + r for r in every_occupation(4, 1)],
+                                  np.random.default_rng(5))
+        occupations, reduced = partial_trace(state)
+        assert occupations == ((0, 0, 0, 0),)
+        norm_squared = sum(abs(a) ** 2 for a in state.values())
+        assert reduced.shape == (1, 1)
+        assert reduced[0, 0] == pytest.approx(norm_squared, rel=1e-14)
+
+    def test_nothing_reflected_gives_the_projector(self):
+        # one reflected group: each element is the single product the
+        # projector holds, so the two agree bitwise
+        state = random_pure_state([t + (0, 0, 0, 0) for t in every_occupation(4, 1)],
+                                  np.random.default_rng(6))
+        occupations, reduced = partial_trace(state)
+        labels, projector = outer_product(state)
+        assert occupations == tuple(o[:4] for o in labels)
+        assert np.array_equal(reduced, projector)
+
 
 class TestPartialTraceSummationOrder:
     """partial_trace adds each output element's terms in the order of the

@@ -168,3 +168,40 @@ def test_unit_damping_scale_where_its_floor_underflows():
     assert (result.iterations, result.converged) == (0, True)
     assert result.message == "no step lowers the objective beyond its rounding"
     np.testing.assert_array_equal(result.x, np.ones(3))
+
+
+def test_zero_hessian_damps_with_the_unit_scale():
+    # f linear: the whole diagonal is 0, so the first trial step is -g / lam
+    # with the initial damping 1e-3
+    slope = np.array([1.0, -2.0])
+    trials = []
+
+    def evaluate(x):
+        trials.append(x.copy())
+        return float(slope @ x), slope.copy(), lambda: np.zeros((2, 2))
+
+    _newton.minimize(evaluate, np.zeros(2), no_projection, gradient_below(0.0),
+                     max_iter=1)
+    np.testing.assert_allclose(trials[1], -slope / 1e-3, rtol=1e-15)
+
+
+def test_steps_where_the_damping_floor_underflows():
+    # a linear slope over the underflowing diagonal of J'J, inside the box
+    # [0, 1]^3: with the unit scale the damped matrices are positive
+    # definite, so the search steps to the corner the slope points at
+    curvature = np.diag([0.0, 2.2e-314, 1.7e-314])
+    slope = np.array([1.0, -1.0, 1.0])
+
+    def evaluate(x):
+        value = float(slope @ x + 0.5 * x @ curvature @ x)
+        return value, slope + curvature @ x, lambda: curvature
+
+    def converged(x, value, grad, hessian):
+        # a gradient that pushes against a bound counts as stationary
+        return bool(np.all((x <= 0.0) & (grad > 0) | (x >= 1.0) & (grad < 0)))
+
+    result = _newton.minimize(evaluate, np.full(3, 0.5), lambda x: np.clip(x, 0.0, 1.0),
+                              converged, max_iter=10)
+    assert result.converged and result.message == "gradient within tolerance"
+    assert result.iterations >= 1
+    np.testing.assert_array_equal(result.x, [0.0, 1.0, 0.0])
