@@ -1,12 +1,12 @@
 """Damped Newton minimization with a projection step, in numpy.
 
-The calibration fit and maximum-likelihood tomography share this loop. The
-caller supplies the objective as ``evaluate(x) -> (f, g, hessian)``, its
-value, gradient and a zero-argument callable that returns a symmetric
-Hessian (the exact one, or J'J for least squares), and a ``project`` that
-maps a point back onto the feasible set. The loop calls ``hessian`` only
-when it is about to try a step, at most once per point: never where a stop
-test ends the search before a step, and never at a trial point it rejects.
+Maximum-likelihood tomography runs this loop. The caller supplies the
+objective as ``evaluate(x) -> (f, g, hessian)``, its value, gradient and a
+zero-argument callable that returns a symmetric Hessian (the exact one, or
+J'J for least squares), and a ``project`` that maps a point back onto the
+feasible set. The loop calls ``hessian`` only when it is about to try a
+step, at most once per point: never where a stop test ends the search
+before a step, and never at a trial point it rejects.
 Each iteration solves
 
     (H + lam * diag(d)) s = -g,    d_j = |H_jj|, floored at 1e-12 * max_j |H_jj|
@@ -88,9 +88,8 @@ def minimize(
         if h is None:
             h = hessian()
         diag = np.abs(np.diag(h))
-        # the floor underflows to 0 where J'J does, as at a repetition rate
-        # of 1e185 or 1e300; a zero scale would keep every damped matrix
-        # singular
+        # the floor underflows to 0 where the largest diagonal entry is below
+        # about 2.5e-312; a zero scale would keep every damped matrix singular
         floor = 1e-12 * diag.max()
         scale = np.maximum(diag, floor) if floor > 0 else np.ones(len(x))
         damped = h + lam * np.diag(scale)

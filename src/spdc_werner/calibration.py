@@ -10,13 +10,10 @@ joint fit of (a, eta_1, eta_2) to rate-versus-power data calibrates the
 source, reporting g_max at the highest power. No state model is used here.
 
 The fit works in g_max = a * sqrt(P_max), which has no unit, so its result
-does not depend on the unit of power. Above a floor of 1e-12 counts/s, a
-point's relative residual is linear in 1/eta, so at each g_max every
-efficiency has a closed-form least-squares value (variable projection).
-The fit's start is the minimum of the cost with the efficiencies profiled
-out, found by a one-dimensional Newton search on g_max; Levenberg-Marquardt
-then only certifies that minimum, and on the bundled and test data takes no
-step.
+does not depend on the unit of power. A point's relative residual is linear
+in 1/eta, so at each g_max every efficiency has a closed-form least-squares
+value (variable projection), and the fit is a one-dimensional search on
+g_max over the cost with the efficiencies profiled out.
 """
 
 from __future__ import annotations
@@ -29,12 +26,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _csv, _newton
+from . import _csv
 from .errors import FitError
 
 _MIN_DISTINCT_POWERS = 5
 # bisection alone narrows a grid step of _start_gains to rounding in 50
 _SEARCH_STEPS = 50
+# the upper bound of g_max: there the model at the top power equals R in
+# double precision for every efficiency down to 1e-12, above every rate
+_TOP_GAIN = 40.0
 _EPS = np.finfo(float).eps
 
 
@@ -130,18 +130,19 @@ def _start_gains() -> np.ndarray:
 
 class _ProfiledCost:
     """The least-squares cost as a function of g_max alone, each detector's
-    efficiency at its best value for that g_max (variable projection; Golub
-    & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
+    efficiency at its best value for that g_max inside the fit's bounds
+    1e-12 <= eta <= 1 (variable projection; Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 413 (1973)).
 
-    Above the 1e-12 floor a point's relative residual is r = b - c u, with
-    b = 1 - rate/R, c = (rate/R) / sinh(g_max s)^2, s = sqrt(P / P_max) and
-    u = 1/eta: linear in u. So u_d = sum b c / sum c^2 over detector d's
-    points, and the reduced cost is phi = sum r^2 at those u. Only ratios of
-    c within a detector enter phi, so c is kept up to a constant factor per
-    detector, as kappa (s / sinh(g_max s))^2 with kappa proportional to
-    rate / s^2 and largest value 1: neither c nor c^2 over- or underflows,
-    whatever R and the range of powers. Points at zero power are left out;
-    their residual does not depend on the parameters.
+    Where the model is positive a point's relative residual is r = b - c u,
+    with b = 1 - rate/R, c = (rate/R) / sinh(g_max s)^2, s = sqrt(P / P_max)
+    and u = 1/eta: linear in u. So u_d = sum b c / sum c^2 over detector d's
+    points, held to the bounds, and the reduced cost is phi = sum r^2 at
+    those u. Only ratios of c within a detector enter phi, so c is kept up
+    to a constant factor per detector, as kappa (s / sinh(g_max s))^2 with
+    kappa proportional to rate / s^2 and largest value 1: neither c nor c^2
+    over- or underflows, whatever R and the range of powers. Points at zero
+    power are left out; their residual does not depend on the parameters.
     """
 
     def __init__(self, s, rate, detector_index, repetition_rate):
@@ -153,9 +154,11 @@ class _ProfiledCost:
             log_kappa = np.log(rate) - 2.0 * np.log(self.s)
         top = np.array([log_kappa[index == d].max() for d in range(self.onehot.shape[1])])
         self.kappa = np.exp(log_kappa - top[index])
-        # c in the units of r is kappa (s / sinh(g_max s))^2 times this
+        # c in the units of r is kappa (s / sinh(g_max s))^2 times this, so
+        # eta = 1 is u = unit and eta = 1e-12 is u = 1e12 unit
         with np.errstate(over="ignore"):
             self.unit = np.exp(top - math.log(repetition_rate))
+            self.bounds = np.array([self.unit, 1e12 * self.unit])
 
     def _c(self, g):
         """x = g s and c at g_max = g, a float or a column of values with one
@@ -167,19 +170,21 @@ class _ProfiledCost:
     def __call__(self, g):
         """phi at each g_max in the 1-D array g."""
         _, c = self._c(g[:, None])
-        u = ((self.b * c) @ self.onehot) / ((c * c) @ self.onehot)
+        u = np.clip(((self.b * c) @ self.onehot) / ((c * c) @ self.onehot), *self.bounds)
         r = self.b - (u @ self.onehot.T) * c
         return np.einsum("ij,ij->i", r, r)
 
     def derivatives(self, g: float) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """phi', phi'', and u and u' per detector at g_max = g.
+        """phi', phi'', and the unbounded optimum u and its u' per detector
+        at g_max = g.
 
         With x = g s, w = c x coth(x) and q = 3 (x coth(x))^2 - x^2,
         c' = -2 c s coth(x) = -(2/g) w and c'' = 2 c s^2 (3 coth(x)^2 - 1)
-        = (2/g^2) c q. With u at its optimum, phi' = -2 sum_d u sum r c' and
-        phi'' = 2 sum_d (u^2 sum c'^2 - u sum r c'' - u'^2 sum c^2), where
-        u' = (sum r c' - u sum c c') / sum c^2. Sums of r y are taken as
-        sum b y - u sum c y.
+        = (2/g^2) c q. phi' = -2 sum_d u sum r c' and phi'' = 2 sum_d
+        (u^2 sum c'^2 - u sum r c'' - u'^2 sum c^2), where u' = (sum r c' -
+        u sum c c') / sum c^2 with u at its optimum and u' = 0 with u held at
+        a bound; either way the other terms of d phi / du vanish (the
+        envelope theorem). Sums of r y are taken as sum b y - u sum c y.
         """
         x, c = self._c(g)
         h = x / np.tanh(x)  # x coth(x), 1 at x -> 0
@@ -190,15 +195,22 @@ class _ProfiledCost:
                 * np.array([c, self.b, w])) @ self.onehot
         d1 = d2 = 0.0
         u, du = [], []
-        for (cc, bc, cw), (_, bw, ww), (ccq, bcq, _) in sums.transpose(2, 0, 1).tolist():
+        for ((cc, bc, cw), (_, bw, ww), (ccq, bcq, _)), lo, hi in zip(
+                sums.transpose(2, 0, 1).tolist(), *self.bounds.tolist()):
             ud = bc / cc
-            rw = bw - ud * cw
-            dud = (rw - ud * cw) / cc  # u' = -(2/g) dud
-            d1 += ud * rw
-            d2 += ud * (2.0 * ud * ww - bcq + ud * ccq) - 2.0 * dud * dud * cc
+            dud = (bw - ud * cw - ud * cw) / cc  # u' = -(2/g) dud
+            ub = min(max(ud, lo), hi)  # u inside the bounds
+            rw = bw - ub * cw
+            d1 += ub * rw
+            d2 += ub * (2.0 * ub * ww - bcq + ub * ccq) - (
+                2.0 * dud * dud * cc if ub == ud else 0.0)
             u.append(ud)
             du.append(dud)
         return (4.0 / g) * d1, (4.0 / g**2) * d2, np.array(u), (-2.0 / g) * np.array(du)
+
+    def held(self, u: np.ndarray) -> np.ndarray:
+        """Which detectors' optimum u lies past the bounds."""
+        return (u < self.bounds[0]) | (u > self.bounds[1])
 
     def etas(self, u: np.ndarray) -> np.ndarray:
         """Each detector's efficiency 1/u_d, for u_d in the units of this
@@ -208,25 +220,31 @@ class _ProfiledCost:
                        1e-12, 1.0)
 
 
-def _profiled_start(s, rate, detector_index, repetition_rate):
+def _profiled_fit(s, rate, detector_index, repetition_rate):
     """(g_max, eta per detector) at the minimum of ``_ProfiledCost``.
 
-    phi is scored on the 60 values of ``_start_gains``. From the vertex of
-    the parabola through the best value and its two neighbours, which saves
-    one Newton step, a Newton search on phi' = 0 stays between those
-    neighbours, and bisects where a Newton step would leave them or phi'' is
-    not positive. It stops after a Newton step of at most 1e-8 g_max, which
-    leaves an error of order its square, and moves each u by u' times that
-    step, with an error of the same order. The efficiencies are clipped to
-    the fit's bounds, and below the floor of 1e-12 counts/s r is not linear
-    in u: where the data take the fit there, the start is only a point
-    inside the bounds, and ``fit_gain``'s Levenberg-Marquardt loop finishes
-    the search.
+    phi is scored on the 60 values of ``_start_gains``. Where the best of
+    them is the first or the last, the minimum may lie past the grid, which
+    is scored again out to that side's bound, g_max = 1e-12 or
+    ``_TOP_GAIN``, at about the same spacing. From the vertex of the
+    parabola through the best value and its two neighbours, which saves one
+    Newton step, a Newton search on phi' = 0 stays between those neighbours,
+    and bisects where a Newton step would leave them or phi'' is not
+    positive. It stops after a Newton step of at most 1e-8 g_max, which
+    leaves an error of order its square where rounding in phi' allows, and
+    moves each u by u' times that step, with an error of the same order. A
+    best value on a bound stays there where phi rises away from it.
     """
     profile = _ProfiledCost(s, rate, detector_index, repetition_rate)
     grid = _start_gains()
     phi = profile(grid)
     k = int(np.argmin(phi))
+    if k in (0, len(grid) - 1):
+        # 302 and 66 steps of about the grid's factor 1.107
+        grid = (np.geomspace(1e-12, grid[-1], 303) if k == 0
+                else np.geomspace(grid[0], _TOP_GAIN, 67))
+        phi = profile(grid)
+        k = int(np.argmin(phi))
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
     g = float(grid[k])
     if 0 < k < len(grid) - 1 and phi[k - 1] + phi[k + 1] > 2.0 * phi[k]:
@@ -245,29 +263,33 @@ def _profiled_start(s, rate, detector_index, repetition_rate):
         newton = d2 > 0 and lo < g - d1 / d2 < hi
         step = -d1 / d2 if newton else 0.5 * (lo + hi) - g
         g += step
-        u = u + du * step
-        if newton and abs(step) <= 1e-8 * g or step == 0.0:
+        last, u = u, u + du * step
+        # phi'' jumps where an efficiency reaches its bound, so a Newton step
+        # across one says nothing of convergence
+        if (newton and abs(step) <= 1e-8 * g
+                and np.array_equal(profile.held(last), profile.held(u)) or step == 0.0):
             break
     return np.concatenate([[g], profile.etas(u)])
 
 
 def _residuals_and_jacobian(params, s, rate, detector_index, repetition_rate):
-    """Relative residuals for params (gain factor, eta per detector) and
-    their analytic Jacobian, from one kernel call. Point i has the gain
-    params[0] * s[i]: ``fit_gain`` passes g_max and s = sqrt(P / P_max), and
-    a gain scale a with s = sqrt(P) gives the same residuals."""
+    """Relative residuals (N - rate) / N for params (gain factor, eta per
+    detector), 0 where the model N is 0 as at zero power, and their analytic
+    Jacobian, from one kernel call. Point i has the gain params[0] * s[i]:
+    ``fit_gain`` passes g_max and s = sqrt(P / P_max), and a gain scale a
+    with s = sqrt(P) gives the same residuals."""
     g, eta = params[0] * s, params[1:][detector_index]
     model, tanh, sech2 = _rate_kernel(g, eta, repetition_rate)
-    floored = np.maximum(model, 1e-12)
-    residuals = (model - rate) / floored
+    positive = model > 0
+    residuals = np.divide(model - rate, model, out=np.zeros_like(g), where=positive)
     # dr/dN * dN/dtheta with dN/dg = R eta 2 tanh(g) sech(g)^2 / D^2 and
     # dN/deta = R tanh(g)^2 sech(g)^2 / D^2, D = eta tanh(g)^2 + sech(g)^2.
-    # Above the floor dr/dN = (rate / N) / N, evaluated as (rate / N) times
-    # dlog N / dtheta, which neither overflows nor divides by zero.
+    # dr/dN = (rate / N) / N, evaluated as (rate / N) times dlog N / dtheta,
+    # which neither overflows nor divides by zero.
     denominator = eta * tanh**2 + sech2
-    scale = np.where(model > 1e-12, rate, model) / floored
+    scale = np.divide(rate, model, out=np.zeros_like(g), where=positive)
     dlog_dg = np.divide(2.0 * sech2, tanh * denominator,
-                        out=np.zeros_like(g), where=model > 0)
+                        out=np.zeros_like(g), where=positive)
     jac = np.zeros((len(rate), len(params)))
     jac[:, 0] = scale * dlog_dg * s
     jac[np.arange(len(rate)), 1 + detector_index] = scale * sech2 / (eta * denominator)
@@ -283,40 +305,36 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     gives there whatever the parameters; its residual is 0. Residuals are
     relative (rate noise is multiplicative).
 
-    The parameters are g_max = a * sqrt(P_max) and the efficiencies. The
-    start is the least-squares minimum from ``_profiled_start``: each
-    efficiency in closed form at every g_max, and a Newton search on g_max
-    alone. Levenberg-Marquardt, the damped Newton loop of ``_newton`` with
-    H = J'J and the analytic Jacobian J of the residuals, each step clipped
-    to the bounds g_max >= 1e-12 and 1e-12 <= eta <= 1, then only certifies
-    the minimum: it takes 0 steps on criterion 7's 50 sets and the bundled
-    demo data, and finishes the search where the start is not the minimum,
-    as where an efficiency is clipped to a bound. It stops when every
-    column of J is within 1e-12 of orthogonal to the residual vector r
-    (MINPACK's gtol test, |J_j'r| <= 1e-12 |J_j| |r|, skipping a parameter
-    that the cost pushes against its bound). Rounding leaves about 1e-14
-    there at 1% noise, so the test is reachable; where it is not, as on
-    noiseless data, the loop ends when neither the cost nor its gradient
-    can improve. 300 steps without either raise ``FitError``. So does a
-    Jacobian of rank below the number of parameters at the end, where the
-    data do not determine them; this is tested first, because such data
-    leave the search at its start. And so does a fit that ends with g_max
-    or an efficiency on the 1e-12 bound, which only keeps the model defined,
-    or with an efficiency at 1 and the cost pushing it further: the data ask
-    for a value the model cannot take, and no covariance means anything
-    there. Last, a standard error of g_max above g_max itself raises
-    ``FitError``: the data then do not determine the gain.
+    The parameters are g_max = a * sqrt(P_max) and the efficiencies, inside
+    the bounds 1e-12 <= g_max <= ``_TOP_GAIN`` and 1e-12 <= eta <= 1. The
+    fit is the least-squares minimum from ``_profiled_fit``: each efficiency
+    in closed form at every g_max, and a Newton search on g_max alone. The
+    residuals and their analytic Jacobian J are evaluated once, there. A J
+    of rank below the number of parameters raises ``FitError``: the data do
+    not determine them. This is tested first, because such data leave the
+    search at its first grid point. So does a fit that ends with
+    g_max or an efficiency on the 1e-12 bound, which only keeps the model
+    defined, with g_max on ``_TOP_GAIN``, or with an efficiency at 1 and the
+    cost pushing it further: the data ask for a value the model cannot take,
+    and no covariance means anything there. Last, a standard error of g_max
+    above g_max itself raises ``FitError``: the data then do not determine
+    the gain.
 
-    Each evaluation makes one call to the unchecked ``_rate_kernel``: the
+    The evaluation makes one call to the unchecked ``_rate_kernel``: the
     inputs are checked once here, and the bounds keep every parameter in
-    ``count_rate_model``'s domain. The start makes no call.
+    ``count_rate_model``'s domain. The search makes no call.
 
-    The parameters come out within about 2e-14 relative of the minimum (on
-    criterion 7's 50 sets and the bundled demo data, against Gauss-Newton
-    iterated in long double), and scaling every power by 1e-300 to 1e300
-    moves g_max and the efficiencies by at most about 3e-14 relative. The
-    covariance comes from the singular value decomposition of J, and is
-    reported for (a, eta) with a = g_max / sqrt(P_max).
+    On criterion 7's 50 sets and the bundled demo data the parameters come
+    out within about 2e-14 relative of the minimum (against Gauss-Newton
+    iterated in long double), and every column of J is within 1e-12 of
+    orthogonal to the residuals there (MINPACK's gtol test). On noiseless
+    data, where the cost's minimum is 0 and flatter the lower the gain, the
+    benchmark's powers and efficiencies come back within about 2e-15
+    relative at g_max = 1.313, 2e-12 at 0.3, 6e-10 at 0.05 and 7e-7 at
+    0.01. Scaling every power by 1e-300 to 1e300 moves g_max and the
+    efficiencies by at most about 3e-14 relative. The covariance comes from
+    the singular value decomposition of J, and is reported for (a, eta) with
+    a = g_max / sqrt(P_max).
     """
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
@@ -351,69 +369,44 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
                 f"need at least {_MIN_DISTINCT_POWERS}"
             )
         # all-zero rates give every relative residual 1 at every parameter
-        # value, so the optimizer would stop at its start point
+        # value, so the search would stop at its first grid point
         if not rate[mine].any():
             raise FitError(f"detector {det} has rate 0 at every power")
 
     sqrt_top = float(np.sqrt(power.max()))
     args = (np.sqrt(power) / sqrt_top, rate, detector_index, repetition_rate)
-    lower = np.array([1e-12] + [1e-12] * len(detectors))
-    upper = np.array([np.inf] + [1.0] * len(detectors))
-
-    # every evaluated point by its bytes, so that the checks at the end reuse
-    # the one where the search stopped
-    evaluated = {}
-
-    def evaluate(params):
-        residuals, jac = _residuals_and_jacobian(params, *args)
-        grad, jtj = residuals @ jac, jac.T @ jac
-        evaluated[params.tobytes()] = residuals, jac, grad, jtj
-        # J'J is formed here anyway: the stop test reads its diagonal
-        return 0.5 * float(residuals @ residuals), grad, lambda: jtj
-
-    def converged(x, cost, grad, hessian):
-        # a parameter at a bound that the cost pushes against is settled
-        pinned = ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
-        orthogonal = np.abs(grad) <= 1e-12 * np.sqrt(2.0 * cost * hessian().diagonal())
-        return bool(np.all(pinned | orthogonal))
-
-    result = _newton.minimize(
-        evaluate,
-        _profiled_start(*args),
-        project=lambda x: np.clip(x, lower, upper),
-        converged=converged,
-        max_iter=300,
-    )
-    if not result.converged:
-        raise FitError(f"fit did not converge: {result.message}")
-    residuals, jac, grad, jtj = evaluated[result.x.tobytes()]
+    x = _profiled_fit(*args)
+    residuals, jac = _residuals_and_jacobian(x, *args)
     # Column j of jac * x is the change of the residuals per relative change
     # of parameter j. Singular values at or below rounding of residuals of
     # order one, or of the largest one, leave a direction the data cannot see.
     # Tested first: where the residuals do not depend on the parameters, the
-    # search stops at its start, and a bound there says nothing.
-    _, singular, vt = np.linalg.svd(jac * result.x, full_matrices=False)
+    # search stops at its first grid point, and a bound there says nothing.
+    _, singular, vt = np.linalg.svd(jac * x, full_matrices=False)
     rank = int(np.sum(singular > len(rate) * _EPS * max(singular[0], 1.0)))
-    if rank < len(result.x):
+    if rank < len(x):
         raise FitError(
             f"the data do not determine the parameters: the Jacobian at the fit "
-            f"has rank {rank} < {len(result.x)}"
+            f"has rank {rank} < {len(x)}"
         )
-    # At eta = 1 the cost pushes outward when a Newton step in that efficiency
+    # A parameter is held on 1e-12 and g_max on _TOP_GAIN; an efficiency at 1
+    # is where the cost pushes it outward: a Newton step in that efficiency
     # alone, -grad_j / jtj_jj, passes 1 by more than 1e-10, well above the
     # fit's 2e-14 precision; on noiseless data at eta = 1 it is about 1e-16.
-    held = (result.x <= lower) | ((result.x >= upper) & (-grad > 1e-10 * jtj.diagonal()))
+    grad, jtj = residuals @ jac, jac.T @ jac
+    held = (x <= 1e-12) | ((x >= 1.0) & (-grad > 1e-10 * jtj.diagonal()))
+    held[0] = not 1e-12 < x[0] < _TOP_GAIN
     if held.any():
         names = ["g_max"] + [f"efficiency {det}" for det in detectors]
         raise FitError("the fit ends on a parameter bound, where the data ask for a "
                        "value the model cannot take: " + ", ".join(
-                           f"{names[i]} = {result.x[i]:g}" for i in np.flatnonzero(held)))
-    g_max = float(result.x[0])
-    dof = max(len(points) - len(result.x), 1)
+                           f"{names[i]} = {x[i]:g}" for i in np.flatnonzero(held)))
+    g_max = float(x[0])
+    dof = max(len(points) - len(x), 1)
     # With J X = U S V', X = diag(x), (J'J)^-1 = X V S^-2 V' X: taken from the
     # SVD, as inverting J'J squares J's condition number. The gain scale is
     # a = g_max / sqrt(P_max), so the row of g_max is scaled to it.
-    spread = vt.T / singular * result.x[:, None]
+    spread = vt.T / singular * x[:, None]
     spread[0] /= sqrt_top
     covariance = float(residuals @ residuals) / dof * (spread @ spread.T)
     # at 1% noise this ratio stays near 0.01; above 1 the data leave the gain open
@@ -423,7 +416,7 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
                        f"g_max is {relative_error:.3g} times g_max = {g_max:g}")
     return CalibrationFit(
         gain_scale=g_max / sqrt_top,
-        etas={det: float(e) for det, e in zip(detectors, result.x[1:])},
+        etas={det: float(e) for det, e in zip(detectors, x[1:])},
         repetition_rate=repetition_rate,
         g_max=g_max,
         covariance=covariance,

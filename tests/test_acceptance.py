@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from spdc_werner.calibration import fit_gain, synthetic_calibration_points
 from spdc_werner.channel import (
@@ -23,7 +22,6 @@ from spdc_werner.metrics import (
     concurrence_tangle,
     fidelity,
     is_entangled_ppt,
-    linear_entropy,
     tangle_from_entropy_werner,
     werner_state,
     witness_expectation,

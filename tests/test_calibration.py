@@ -23,6 +23,8 @@ REPETITION_RATE = 250_000.0
 TRUE_GAIN_SCALE = 1.313  # g_max = 1.313 at unit power
 TRUE_ETAS = {1: 0.016, 2: 0.014}
 POWERS = np.linspace(0.05, 1.0, 12)
+# the powers of the benchmark's fits (bench/workloads.py's FIT_POWERS)
+BENCHMARK_POWERS = [0.05 + 0.95 * i / 11 for i in range(12)]
 DEMO_CSV = Path(__file__).resolve().parents[1] / "data" / "calibration_demo.csv"
 # numpy's vector loops for tanh and exp may round an element differently from
 # a one-element call; a few ulp through the rate's arithmetic stay below this
@@ -356,16 +358,27 @@ class TestFitGain:
         assert np.all(np.diag(fit.covariance) > 0)
 
     def test_undetermined_gain_raises(self):
-        # one detector at 30% noise with R one ulp above the top rate: J has
-        # full rank, but the fit ended at g_max 22.58 and eta = 1 with a
-        # standard error of g_max 2.7e13 times g_max
+        # one detector at 30% noise with R one ulp above the top rate: the
+        # cost is flat along a ridge, and the search ends on it at g_max 25.4,
+        # eta 0.79, where J has rank 1 (Levenberg-Marquardt used to end at
+        # g_max 22.58, eta 1, on the same cost, with full rank and a standard
+        # error of g_max 2.7e13 times g_max)
         powers = [222154.67, 223936.30, 215517.20, 305755.14, 1.0]
         points = synthetic_calibration_points(26.919 / math.sqrt(max(powers)), {1: 1.0},
                                               1e6, powers, noise_fraction=0.3, seed=0)
         rate = math.nextafter(max(pt.rate for pt in points), math.inf)
-        with pytest.raises(FitError, match=r"^the data do not determine the gain: the "
-                           r"standard error of g_max is [0-9.]+e\+13 times g_max"):
+        with pytest.raises(FitError, match=r"^the data do not determine the parameters: "
+                           r"the Jacobian at the fit has rank 1 < 2$"):
             fit_gain(points, rate)
+
+    def test_standard_error_above_g_max_raises(self):
+        # the benchmark's powers and efficiencies at g_max = 0.1 and 1% noise:
+        # J has full rank, but this draw leaves g_max open
+        points = synthetic_calibration_points(0.1, TRUE_ETAS, REPETITION_RATE,
+                                              BENCHMARK_POWERS, noise_fraction=0.01, seed=4)
+        with pytest.raises(FitError, match=r"^the data do not determine the gain: the "
+                           r"standard error of g_max is 1\.29 times g_max = 0\.0944304$"):
+            fit_gain(points, REPETITION_RATE)
 
     def test_demo_gain_is_determined(self):
         fit = fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
@@ -375,11 +388,11 @@ class TestFitGain:
     def test_gain_determined_at_one_percent_noise(self):
         # the benchmark's fits: 12 powers, 2 detectors, 1% noise; the relative
         # standard error of g_max stays near 0.01, far below the limit of 1
-        powers = [0.05 + 0.95 * i / 11 for i in range(12)]
         worst = 0.0
         for seed in range(300):
             points = synthetic_calibration_points(TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE,
-                                                  powers, noise_fraction=0.01, seed=seed)
+                                                  BENCHMARK_POWERS, noise_fraction=0.01,
+                                                  seed=seed)
             fit = fit_gain(points, REPETITION_RATE)
             worst = max(worst, math.sqrt(fit.covariance[0, 0]) / fit.gain_scale)
         assert worst < 0.02
@@ -394,9 +407,9 @@ class TestFitGain:
 
 
     def test_one_model_call_per_residual_evaluation(self, monkeypatch):
-        # each evaluation of the residuals and their Jacobian makes one call
-        # of the unchecked rate kernel, and the profiled start makes none; the
-        # checked entry is not called at all
+        # the fit evaluates the residuals and their Jacobian once, with one
+        # call of the unchecked rate kernel, and the profiled search makes
+        # none; the checked entry is not called at all
         calls = {"kernel": 0, "checked": 0, "optimizer": 0}
 
         def counted(key, fn):
@@ -409,8 +422,7 @@ class TestFitGain:
                           ("optimizer", "_residuals_and_jacobian")]:
             monkeypatch.setattr(calibration, name, counted(key, getattr(calibration, name)))
         fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
-        assert calls["optimizer"] > 0
-        assert calls["kernel"] == calls["optimizer"]
+        assert calls["optimizer"] == calls["kernel"] == 1
         assert calls["checked"] == 0
 
     def test_rate_at_or_above_repetition_rate_rejected(self):
@@ -468,17 +480,19 @@ class TestFitGain:
     def test_rate_where_the_damping_floor_underflows(self, rate):
         # at R = 1e185 the diagonal of J'J is [0, 2.2e-314, 1.7e-314], so 1e-12
         # times its largest entry underflows to 0, as it does from 1e184 to
-        # 1e189; the damping scale must not keep that zero, or every damped
-        # matrix stays singular until the damping reaches inf, and inf * 0 warns
+        # 1e189; the Levenberg-Marquardt loop the fit used to run damped with
+        # that zero until the damping reached inf, and inf * 0 warned. The
+        # data determine nothing there: one error, and no warning
         with pytest.raises(FitError, match=r"^the data do not determine the parameters: "):
             fit_gain(read_calibration_csv(DEMO_CSV), rate)
 
     def test_efficiencies_on_the_artificial_bound_rejected(self):
         # at R = 1e20 the demo data need efficiencies near 4e-17, below the
-        # 1e-12 bound that keeps the model defined; the fit used to end there
-        # with g_max 0.049 and residuals near 0.97, reported as converged
-        with pytest.raises(FitError, match=r"parameter bound.*: efficiency 1 = 1e-12, "
-                                           r"efficiency 2 = 1e-12$"):
+        # 1e-12 bound that keeps the model defined; the least-squares minimum
+        # inside the bounds, at g_max 0.0091 and a cost of 0.267, holds
+        # detector 2 on it (a fit used to end with both efficiencies there,
+        # at g_max 0.049 and residuals near 0.97, reported as converged)
+        with pytest.raises(FitError, match=r"parameter bound.*: efficiency 2 = 1e-12$"):
             fit_gain(read_calibration_csv(DEMO_CSV), 1e20)
 
     def test_efficiency_pushed_past_one_rejected(self):
@@ -498,15 +512,43 @@ class TestFitGain:
         assert fit.etas == pytest.approx(etas, rel=1e-12)
         assert fit.gain_scale == pytest.approx(1.3, rel=1e-12)
 
-    def test_not_converged_raises(self, monkeypatch):
-        # from the profiled start the search takes no step, so it starts at
-        # the old grid point instead, from which it needs several
-        monkeypatch.setattr(calibration, "_profiled_start", _grid_start)
-        minimize = calibration._newton.minimize
-        monkeypatch.setattr(calibration._newton, "minimize",
-                            lambda *args, **kw: minimize(*args, **{**kw, "max_iter": 1}))
-        with pytest.raises(FitError, match="fit did not converge: iteration limit 1 reached"):
-            fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
+    def test_efficiency_pushed_past_one_at_low_gain_rejected(self):
+        # the benchmark's powers and efficiencies at g_max = 0.1 and 1% noise:
+        # the minimum wants detector 1 above 1 (the fit used to take 300
+        # Levenberg-Marquardt steps here and report no convergence)
+        points = synthetic_calibration_points(0.1, TRUE_ETAS, REPETITION_RATE,
+                                              BENCHMARK_POWERS, noise_fraction=0.01, seed=6)
+        with pytest.raises(FitError, match=r"^the fit ends on a parameter bound, .*: "
+                                           r"efficiency 1 = 1$"):
+            fit_gain(points, REPETITION_RATE)
+
+    @pytest.mark.parametrize("g_max, gap", [
+        (17.0, 1e-9), (17.0, 3e-10), (20.95, 1e-9), (23.5, 3e-10), (23.5, 0.0)])
+    def test_noiseless_efficiency_next_to_one_accepted(self, g_max, gap):
+        # powers over twelve decades with R one ulp above the top rate: the
+        # top rates saturate, the cost is flat along g_max, and u reaches its
+        # bound within a Newton step of the minimum, where phi'' jumps; a
+        # search that stopped on that step ended past the bound with the cost
+        # pushing eta above 1
+        powers = [768413.7970792209, 553353.2040493361, 505788.9397582072, 1e-06, 2.00001]
+        etas = {1: 1.0 - gap, 2: 1.0 - gap}
+        points = synthetic_calibration_points(g_max / math.sqrt(max(powers)), etas,
+                                              REPETITION_RATE, powers)
+        fit = fit_gain(points, math.nextafter(max(pt.rate for pt in points), math.inf))
+        assert fit.g_max == pytest.approx(g_max, rel=1e-8)
+        assert fit.etas == pytest.approx(etas, rel=1e-9)
+
+    @pytest.mark.parametrize("g_max, rel", [
+        (0.003, 1e-4), (0.01, 1e-6), (0.03, 1e-7), (0.3, 1e-11), (1.313, 1e-11), (5.0, 1e-11)])
+    def test_noiseless_recovery_at_any_gain(self, g_max, rel):
+        # the cost is flatter the lower the gain, as tanh(g)^2 and eta trade
+        # off, which bounds the precision there (the fit used to report no
+        # convergence below g_max = 0.05)
+        points = synthetic_calibration_points(g_max, TRUE_ETAS, REPETITION_RATE,
+                                              BENCHMARK_POWERS)
+        fit = fit_gain(points, REPETITION_RATE)
+        assert fit.g_max == pytest.approx(g_max, rel=rel)
+        assert fit.etas == pytest.approx(TRUE_ETAS, rel=rel)
 
     @settings(deadline=None, max_examples=100)
     @given(**EDGE_DOMAIN)
@@ -548,7 +590,7 @@ class TestJacobian:
         [1.3237, 0.0156, 0.0137],  # near the demo fit
         [0.05, 1e-9, 1e-9],  # the old start grid's smallest gain scale and clip
         [4.0, 0.9, 0.5],  # near saturation
-        [1e-9, 0.02, 0.01],  # every model rate below the 1e-12 floor
+        [1e-9, 0.02, 0.01],  # every model rate below 1e-12 counts/s
     ])
     def test_matches_central_differences(self, params):
         points = read_calibration_csv(DEMO_CSV)
@@ -577,7 +619,7 @@ def _start_arrays(points, repetition_rate=REPETITION_RATE):
     return sqrt_power / sqrt_power.max(), rate, detector_index, repetition_rate
 
 
-class TestProfiledStart:
+class TestProfiledFit:
     @pytest.mark.parametrize("g", [1.0, 1.313, 1.6])
     def test_phi_is_twice_the_cost_at_the_profiled_efficiencies(self, g):
         args = _start_arrays(read_calibration_csv(DEMO_CSV))
@@ -587,12 +629,23 @@ class TestProfiledStart:
         residuals, _ = calibration._residuals_and_jacobian(np.r_[g, etas], *args)
         assert profile(np.array([g]))[0] == pytest.approx(residuals @ residuals, rel=1e-12)
 
-    @pytest.mark.parametrize("g", [0.5, 1.313, 4.0])
-    def test_derivatives_match_central_differences(self, g):
-        # phi' and phi'' from phi and phi', and u' from u
-        profile = calibration._ProfiledCost(*_start_arrays(read_calibration_csv(DEMO_CSV)))
+    @pytest.mark.parametrize("repetition_rate, g, held", [
+        pytest.param(REPETITION_RATE, 0.5, [], id="0.5"),
+        pytest.param(REPETITION_RATE, 1.313, [], id="1.313"),
+        pytest.param(REPETITION_RATE, 4.0, [], id="4.0"),
+        # at R = 1e20 the demo data want efficiencies below 1e-12
+        pytest.param(1e20, 0.0091, [1], id="1e20-0.0091"),
+        pytest.param(1e20, 0.05, [0, 1], id="1e20-0.05"),
+    ])
+    def test_derivatives_match_central_differences(self, repetition_rate, g, held):
+        # phi' and phi'' from phi and phi', and u' from u; phi is taken with
+        # the detectors in held at the bound eta = 1e-12
+        profile = calibration._ProfiledCost(
+            *_start_arrays(read_calibration_csv(DEMO_CSV), repetition_rate))
         h = 1e-5 * g
-        d1, d2, _, du = profile.derivatives(g)
+        d1, d2, u, du = profile.derivatives(g)
+        assert list(np.flatnonzero(profile.held(u))) == held
+        assert np.all(u[held] > profile.bounds[1][held])
         down, up = profile(np.array([g - h, g + h]))
         assert d1 == pytest.approx((up - down) / (2 * h), rel=1e-7)
         (up, _, u_up, _), (down, _, u_down, _) = (profile.derivatives(g + h),
@@ -600,33 +653,30 @@ class TestProfiledStart:
         assert d2 == pytest.approx((up - down) / (2 * h), rel=1e-7)
         np.testing.assert_allclose(du, (u_up - u_down) / (2 * h), rtol=1e-7)
 
-    def test_levenberg_marquardt_takes_no_step(self, monkeypatch):
-        # the start is the minimum to within the stop test's 1e-12
-        steps = []
-        minimize = calibration._newton.minimize
-
-        def counted(*args, **kw):
-            result = minimize(*args, **kw)
-            steps.append(result.iterations)
-            return result
-
-        monkeypatch.setattr(calibration._newton, "minimize", counted)
-        for seed in range(50):
-            fit_gain(synthetic_calibration_points(
-                TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE, POWERS,
-                noise_fraction=0.01, seed=seed), REPETITION_RATE)
-        fit_gain(read_calibration_csv(DEMO_CSV), REPETITION_RATE)
-        assert steps == [0] * 51
+    def test_residuals_are_orthogonal_to_the_jacobian(self):
+        # the fit is a stationary point of the full cost: every column of J
+        # is within 1e-12 of orthogonal to the residuals (MINPACK's gtol test,
+        # |J_j'r| <= 1e-12 |J_j| |r|)
+        sets = [synthetic_calibration_points(TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE,
+                                             POWERS, noise_fraction=0.01, seed=seed)
+                for seed in range(50)]
+        for points in sets + [read_calibration_csv(DEMO_CSV)]:
+            fit = fit_gain(points, REPETITION_RATE)
+            residuals, jac = calibration._residuals_and_jacobian(
+                np.r_[fit.g_max, list(fit.etas.values())], *_start_arrays(points))
+            np.testing.assert_array_equal(residuals, fit.residuals)
+            assert np.all(np.abs(residuals @ jac) <= 1e-12 * np.linalg.norm(jac, axis=0)
+                          * np.linalg.norm(residuals))
 
     @settings(deadline=None, max_examples=300)
     @given(**EDGE_DOMAIN)
-    def test_start_is_finite_and_inside_the_bounds(self, gain_scale, etas, powers,
-                                                     dark_rows, noise, rate_headroom):
+    def test_search_ends_finite_and_inside_the_bounds(self, gain_scale, etas, powers,
+                                                      dark_rows, noise, rate_headroom):
         points, rate = _edge_draw(gain_scale, etas, powers, dark_rows, noise, rate_headroom)
-        start = calibration._profiled_start(*_start_arrays(points, rate))
-        assert np.all(np.isfinite(start))
-        assert start[0] >= 1e-12
-        assert np.all((1e-12 <= start[1:]) & (start[1:] <= 1.0))
+        end = calibration._profiled_fit(*_start_arrays(points, rate))
+        assert np.all(np.isfinite(end))
+        assert 1e-12 <= end[0] <= calibration._TOP_GAIN
+        assert np.all((1e-12 <= end[1:]) & (end[1:] <= 1.0))
 
 
 def _edge_draw(gain_scale, etas, powers, dark_rows, noise, rate_headroom):
@@ -645,9 +695,10 @@ def _edge_draw(gain_scale, etas, powers, dark_rows, noise, rate_headroom):
 
 
 def _grid_start(sqrt_power, rate, detector_index, repetition_rate):
-    """The fit's start before the profiled one: a coarse grid over the gain
-    scale, each efficiency solved from the highest-power point of its
-    detector, scored by the residuals of ``_residuals_and_jacobian``."""
+    """The start of the ``least_squares`` reference fit, which the package's
+    fit took before the profiled search: a coarse grid over the gain scale,
+    each efficiency solved from the highest-power point of its detector,
+    scored by the residuals of ``_residuals_and_jacobian``."""
     ids = np.arange(detector_index.max() + 1)[:, None]
     top = np.argmax(np.where(detector_index == ids, sqrt_power, -1.0), axis=1)
     a = np.geomspace(0.05, 20.0, 60) / sqrt_power.max()

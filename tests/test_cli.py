@@ -17,7 +17,6 @@ from spdc_werner.fock import DensityMatrix
 from spdc_werner.metrics import (
     WernerDescriptor,
     concurrence_tangle,
-    fidelity,
     linear_entropy,
     singlet_weight_extract,
     werner_state,
@@ -418,10 +417,12 @@ class TestErrorPath:
         # point with an all-zero covariance
         (["fit", "--input", DEMO_CSV, "--rate", "1e300"],
          "the data do not determine the parameters"),
-        # the data need efficiencies near 4e-17, below the 1e-12 bound: this
-        # used to exit 0 with both efficiencies on the bound and g_max 0.049
+        # the data need efficiencies near 4e-17, below the 1e-12 bound, and
+        # the minimum inside the bounds holds detector 2 on it: this used to
+        # exit 0 with both efficiencies on the bound and g_max 0.049
         (["fit", "--input", DEMO_CSV, "--rate", "1e20"],
-         "efficiency 1 = 1e-12, efficiency 2 = 1e-12"),
+         "the fit ends on a parameter bound, where the data ask for a value the model "
+         "cannot take: efficiency 2 = 1e-12"),
         # the model gives rate 0 at zero power, whatever the parameters: this
         # used to end the fit at its start with both efficiencies at 1
         (["fit", "--input", "dark.csv", "--rate", "250000"],

@@ -157,10 +157,11 @@ def test_no_hessian_at_the_iteration_limit():
 
 
 def test_unit_damping_scale_where_its_floor_underflows():
-    # the diagonal of J'J that the calibration fit meets at a repetition rate
-    # of 1e185: 1e-12 times its largest entry underflows to 0, so scaling the
-    # damping by the diagonal would leave every damped matrix singular, until
-    # the damping reached inf and inf * 0 warned
+    # the diagonal of J'J that the calibration fit met at a repetition rate
+    # of 1e185, when it ran this loop: 1e-12 times its largest entry
+    # underflows to 0, so scaling the damping by the diagonal would leave
+    # every damped matrix singular, until the damping reached inf and inf * 0
+    # warned
     curvature = np.diag([0.0, 2.2e-314, 1.7e-314])
     assert 1e-12 * curvature.max() == 0.0
     result = _newton.minimize(quadratic(np.zeros(3), curvature), np.ones(3),
