@@ -1,39 +1,37 @@
-"""Damped Newton minimization with a projection step, in numpy.
+"""Damped Newton minimization on the unit sphere, in numpy.
 
-Maximum-likelihood tomography runs this loop. The caller supplies the
-objective as ``evaluate(x) -> (f, g, hessian)``, its value, gradient and a
-zero-argument callable that returns a symmetric Hessian (the exact one, or
-J'J for least squares), and a ``project`` that maps a point back onto the
-feasible set. The loop calls ``hessian`` only when it is about to try a
-step, at most once per point: never where a stop test ends the search
-before a step, and never at a trial point it rejects.
-Each iteration solves
+Maximum-likelihood tomography runs this loop over the Cholesky parameters
+of its state, whose objective does not change when they are scaled. The
+caller supplies it as ``evaluate(x) -> (f, g, hessian)``: its value,
+gradient and a zero-argument callable that returns a symmetric Hessian,
+regular on the sphere. The loop calls ``hessian`` only when it is about to
+try a step, at most once per point: never where a stop test ends the search
+before a step, and never at a trial point it rejects. Each iteration solves
 
     (H + lam * diag(d)) s = -g,    d_j = |H_jj|, floored at 1e-12 * max_j |H_jj|
 
 (d_j = 1 for every j where that floor is 0, as it is when the diagonal
-underflows) and tries x' = project(x + s). The damped quadratic model
-predicts the decrease -g's / 2. Where that prediction exceeds the rounding
-of f, taken as 64 ulps of |f|, x' is accepted if f(x') < f(x); below it f
-cannot check the step, and x' is accepted if its gradient is smaller
-(largest component). The damping lam follows Nielsen's rule (Madsen, Nielsen &
-Tingleff, "Methods for non-linear least squares problems", 2004): an
-accepted step divides it by at most 3, by less when the decrease falls
-short of the prediction; a rejected step, or a damped matrix that is not
-positive definite, multiplies it by a factor that doubles with each
-rejection in a row. With H = J'J this is Levenberg-Marquardt with
-Marquardt's diagonal scaling (More, Lecture Notes in Mathematics 630
-(1978)); with the exact Hessian the steps become full Newton steps near a
-non-degenerate minimum, where convergence is quadratic.
+underflows) and tries x' = (x + s) / |x + s|, so every point it evaluates
+lies on the unit sphere. The damped quadratic model predicts the decrease
+-g's / 2. Where that prediction exceeds the rounding of f, taken as 64 ulps
+of |f|, x' is accepted if f(x') < f(x); below it f cannot check the step,
+and x' is accepted if its gradient is smaller (largest component). The
+damping lam follows Nielsen's rule (Madsen, Nielsen & Tingleff, "Methods
+for non-linear least squares problems", 2004): an accepted step divides it
+by at most 3, by less when the decrease falls short of the prediction; a
+rejected step, or a damped matrix that is not positive definite, multiplies
+it by a factor that doubles with each rejection in a row. With the exact
+Hessian the steps become full Newton steps near a non-degenerate minimum,
+where convergence is quadratic.
 
 Stop rules, in the order they are tested:
 
-* ``converged(x, f, g, hessian)``, the caller's stationarity test, at the
-  current point, with the same callable ``evaluate`` returned there. It
-  runs before the first step, so a start that passes takes 0 iterations.
+* The largest gradient component is at most ``gtol``, at the current
+  point. It is tested before the first step, so a start that passes takes
+  0 iterations.
 * ``max_iter`` accepted steps: not converged.
-* An accepted step lowered f by more than 0 and at most ``ftol * |f|``
-  (off by default): converged.
+* An accepted step lowered f by more than 0 and at most ``ftol * |f|``:
+  converged.
 * A step whose predicted decrease is below the rounding of f does not make
   the gradient smaller: neither f nor the gradient can improve on x, which
   is returned as converged. Rejections shrink the step and its prediction,
@@ -69,18 +67,18 @@ Hessian = Callable[[], np.ndarray]
 def minimize(
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, Hessian]],
     x: np.ndarray,
-    project: Callable[[np.ndarray], np.ndarray],
-    converged: Callable[[np.ndarray, float, np.ndarray, Hessian], bool],
+    gtol: float,
+    ftol: float,
     max_iter: int,
-    ftol: float = 0.0,
 ) -> Minimum:
-    """Minimize from the feasible point ``x``; see the module docstring."""
+    """Minimize from ``x / |x|`` over the unit sphere; see the module docstring."""
+    x = x / np.linalg.norm(x)
     f, g, hessian = evaluate(x)
     h = None  # the Hessian at x, once a step from x needs it
     lam, grow = _INITIAL_DAMPING, 2.0
     iterations = 0
     while True:
-        if converged(x, f, g, hessian):
+        if np.max(np.abs(g)) <= gtol:
             return Minimum(x, f, iterations, True, "gradient within tolerance")
         if iterations == max_iter:
             return Minimum(x, f, iterations, False,
@@ -101,7 +99,8 @@ def minimize(
         step = np.linalg.solve(damped, -g)
         # the decrease of the damped quadratic model at its minimizer, the step
         predicted = -0.5 * (g @ step)
-        x_new = project(x + step)
+        trial = x + step
+        x_new = trial / np.linalg.norm(trial)
         f_new, g_new, hessian_new = evaluate(x_new)
         # A predicted change below the rounding of f cannot be checked on f,
         # so the gradient decides: the step must make it smaller.

@@ -302,7 +302,10 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     Requires at least 5 distinct powers, a nonzero rate per detector
     present in the data and every rate below the repetition rate, where the
     model saturates. A point at zero power must have rate 0, which the model
-    gives there whatever the parameters; its residual is 0. Residuals are
+    gives there whatever the parameters; its residual is 0. No rate may
+    exceed the most the model gives at its power, R * tanh(40 s)^2 with
+    s = sqrt(P / P_max), at efficiency 1 and g_max on its upper bound: no
+    parameter could bring its relative residual near 0. Residuals are
     relative (rate noise is multiplicative).
 
     The parameters are g_max = a * sqrt(P_max) and the efficiencies, inside
@@ -374,7 +377,20 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
             raise FitError(f"detector {det} has rate 0 at every power")
 
     sqrt_top = float(np.sqrt(power.max()))
-    args = (np.sqrt(power) / sqrt_top, rate, detector_index, repetition_rate)
+    s = np.sqrt(power) / sqrt_top
+    # the most the model gives at each power: efficiency 1 and g_max on its
+    # bound. Inside the bounds a rate above it keeps a relative residual of at
+    # least (rate - ceiling) / ceiling in size, whose square can overflow.
+    ceiling = repetition_rate * np.tanh(_TOP_GAIN * s) ** 2
+    above = np.flatnonzero(rate > ceiling)
+    if above.size:
+        pt = points[above[0]]
+        raise FitError(
+            f"point {above[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
+            f"has rate {pt.rate} above the most the model gives at that power, "
+            f"{ceiling[above[0]]:g} (efficiency 1, g_max = {_TOP_GAIN:g})"
+        )
+    args = (s, rate, detector_index, repetition_rate)
     x = _profiled_fit(*args)
     residuals, jac = _residuals_and_jacobian(x, *args)
     # Column j of jac * x is the change of the residuals per relative change

@@ -283,8 +283,7 @@ def linear_reconstruction(
 
 def _triangular_from_params(t: np.ndarray) -> np.ndarray:
     factor = np.zeros((4, 4), dtype=complex)
-    factor[np.diag_indices(4)] = t[:4]
-    factor[_LOWER_INDICES] = t[4::2] + 1j * t[5::2]
+    np.add.at(factor, (_PARAM_ROWS, _PARAM_COLS), _PARAM_COEFS * t)
     return factor
 
 
@@ -360,28 +359,23 @@ def ml_reconstruction(
     zero would grow only at second order in T, so the likelihood gradient
     could not lift it. In that frame the small eigenvalues sit in the first
     rows of T, which can vanish without the others moving, so an optimum
-    of lower rank lies near the start. The search is the damped Newton loop
-    of ``_newton`` on the exact gradient and Hessian, with t kept on the
-    unit sphere; the Hessian is built only at the points the loop steps
-    from. ``stop_reason`` is the rule that ended the search, ``_newton``'s
-    message.
+    of lower rank lies near the start. The search is ``_newton``'s damped
+    Newton loop on the unit sphere, on the exact gradient and Hessian; the
+    Hessian is built only at the points the loop steps from. ``_newton``
+    states its stop rules; ``stop_reason`` is the message of the one that
+    ended the search. The values passed to them:
 
-    Stop rules:
-
-    * The largest gradient component is at most 1e-9 * N. The objective and
-      its gradient scale with the flux N; at an exact fit rounding leaves
-      below 1e-14 * N, and a gradient of 1e-9 * N leaves about 1e-18 * N of
-      likelihood to gain (the Hessian is of order N). Where the design is
-      square, as with the 16 standard settings, and the linear estimate is
-      positive definite with the flux estimated, that estimate fits every
-      count, and the loop stops before its first step without building a
-      Hessian.
-    * A step raises the log-likelihood by at most 1e-12 of its size, the
-      rule L-BFGS-B stopped on here before. At an optimum of lower rank
-      the factor T is not unique, the objective is flat along those
-      directions and Newton steps there gain little.
-    * Neither the objective nor its gradient can improve beyond rounding.
-    * After 2000 steps it raises ``ConvergenceError``.
+    * Gradient tolerance 1e-9 * N. The objective and its gradient scale with
+      the flux N; at an exact fit rounding leaves below 1e-14 * N, and a
+      gradient of 1e-9 * N leaves about 1e-18 * N of likelihood to gain
+      (the Hessian is of order N). Where the design is square, as with the
+      16 standard settings, and the linear estimate is positive definite
+      with the flux estimated, that estimate fits every count, and the loop
+      stops before its first step without building a Hessian.
+    * Relative decrease 1e-12, the rule L-BFGS-B stopped on here before. At
+      an optimum of lower rank the factor T is not unique, the objective is
+      flat along those directions and Newton steps there gain little.
+    * 2000 steps, after which it raises ``ConvergenceError``.
 
     The projector stack and the pseudo-inverse behind the linear estimate
     come from the per-process design cache, as in ``linear_reconstruction``,
@@ -392,14 +386,12 @@ def ml_reconstruction(
     eigenvalues, frame = np.linalg.eigh(_linear_estimate(design, counts, n_total))
     start = np.zeros(16)
     start[:4] = np.sqrt(np.maximum(eigenvalues, 1e-4))
-    gtol = 1e-9 * n_total
     result = _newton.minimize(
         _negative_log_likelihood(frame.conj().T @ design.projectors @ frame, counts, n_total),
-        start / np.linalg.norm(start),
-        project=lambda t: t / np.linalg.norm(t),
-        converged=lambda t, value, grad, hessian: np.max(np.abs(grad)) <= gtol,
-        max_iter=2000,
+        start,
+        gtol=1e-9 * n_total,
         ftol=1e-12,
+        max_iter=2000,
     )
     if not result.converged:
         raise ConvergenceError(

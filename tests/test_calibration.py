@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,10 @@ class TestFitGain:
                 "gives 0 at zero power")):
             fit_gain(points, REPETITION_RATE)
 
+    def test_no_points_rejected(self):
+        with pytest.raises(FitError, match="^no calibration points$"):
+            fit_gain([], 1e5)
+
     def test_zero_rate_at_zero_power_accepted(self):
         # a residual of 0 and a zero row of the Jacobian: only the covariance's
         # degrees of freedom change
@@ -456,6 +461,22 @@ class TestFitGain:
         assert dark.g_max == pytest.approx(fit.g_max, rel=1e-12)
         assert dark.etas == pytest.approx(fit.etas, rel=1e-12)
         assert list(dark.residuals[-2:]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("power, ceiling", [
+        (1e-12, "0.0004"), (1e-160, "4e-152"), (1e-200, "4e-192"),
+        (1e-250, "4e-242"), (1e-300, "4e-292")])
+    def test_rate_above_the_model_at_its_power_rejected(self, power, ceiling):
+        # the demo's top power is 1, so at power P the model gives at most
+        # R tanh(40 sqrt(P))^2, about 1600 R P, far below a rate of 1. From
+        # 1e-200 down the point's relative residual passed 1e154, and its
+        # square overflowed in the search before the fit raised
+        points = read_calibration_csv(DEMO_CSV) + [CalibrationPoint(power, 1.0, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match=re.escape(
+                    f"point 25 (power {power}, detector 1) has rate 1.0 above the most the "
+                    f"model gives at that power, {ceiling} (efficiency 1, g_max = 40)")):
+                fit_gain(points, REPETITION_RATE)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
     def test_result_does_not_depend_on_the_unit_of_power(self, scale):

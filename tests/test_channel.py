@@ -270,6 +270,10 @@ class TestClosedBlock:
             two_photon_block_closed(0, 0.3).entries, np.zeros((4, 4))
         )
 
+    def test_negative_pair_number_rejected(self):
+        with pytest.raises(ValueError, match="pair number must be non-negative, got -1"):
+            two_photon_block_closed(-1, 0.5)
+
     def test_single_pair_is_pure_singlet(self):
         block = two_photon_block_closed(1, 0.37)
         assert block.entries[0, 0] == 0.0 and block.entries[3, 3] == 0.0
@@ -474,6 +478,14 @@ class TestPairNumberSeries:
         assert error.diagnostics["n_terms"] == 5_000_000
         assert error.diagnostics["relative_tail_bound"] > 1e-12
         assert "series check" in str(error)
+
+    def test_point_summed_up_to_the_hard_cap(self):
+        # at 1 - x = 1e-5 the tail bound is above 1e-12 after 3,276,800 terms,
+        # the last doubling below the cap, and below it at the cap: the loop
+        # sums this point up to exactly 5,000,000 terms and stops there
+        params = GainChannelParams(g=math.atanh(math.sqrt(1.0 - 1e-5)), eta=1e-300)
+        assert pair_number_series([params]).n_terms[0] == 5_000_000
+        assert_series_is_werner(params, atol=1e-12)
 
     def test_grid_matches_pointwise_calls(self):
         points = [GainChannelParams(g=g, eta=eta) for g, eta in

@@ -58,6 +58,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(PhysicalityError, match="negative eigenvalue"):
             DensityMatrix(m)
 
+    def test_imaginary_trace_rejected(self):
+        # Hermitian within the 1e-12 tolerance (8e-13 on each diagonal entry),
+        # but the four imaginary parts add up to 1.6e-12 in the trace
+        m = np.eye(4) / 4 + 4e-13j * np.eye(4)
+        with pytest.raises(PhysicalityError, match="trace has imaginary part 1.600e-12"):
+            DensityMatrix(m)
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 5), (4, 2), (16,), (1, 4, 4)])
     def test_entries_must_be_4x4(self, shape):
         with pytest.raises(ValueError, match="4x4"):

@@ -110,6 +110,13 @@ class TestBornProbability:
         for setting in standard_tomography_settings():
             assert 0.0 <= born_probability(dm, setting) <= 1.0
 
+    def test_probability_above_one_rejected(self):
+        # DensityMatrix does not fix the trace, so diag(2, 0, 0, 0) is accepted
+        # there; its HH probability is 2
+        with pytest.raises(ValueError, match=r"Born probability 2\.0 outside \[0, 1\]"):
+            born_probability(DensityMatrix(np.diag([2.0, 0.0, 0.0, 0.0])),
+                             ProjectorSetting("H", "H"))
+
 
 class TestSimulateCounts:
     def test_deterministic_for_fixed_seed(self):
@@ -350,6 +357,27 @@ def test_flux_must_be_positive_and_finite(estimator, flux):
     )
     with pytest.raises(ValueError, match="total_per_setting must be positive"):
         estimator(records, total_per_setting=flux)
+
+
+@pytest.mark.parametrize("estimator", [linear_reconstruction, ml_reconstruction])
+def test_flux_estimate_needs_every_complete_basis_setting(estimator):
+    # HF in place of HV keeps the 16 settings full rank: only the flux
+    # estimate misses HV, and with the flux given the same counts reconstruct
+    settings = [ProjectorSetting("H", "F") if s.label == "HV" else s
+                for s in standard_tomography_settings()]
+    assert _design(tuple(settings)).rank == 16
+    records = simulate_counts(werner_state(0.6), settings, 1000, seed=3)
+    with pytest.raises(ValueError, match=r"complete-basis settings \['HV'\] absent"):
+        estimator(records)
+    estimator(records, total_per_setting=1000)
+
+
+@pytest.mark.parametrize("estimator", [linear_reconstruction, ml_reconstruction])
+def test_flux_estimate_needs_complete_basis_counts(estimator):
+    records = [CountRecord(s, 0 if s.label in TWO_PHOTON_BASIS else 5)
+               for s in standard_tomography_settings()]
+    with pytest.raises(ValueError, match="complete-basis counts sum to zero; flux unknown"):
+        estimator(records)
 
 
 def with_repeated_hh(first: bool) -> list[CountRecord]:
