@@ -32,6 +32,21 @@ EIGENVALUE_TOL = 1e-10
 TWO_PHOTON_BASIS = ("HH", "HV", "VH", "VV")
 
 
+def has_negative_eigenvalue(vals: np.ndarray) -> bool:
+    """Whether the ascending eigenvalues ``vals`` of a Hermitian matrix
+    include one that is negative beyond rounding.
+
+    The bound is -1e-10 times the larger of 1 and the largest |eigenvalue|,
+    since eigensolver rounding is relative to the matrix's norm; at norm 1
+    or below, which includes every state the package builds, it is -1e-10.
+    """
+    smallest = float(vals[0])
+    # the scaled bound is never above -1e-10, so most spectra stop at the
+    # first test; past it, max(-smallest, largest) is the largest |eigenvalue|
+    return smallest < -EIGENVALUE_TOL and smallest < -EIGENVALUE_TOL * max(
+        1.0, -smallest, float(vals[-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian positive-semidefinite 4x4 matrix on ``TWO_PHOTON_BASIS``.
@@ -42,8 +57,9 @@ class DensityMatrix:
     selection probability).
 
     Construction validates the 4x4 shape, that every entry is finite,
-    Hermiticity (tolerance 1e-12) and that the smallest eigenvalue is
-    >= -1e-10.
+    Hermiticity (tolerance 1e-12) and that no eigenvalue is negative
+    beyond rounding (:func:`has_negative_eigenvalue`: -1e-10, times the
+    largest |eigenvalue| where that exceeds 1).
     """
 
     basis: ClassVar[tuple[str, ...]] = TWO_PHOTON_BASIS
@@ -61,9 +77,9 @@ class DensityMatrix:
             raise PhysicalityError(f"matrix not Hermitian: max deviation {herm_dev:.3e}")
         if abs(m.trace().imag) > HERMITICITY_TOL:
             raise PhysicalityError(f"trace has imaginary part {m.trace().imag:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -EIGENVALUE_TOL:
-            raise PhysicalityError(f"negative eigenvalue {min_eig:.3e}")
+        vals = np.linalg.eigvalsh(m)
+        if has_negative_eigenvalue(vals):
+            raise PhysicalityError(f"negative eigenvalue {vals[0]:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -3,7 +3,9 @@
 All spectral work (Wootters concurrence, state fidelity, partial-transpose
 test) goes through one primitive: eigendecomposition of Hermitian 4x4
 matrices on (HH, HV, VH, VV), with matrix square roots formed spectrally
-after zeroing eigenvalues within the -1e-10 physicality tolerance.
+after zeroing negative eigenvalues within the physicality tolerance,
+``fock.has_negative_eigenvalue``: -1e-10, relative to the matrix's norm
+above norm 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import PhysicalityError
-from .fock import EIGENVALUE_TOL, DensityMatrix
+from .fock import DensityMatrix, has_negative_eigenvalue
 from .source import WernerDescriptor
 
 # Single-photon polarization kets. D/F are the +/- diagonal states, L/R the
@@ -70,11 +72,11 @@ def werner_state(p: float) -> DensityMatrix:
 def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition with small negative eigenvalues zeroed.
 
-    Violations beyond the physicality tolerance raise instead of being
-    clipped away.
+    Violations beyond the physicality tolerance (``has_negative_eigenvalue``)
+    raise instead of being clipped away.
     """
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -EIGENVALUE_TOL:
+    if has_negative_eigenvalue(vals):
         raise PhysicalityError(f"negative eigenvalue {vals[0]:.3e}")
     return np.clip(vals, 0.0, None), vecs
 
@@ -185,12 +187,13 @@ def is_entangled_ppt(rho: DensityMatrix) -> bool:
     """Partial-transpose test; exact for two qubits.
 
     True when the partial transpose over the second qubit has an eigenvalue
-    below -1e-10.
+    negative beyond rounding (``has_negative_eigenvalue``): below -1e-10, or
+    -1e-10 times its norm where that exceeds 1.
     """
     m = rho.entries.reshape(2, 2, 2, 2)
     pt = m.transpose(0, 3, 2, 1).reshape(4, 4)
     vals = np.linalg.eigvalsh(pt)
-    return bool(vals[0] < -EIGENVALUE_TOL)
+    return has_negative_eigenvalue(vals)
 
 
 def metrics_report(rho: DensityMatrix, reference: DensityMatrix | None = None) -> dict:

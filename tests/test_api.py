@@ -8,6 +8,8 @@ none), so a trim that would break the benchmark fails here first.
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 import spdc_werner as sw
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = str(Path(sw.__file__).resolve().parents[1])
 
 EXPORTS = {
     "CalibrationFit", "CalibrationPoint", "ConvergenceError", "CountRecord",
@@ -37,6 +40,59 @@ def test_exports_are_the_analysis_chain():
     assert set(sw.__all__) == EXPORTS
     for name in sw.__all__:
         assert getattr(sw, name) is not None
+
+
+def fresh_python(code: str) -> list[str]:
+    """stdout lines of ``code`` run in a new interpreter that imports this
+    package from the same source tree."""
+    code = f"import sys\nsys.path.insert(0, {SRC!r})\n" + code
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+LOADED = ("print(sorted(m for m in sys.modules if m == 'numpy' "
+          "or m.startswith(('numpy.', 'spdc_werner.'))))")
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    assert fresh_python(f"import spdc_werner\n{LOADED}") == ["[]"]
+
+
+def test_dir_lists_the_exports_before_they_load():
+    lines = fresh_python("\n".join([
+        "import spdc_werner",
+        "print(sorted(set(dir(spdc_werner)) & set(spdc_werner.__all__)) "
+        "== sorted(spdc_werner.__all__))",
+        LOADED,
+    ]))
+    assert lines == ["True", "[]"]
+
+
+def test_first_use_binds_the_name_in_the_package():
+    # later lookups are plain attribute reads of the defining module's object
+    lines = fresh_python("\n".join([
+        "import spdc_werner",
+        "print('fidelity' in vars(spdc_werner))",
+        "f = spdc_werner.fidelity",
+        "print(vars(spdc_werner)['fidelity'] is f is spdc_werner.metrics.fidelity)",
+    ]))
+    assert lines == ["False", "True"]
+
+
+def test_star_import_binds_every_export():
+    lines = fresh_python("\n".join([
+        "namespace = {}",
+        "exec('from spdc_werner import *', namespace)",
+        "print(sorted(k for k in namespace if k != '__builtins__'))",
+    ]))
+    assert lines == [str(sorted(EXPORTS))]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'spdc_werner' has no attribute 'nope'$"):
+        sw.nope
+    assert not hasattr(sw, "nope")
 
 
 @pytest.mark.parametrize("path", ["worker.py", "tests/test_bench.py"])

@@ -604,3 +604,29 @@ class TestLazyScipyImport:
         assert self.python(code, tmp_path)[-1] == "[]"
         # and they run where scipy cannot be imported at all
         self.python("import sys; sys.modules['scipy'] = None\n" + code, tmp_path)
+
+
+class TestLazyCalibrationImport:
+    """Only ``fit`` loads ``spdc_werner.calibration``."""
+
+    def test_only_fit_loads_calibration(self, tmp_path):
+        code = "\n".join([
+            "import sys",
+            "import spdc_werner.cli",
+            "for argv in [",
+            "    ['sweep', '--g', '0.1,1', '--eta', '0.01', '--out', 'sweep.csv'],",
+            "    ['matrix', '--g', '1.313', '--eta', '0.016', '--out', 'matrix.json'],",
+            "    ['oracle-check', '--n', '1,2'],",
+            "    ['tomo', 'simulate', '--g', '1.313', '--eta', '0.016',",
+            "     '--counts-per-setting', '1000', '--seed', '1', '--out', 'counts.csv'],",
+            "    ['tomo', 'reconstruct', '--input', 'counts.csv', '--out', 'report.json'],",
+            f"    ['fit', '--input', {DEMO_CSV!r}, '--rate', '250000', '--out', 'fit.json'],",
+            "]:",
+            "    assert spdc_werner.cli.main(argv) == 0, argv",
+            "    print('calibration loaded after', argv[0], 'spdc_werner.calibration' in sys.modules)",
+        ])
+        lines = TestLazyScipyImport.python(code, tmp_path)
+        assert [line.rsplit(" ", 2)[1:] for line in lines
+                if line.startswith("calibration loaded after")] == [
+            ["sweep", "False"], ["matrix", "False"], ["oracle-check", "False"],
+            ["tomo", "False"], ["tomo", "False"], ["fit", "True"]]

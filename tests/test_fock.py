@@ -8,7 +8,13 @@ from hypothesis import given, strategies as st
 
 from spdc_werner.channel import apply_beamsplitters
 from spdc_werner.errors import PhysicalityError
-from spdc_werner.fock import TWO_PHOTON_BASIS, DensityMatrix, outer_product, partial_trace
+from spdc_werner.fock import (
+    TWO_PHOTON_BASIS,
+    DensityMatrix,
+    has_negative_eigenvalue,
+    outer_product,
+    partial_trace,
+)
 from spdc_werner.source import n_pair_singlet
 
 
@@ -57,6 +63,32 @@ class TestDensityMatrixValidation:
         m[0, 1] = m[1, 0] = 1.0
         with pytest.raises(PhysicalityError, match="negative eigenvalue"):
             DensityMatrix(m)
+
+    def test_negative_eigenvalue_bound_scales_above_norm_one(self):
+        # -1e-10 absolute at norm 1 and below, -1e-10 times the norm above
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u, _ = np.linalg.qr(g)
+        for top, floor in [(0.01, -1e-10), (1.0, -1e-10), (1e8, -1e-2)]:
+            for smallest, ok in [(1.5 * floor, False), (0.5 * floor, True)]:
+                m = u @ np.diag([smallest, 0.0, 0.5 * top, top]) @ u.conj().T
+                m = 0.5 * (m + m.conj().T)
+                if ok:
+                    DensityMatrix(m)
+                else:
+                    with pytest.raises(PhysicalityError, match="negative eigenvalue"):
+                        DensityMatrix(m)
+
+    @pytest.mark.parametrize("vals, negative", [
+        ([-1.5e-10, 0.0, 0.5, 1.0], True),
+        ([-0.5e-10, 0.0, 0.5, 1.0], False),
+        ([-1.5e-2, 0.0, 1.0, 1e8], True),
+        ([-0.5e-2, 0.0, 1.0, 1e8], False),
+        ([-1e8, -1.0, 0.0, 0.5], True),  # the largest |eigenvalue| is the smallest's
+        ([-2.0, -1.0, -0.5, -1e-11], True),
+    ])
+    def test_has_negative_eigenvalue(self, vals, negative):
+        assert has_negative_eigenvalue(np.array(vals)) is negative
 
     def test_imaginary_trace_rejected(self):
         # Hermitian within the 1e-12 tolerance (8e-13 on each diagonal entry),

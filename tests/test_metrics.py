@@ -329,3 +329,62 @@ class TestMetricsReport:
         assert report["witness"] == pytest.approx(-0.2, abs=1e-12)
         assert report["ppt_entangled"] is True
         assert report["fidelity_vs_theory"] == pytest.approx(1.0, abs=1e-9)
+
+
+def random_rank2(rng, trace):
+    """Rank-2 matrix from a 4x2 complex Gaussian factor, scaled to ``trace``."""
+    f = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    m = f @ f.conj().T
+    m = 0.5 * (m + m.conj().T)
+    return m * (trace / m.trace().real)
+
+
+def random_separable_rank2(rng, trace):
+    """Sum of two random product pure states, scaled to ``trace``."""
+    m = np.zeros((4, 4), dtype=complex)
+    for _ in range(2):
+        a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+        v = np.kron(a, b)
+        m += np.outer(v, v.conj())
+    m = 0.5 * (m + m.conj().T)
+    return m * (trace / m.trace().real)
+
+
+TRACES = [10.0**k for k in range(9)]
+
+
+class TestToleranceScalesWithTheNorm:
+    """The -1e-10 eigenvalue tolerance is relative to the matrix's norm above
+    norm 1: rounding of valid states of large trace neither raises nor reads
+    as entanglement. With an absolute tolerance, traces from 1e3 (metrics)
+    and 1e6 (construction, PPT) failed."""
+
+    @pytest.mark.parametrize("trace", TRACES)
+    def test_valid_states_of_any_trace_pass(self, trace):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            s = DensityMatrix(random_rank2(rng, trace))
+            concurrence_tangle(s)
+            fidelity(s, s)
+
+    @pytest.mark.parametrize("trace", TRACES)
+    def test_separable_states_of_any_trace_are_not_flagged(self, trace):
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            assert not is_entangled_ppt(DensityMatrix(random_separable_rank2(rng, trace)))
+
+    @pytest.mark.parametrize("trace", [1.0, 1e8])
+    def test_werner_weight_just_above_a_third_is_flagged_at_any_trace(self, trace):
+        # at trace 1e8 the partial transpose's smallest eigenvalue, -0.075,
+        # is far below the scaled floor, -3.3e-3
+        assert is_entangled_ppt(DensityMatrix(trace * werner_state(1 / 3 + 1e-9).entries))
+        assert not is_entangled_ppt(DensityMatrix(trace * werner_state(1 / 3 - 1e-9).entries))
+
+    def test_below_the_scaled_floor_raises_in_the_square_root(self):
+        # floor at largest eigenvalue 1e8: -1e-10 * 1e8 = -1e-2
+        u = random_unitary(4, np.random.default_rng(3))
+        below = u @ np.diag([-1.5e-2, 0.5, 1.0, 1e8]) @ u.conj().T
+        with pytest.raises(PhysicalityError, match="negative eigenvalue -1.500e-02"):
+            metrics._clipped_eigh(below)
+        within = u @ np.diag([-0.5e-2, 0.5, 1.0, 1e8]) @ u.conj().T
+        assert metrics._clipped_eigh(within)[0][0] == 0.0

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -192,21 +193,20 @@ class TestTransmittedPhotonsPastOverflow:
 
 
 def test_module_loads_alone_without_numpy():
-    # source.py, executed on its own in a fresh interpreter, holds the closed
-    # form of a point with the standard library only
+    # the closed form through the package, in a fresh interpreter, loads
+    # source alone, with the standard library only
+    src = str(Path(spdc_werner.source.__file__).resolve().parents[1])
     code = "\n".join([
-        "import importlib.util, sys",
-        f"spec = importlib.util.spec_from_file_location('source', {spdc_werner.source.__file__!r})",
-        "module = importlib.util.module_from_spec(spec)",
-        "sys.modules['source'] = module  # dataclasses looks the module up",
-        "spec.loader.exec_module(module)",
-        "for name in ('singlet_weight', 'WernerDescriptor', 'transmitted_photons_per_mode'):",
-        "    assert hasattr(module, name), name",
-        "assert 'numpy' not in sys.modules",
-        "print(module.singlet_weight(module.GainChannelParams(g=1.313, eta=0.016)).hex())",
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import spdc_werner",
+        "p = spdc_werner.singlet_weight(spdc_werner.GainChannelParams(g=1.313, eta=0.016))",
+        "print(sorted(m for m in sys.modules if m.startswith('spdc_werner.')))",
+        "print('numpy' in sys.modules)",
+        "print(p.hex())",
     ])
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     expected = singlet_weight(GainChannelParams(g=1.313, eta=0.016)).hex()
-    assert proc.stdout == expected + "\n"
+    assert proc.stdout.splitlines() == ["['spdc_werner.source']", "False", expected]
