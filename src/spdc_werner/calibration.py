@@ -45,11 +45,10 @@ def count_rate_model(g, eta, repetition_rate: float) -> float | np.ndarray:
     increasing in both g and eta; reduces to R * eta * tanh(g)^2 for small
     gain and to R * tanh(g)^2 at eta = 1. eta must be a normal double: at a
     subnormal eta, exp(-2g) underflows to 0 while eta*sinh(g)^2 is still of
-    order 1, and the rate would saturate at R too early.
-
-    The domain checks run here, on every call; the arithmetic is
-    ``_rate_kernel``, which ``fit_gain`` calls directly on parameters that
-    its bounds already keep in this domain.
+    order 1, and the rate would saturate at R too early. sech(g)^2 comes
+    from exp(-2g), so that it neither overflows nor cancels at any gain, and
+    1 - (1 - eta) tanh(g)^2 is written as eta tanh(g)^2 + sech(g)^2: no
+    cancellation where tanh(g)^2 and 1 - eta round to 1.
     """
     g, eta = np.asarray(g), np.asarray(eta)
     bad_g = g[~(g >= 0)]
@@ -63,23 +62,10 @@ def count_rate_model(g, eta, repetition_rate: float) -> float | np.ndarray:
         )
     if not 0 < repetition_rate < math.inf:
         raise ValueError(f"repetition rate must be in (0, inf), got {repetition_rate}")
-    rate, _, _ = _rate_kernel(g, eta, repetition_rate)
-    return float(rate) if rate.ndim == 0 else rate
-
-
-def _rate_kernel(g, eta, repetition_rate):
-    """``count_rate_model``'s rate without its checks, together with the
-    tanh(g) and sech(g)^2 it used.
-
-    sech(g)^2 comes from exp(-2g), so that it neither overflows nor cancels
-    at any gain, and 1 - (1 - eta) * tanh(g)^2 is written as
-    eta * tanh(g)^2 + sech(g)^2: no cancellation where tanh(g)^2 and 1 - eta
-    round to 1.
-    """
     e = np.exp(-2.0 * g)
-    tanh, sech2 = np.tanh(g), 4.0 * e / (1.0 + e) ** 2
-    g2 = tanh**2
-    return repetition_rate * eta * g2 / (eta * g2 + sech2), tanh, sech2
+    g2 = np.tanh(g) ** 2
+    rate = repetition_rate * eta * g2 / (eta * g2 + 4.0 * e / (1.0 + e) ** 2)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 @dataclass(frozen=True)
@@ -143,15 +129,16 @@ class _ProfiledCost:
     kappa proportional to rate / s^2 and largest value 1: neither c nor c^2
     over- or underflows, whatever R and the range of powers. Points at zero
     power are left out; their residual does not depend on the parameters.
+    Every other point must have a rate above 0, as ``fit_gain`` checks. The
+    same r, c and u give the fit's residuals and Jacobian at its end.
     """
 
     def __init__(self, s, rate, detector_index, repetition_rate):
-        keep = s > 0
-        self.s, rate, index = s[keep], rate[keep], detector_index[keep]
+        self.n_points, self.rows = len(s), np.flatnonzero(s > 0)
+        self.s, rate, index = s[self.rows], rate[self.rows], detector_index[self.rows]
         self.b = 1.0 - rate / repetition_rate
         self.onehot = (index[:, None] == np.arange(detector_index.max() + 1)).astype(float)
-        with np.errstate(divide="ignore"):
-            log_kappa = np.log(rate) - 2.0 * np.log(self.s)
+        log_kappa = np.log(rate) - 2.0 * np.log(self.s)
         top = np.array([log_kappa[index == d].max() for d in range(self.onehot.shape[1])])
         self.kappa = np.exp(log_kappa - top[index])
         # c in the units of r is kappa (s / sinh(g_max s))^2 times this, so
@@ -208,6 +195,20 @@ class _ProfiledCost:
             du.append(dud)
         return (4.0 / g) * d1, (4.0 / g**2) * d2, np.array(u), (-2.0 / g) * np.array(du)
 
+    def residuals_and_jacobian(self, g: float, etas: np.ndarray):
+        """The relative residuals r = b - c u at g_max = g and these
+        efficiencies, aligned with the input points and 0 at zero power, and
+        their Jacobian times the parameters, J diag(g_max, eta): column 0 is
+        g dr/dg = 2 u c x coth(x), from c' above, and column 1 + d is
+        eta_d dr/deta_d = u c on detector d's points."""
+        x, c = self._c(g)
+        uc = ((self.unit / etas) @ self.onehot.T) * c
+        residuals, jac = np.zeros(self.n_points), np.zeros((self.n_points, 1 + len(etas)))
+        residuals[self.rows] = self.b - uc
+        jac[self.rows, 0] = 2.0 * uc * (x / np.tanh(x))
+        jac[self.rows, 1:] = self.onehot * uc[:, None]
+        return residuals, jac
+
     def held(self, u: np.ndarray) -> np.ndarray:
         """Which detectors' optimum u lies past the bounds."""
         return (u < self.bounds[0]) | (u > self.bounds[1])
@@ -220,8 +221,8 @@ class _ProfiledCost:
                        1e-12, 1.0)
 
 
-def _profiled_fit(s, rate, detector_index, repetition_rate):
-    """(g_max, eta per detector) at the minimum of ``_ProfiledCost``.
+def _profiled_fit(profile: _ProfiledCost) -> np.ndarray:
+    """(g_max, eta per detector) at the minimum of the profiled cost.
 
     phi is scored on the 60 values of ``_start_gains``. Where the best of
     them is the first or the last, the minimum may lie past the grid, which
@@ -235,7 +236,6 @@ def _profiled_fit(s, rate, detector_index, repetition_rate):
     moves each u by u' times that step, with an error of the same order. A
     best value on a bound stays there where phi rises away from it.
     """
-    profile = _ProfiledCost(s, rate, detector_index, repetition_rate)
     grid = _start_gains()
     phi = profile(grid)
     k = int(np.argmin(phi))
@@ -272,60 +272,35 @@ def _profiled_fit(s, rate, detector_index, repetition_rate):
     return np.concatenate([[g], profile.etas(u)])
 
 
-def _residuals_and_jacobian(params, s, rate, detector_index, repetition_rate):
-    """Relative residuals (N - rate) / N for params (gain factor, eta per
-    detector), 0 where the model N is 0 as at zero power, and their analytic
-    Jacobian, from one kernel call. Point i has the gain params[0] * s[i]:
-    ``fit_gain`` passes g_max and s = sqrt(P / P_max), and a gain scale a
-    with s = sqrt(P) gives the same residuals."""
-    g, eta = params[0] * s, params[1:][detector_index]
-    model, tanh, sech2 = _rate_kernel(g, eta, repetition_rate)
-    positive = model > 0
-    residuals = np.divide(model - rate, model, out=np.zeros_like(g), where=positive)
-    # dr/dN * dN/dtheta with dN/dg = R eta 2 tanh(g) sech(g)^2 / D^2 and
-    # dN/deta = R tanh(g)^2 sech(g)^2 / D^2, D = eta tanh(g)^2 + sech(g)^2.
-    # dr/dN = (rate / N) / N, evaluated as (rate / N) times dlog N / dtheta,
-    # which neither overflows nor divides by zero.
-    denominator = eta * tanh**2 + sech2
-    scale = np.divide(rate, model, out=np.zeros_like(g), where=positive)
-    dlog_dg = np.divide(2.0 * sech2, tanh * denominator,
-                        out=np.zeros_like(g), where=positive)
-    jac = np.zeros((len(rate), len(params)))
-    jac[:, 0] = scale * dlog_dg * s
-    jac[np.arange(len(rate)), 1 + detector_index] = scale * sech2 / (eta * denominator)
-    return residuals, jac
-
-
 def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> CalibrationFit:
     """Least-squares fit of (gain scale, efficiencies) to rate-power data.
 
-    Requires at least 5 distinct powers, a nonzero rate per detector
-    present in the data and every rate below the repetition rate, where the
-    model saturates. A point at zero power must have rate 0, which the model
-    gives there whatever the parameters; its residual is 0. No rate may
-    exceed the most the model gives at its power, R * tanh(40 s)^2 with
-    s = sqrt(P / P_max), at efficiency 1 and g_max on its upper bound: no
-    parameter could bring its relative residual near 0. Residuals are
-    relative (rate noise is multiplicative).
+    Requires at least 5 distinct powers per detector present in the data
+    and every rate below the repetition rate, where the model saturates. A
+    point at zero power must have rate 0, which the model gives there
+    whatever the parameters; its residual is 0. A point at a positive power
+    must have a rate above 0: there the model is, so a rate of 0 has the
+    relative residual 1 whatever the parameters and only inflates the
+    covariance. No rate may exceed the most the model gives at its power,
+    R * tanh(40 s)^2 with s = sqrt(P / P_max), at efficiency 1 and g_max on
+    its upper bound: no parameter could bring its relative residual near 0.
+    Residuals are relative (rate noise is multiplicative).
 
     The parameters are g_max = a * sqrt(P_max) and the efficiencies, inside
     the bounds 1e-12 <= g_max <= ``_TOP_GAIN`` and 1e-12 <= eta <= 1. The
     fit is the least-squares minimum from ``_profiled_fit``: each efficiency
     in closed form at every g_max, and a Newton search on g_max alone. The
-    residuals and their analytic Jacobian J are evaluated once, there. A J
-    of rank below the number of parameters raises ``FitError``: the data do
-    not determine them. This is tested first, because such data leave the
-    search at its first grid point. So does a fit that ends with
-    g_max or an efficiency on the 1e-12 bound, which only keeps the model
-    defined, with g_max on ``_TOP_GAIN``, or with an efficiency at 1 and the
-    cost pushing it further: the data ask for a value the model cannot take,
-    and no covariance means anything there. Last, a standard error of g_max
-    above g_max itself raises ``FitError``: the data then do not determine
-    the gain.
-
-    The evaluation makes one call to the unchecked ``_rate_kernel``: the
-    inputs are checked once here, and the bounds keep every parameter in
-    ``count_rate_model``'s domain. The search makes no call.
+    residuals and their analytic Jacobian J come from the same profiled
+    cost, once, at its minimum: the residuals are those whose sum of squares
+    the search minimized. A J of rank below the number of parameters raises
+    ``FitError``: the data do not determine them. This is tested first,
+    because such data leave the search at its first grid point. So does a
+    fit that ends with g_max or an efficiency on the 1e-12 bound, which only
+    keeps the model defined, with g_max on ``_TOP_GAIN``, or with an
+    efficiency at 1 and the cost pushing it further: the data ask for a
+    value the model cannot take, and no covariance means anything there.
+    Last, a standard error of g_max above g_max itself raises ``FitError``:
+    the data then do not determine the gain.
 
     On criterion 7's 50 sets and the bundled demo data the parameters come
     out within about 2e-14 relative of the minimum (against Gauss-Newton
@@ -362,6 +337,13 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
             f"point {dark[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
             f"has rate {pt.rate} > 0, but the model gives 0 at zero power"
         )
+    silent = np.flatnonzero((power > 0) & (rate == 0))
+    if silent.size:
+        pt = points[silent[0]]
+        raise FitError(
+            f"point {silent[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
+            "has rate 0 at a positive power, but the model gives more than 0 there"
+        )
     detector_index = np.searchsorted(detectors, [pt.detector for pt in points])
     for i, det in enumerate(detectors):
         mine = detector_index == i
@@ -371,10 +353,6 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
                 f"detector {det} has {n_powers} distinct powers; "
                 f"need at least {_MIN_DISTINCT_POWERS}"
             )
-        # all-zero rates give every relative residual 1 at every parameter
-        # value, so the search would stop at its first grid point
-        if not rate[mine].any():
-            raise FitError(f"detector {det} has rate 0 at every power")
 
     sqrt_top = float(np.sqrt(power.max()))
     s = np.sqrt(power) / sqrt_top
@@ -390,15 +368,15 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
             f"has rate {pt.rate} above the most the model gives at that power, "
             f"{ceiling[above[0]]:g} (efficiency 1, g_max = {_TOP_GAIN:g})"
         )
-    args = (s, rate, detector_index, repetition_rate)
-    x = _profiled_fit(*args)
-    residuals, jac = _residuals_and_jacobian(x, *args)
-    # Column j of jac * x is the change of the residuals per relative change
-    # of parameter j. Singular values at or below rounding of residuals of
-    # order one, or of the largest one, leave a direction the data cannot see.
-    # Tested first: where the residuals do not depend on the parameters, the
-    # search stops at its first grid point, and a bound there says nothing.
-    _, singular, vt = np.linalg.svd(jac * x, full_matrices=False)
+    profile = _ProfiledCost(s, rate, detector_index, repetition_rate)
+    x = _profiled_fit(profile)
+    residuals, jac = profile.residuals_and_jacobian(x[0], x[1:])
+    # Column j of jac = J diag(x) is the change of the residuals per relative
+    # change of parameter j. Singular values at or below rounding of residuals
+    # of order one, or of the largest one, leave a direction the data cannot
+    # see. Tested first: where the residuals do not depend on the parameters,
+    # the search stops at its first grid point, and a bound there says nothing.
+    _, singular, vt = np.linalg.svd(jac, full_matrices=False)
     rank = int(np.sum(singular > len(rate) * _EPS * max(singular[0], 1.0)))
     if rank < len(x):
         raise FitError(
@@ -409,8 +387,9 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     # is where the cost pushes it outward: a Newton step in that efficiency
     # alone, -grad_j / jtj_jj, passes 1 by more than 1e-10, well above the
     # fit's 2e-14 precision; on noiseless data at eta = 1 it is about 1e-16.
-    grad, jtj = residuals @ jac, jac.T @ jac
-    held = (x <= 1e-12) | ((x >= 1.0) & (-grad > 1e-10 * jtj.diagonal()))
+    # At eta = 1 the columns of J and J diag(x) are the same numbers.
+    grad, jtj = residuals @ jac, np.sum(jac * jac, axis=0)
+    held = (x <= 1e-12) | ((x >= 1.0) & (-grad > 1e-10 * jtj))
     held[0] = not 1e-12 < x[0] < _TOP_GAIN
     if held.any():
         names = ["g_max"] + [f"efficiency {det}" for det in detectors]

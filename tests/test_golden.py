@@ -64,6 +64,8 @@ CASES = {
     **{f"fit-demo-rate-{rate}": ["fit", "--input", str(DEMO_CSV), "--rate", rate]
        for rate in ("250000", "3e5", "1e12", "1e20", "1e185", "1e300")},
     "fit-dark-row": ["fit", "--input", "{dir}/demo-dark.csv", "--rate", "250000"],
+    "fit-zero-rate-at-a-positive-power": ["fit", "--input", "{dir}/demo-zero-rate.csv",
+                                          "--rate", "250000"],
     "fit-powers-1e-30": ["fit", "--input", "{dir}/demo-1e-30.csv", "--rate", "250000"],
     **{f"fit-row-above-the-model-at-{power}":
        ["fit", "--input", f"{{dir}}/demo-{power}.csv", "--rate", "250000"]
@@ -72,14 +74,16 @@ CASES = {
 
 
 def write_inputs(directory: Path) -> None:
-    """The files the cases read: the demo with a dark row, with every power
-    times 1e-30 and with a row above the model, and the seed-7 counts."""
+    """The files the cases read: the demo with a dark row, with a zero rate
+    at a positive power, with every power times 1e-30 and with a row above
+    the model, and the seed-7 counts."""
     header, *rows = DEMO_CSV.read_text().splitlines()
 
     def demo(name, rows):
         (directory / name).write_text("\n".join([header, *rows]) + "\n")
 
     demo("demo-dark.csv", [*rows, "0,3,1"])
+    demo("demo-zero-rate.csv", [*rows, "0.05,0,1"])
     scaled = []
     for row in rows:
         power, rest = row.split(",", 1)
