@@ -38,7 +38,6 @@ from .metrics import metrics_report
 from .source import (
     GainChannelParams,
     WernerDescriptor,
-    singlet_weight,
     transmitted_photons_per_mode,
 )
 from .tomography import (
@@ -140,7 +139,7 @@ def _cmd_sweep(args) -> int:
             failed = True
             print(f"error: g={g} eta={eta}: {error}", file=sys.stderr)
             continue
-        werner = WernerDescriptor(singlet_weight(params))
+        werner = WernerDescriptor.at(params)
         rows.append((g, eta, werner.p, p_series, werner.tangle,
                      werner.linear_entropy, werner.witness_value))
     out = _resolve_out(args.out)

@@ -287,6 +287,13 @@ def _triangular_from_params(t: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _state(t: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """V T'T V' / Tr(T'T) for the parameters t and the frame V."""
+    factor = _triangular_from_params(t) @ frame.conj().T
+    gram = factor.conj().T @ factor
+    return gram / gram.trace().real
+
+
 @dataclass(frozen=True)
 class MLReconstruction:
     """Maximum-likelihood estimate with optimizer diagnostics: the number of
@@ -359,19 +366,35 @@ def ml_reconstruction(
     zero would grow only at second order in T, so the likelihood gradient
     could not lift it. In that frame the small eigenvalues sit in the first
     rows of T, which can vanish without the others moving, so an optimum
-    of lower rank lies near the start. The search is ``_newton``'s damped
-    Newton loop on the unit sphere, on the exact gradient and Hessian; the
-    Hessian is built only at the points the loop steps from. ``_newton``
-    states its stop rules; ``stop_reason`` is the message of the one that
-    ended the search. The values passed to them:
+    of lower rank lies near the start.
+
+    Where the start already fits every count, it is returned unsearched:
+    its state rho_0, built as the search's 0-step exit builds it, gives
+    mu_i = N Tr[rho_0 P_i] from the design's projector stack, and if every
+    |mu_i - n_i| <= 2.4e-10 / m * mu_i over the m settings (1.5e-11 for the
+    16 standard ones), rho_0 comes back with 0 iterations and the loop's
+    stop reason "gradient within tolerance". That bound implies the loop's
+    own first stop test below: the gradient is sum_i N (1 - n_i / mu_i)
+    d prob_i / dt, and on the unit sphere |d prob_i / dt_k| <= 4, since
+    prob_i = t'Q_i t with 0 <= Q_i <= I; so every component is at most
+    4 * 2.4e-10 * N = 9.6e-10 * N, below the 1e-9 * N tolerance. mu_i > 0
+    because rho_0 is positive definite. Where the design is square, as with
+    the 16 standard settings, and the linear estimate is positive definite
+    with the flux estimated, that estimate fits every count and most calls
+    end here, without the quadratic forms below.
+
+    Otherwise the search is ``_newton``'s damped Newton loop on the unit
+    sphere, on the exact gradient and Hessian; the Hessian is built only at
+    the points the loop steps from. ``_newton`` states its stop rules;
+    ``stop_reason`` is the message of the one that ended the search. The
+    values passed to them:
 
     * Gradient tolerance 1e-9 * N. The objective and its gradient scale with
       the flux N; at an exact fit rounding leaves below 1e-14 * N, and a
       gradient of 1e-9 * N leaves about 1e-18 * N of likelihood to gain
-      (the Hessian is of order N). Where the design is square, as with the
-      16 standard settings, and the linear estimate is positive definite
-      with the flux estimated, that estimate fits every count, and the loop
-      stops before its first step without building a Hessian.
+      (the Hessian is of order N). A start that passes this test but not
+      the early return's stops before the first step, without building a
+      Hessian.
     * Relative decrease 1e-12, the rule L-BFGS-B stopped on here before. At
       an optimum of lower rank the factor T is not unique, the objective is
       flat along those directions and Newton steps there gain little.
@@ -380,12 +403,23 @@ def ml_reconstruction(
     The projector stack and the pseudo-inverse behind the linear estimate
     come from the per-process design cache, as in ``linear_reconstruction``,
     with the same checks on every call; the quadratic forms depend on the
-    estimate's eigenbasis and are built per call.
+    estimate's eigenbasis and are built only for a search.
     """
     design, counts, n_total = _tomography_data(records, total_per_setting)
     eigenvalues, frame = np.linalg.eigh(_linear_estimate(design, counts, n_total))
     start = np.zeros(16)
     start[:4] = np.sqrt(np.maximum(eigenvalues, 1e-4))
+    # the state of the search's 0-step exit, which starts from start / |start|
+    rho = _state(start / np.linalg.norm(start), frame)
+    # Tr[P rho] = sum_ij P_ij rho_ji
+    mu = n_total * (design.projectors.reshape(-1, 16) @ rho.T.ravel()).real
+    if np.all(np.abs(mu - counts) <= 2.4e-10 / len(counts) * mu):
+        return MLReconstruction(
+            state=DensityMatrix(rho),
+            log_likelihood=-float(mu.sum() - counts @ np.log(mu)),
+            n_iterations=0,
+            stop_reason="gradient within tolerance",
+        )
     result = _newton.minimize(
         _negative_log_likelihood(frame.conj().T @ design.projectors @ frame, counts, n_total),
         start,
@@ -402,11 +436,8 @@ def ml_reconstruction(
                 "message": result.message,
             },
         )
-    factor = _triangular_from_params(result.x) @ frame.conj().T
-    gram = factor.conj().T @ factor
-    state = DensityMatrix(gram / gram.trace().real)
     return MLReconstruction(
-        state=state,
+        state=DensityMatrix(_state(result.x, frame)),
         log_likelihood=-result.value,
         n_iterations=result.iterations,
         stop_reason=result.message,

@@ -183,6 +183,36 @@ class TestSyntheticCalibrationPoints:
         for pt, ref in zip(noisy, clean):
             assert pt.rate == ref.rate * (1.0 + 0.01 * rng.standard_normal())
 
+    def test_a_draw_below_zero_raises_the_point_error(self):
+        # the noise is not clipped at 0, so at 40% noise a draw can take a
+        # rate below 0; it used to be written as a rate of 0, which fit_gain
+        # rejects at a positive power (26 of seeds 0-199 here)
+        with pytest.raises(ValueError, match="rate must be finite and non-negative, got -"):
+            synthetic_calibration_points(TRUE_GAIN_SCALE, TRUE_ETAS, REPETITION_RATE,
+                                         BENCHMARK_POWERS, noise_fraction=0.4, seed=3)
+
+    def test_one_percent_noise_is_the_clipped_generator(self):
+        # the clip at 0 never acted at the tests' and the benchmark's 1%: the
+        # points of criterion 7's 50 sets and of 200 benchmark-style sets equal
+        # those of the generator with the clip
+        def clipped(powers, seed):
+            rng = np.random.default_rng(seed)
+            gains = TRUE_GAIN_SCALE * np.sqrt(powers)
+            points = []
+            for det, eta in sorted(TRUE_ETAS.items()):
+                rates = count_rate_model(gains, eta, REPETITION_RATE)
+                rates = rates * (1.0 + 0.01 * rng.standard_normal(len(powers)))
+                points += [(power, max(float(r), 0.0), det) for power, r in zip(powers, rates)]
+            return points
+
+        for powers, seeds in ((POWERS, range(50)), (BENCHMARK_POWERS, range(1000, 1200))):
+            for seed in seeds:
+                points = synthetic_calibration_points(TRUE_GAIN_SCALE, TRUE_ETAS,
+                                                      REPETITION_RATE, powers,
+                                                      noise_fraction=0.01, seed=seed)
+                assert [(pt.pump_power, pt.rate, pt.detector)
+                        for pt in points] == clipped(powers, seed)
+
     @pytest.mark.parametrize("power", [-0.5, math.nan, math.inf])
     def test_bad_power_rejected_by_name(self, power):
         # a negative power used to raise numpy's invalid-value warning in

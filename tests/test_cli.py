@@ -152,7 +152,8 @@ class TestSweep:
             series = pair_number_series([GainChannelParams(g=row["g"], eta=row["eta"])])
             assert series.error(0) is None
             assert row["p_series"] == series.p[0]
-            werner = WernerDescriptor(row["p_theory"])
+            werner = WernerDescriptor.at(GainChannelParams(g=row["g"], eta=row["eta"]))
+            assert row["p_theory"] == werner.p
             assert row["tangle"] == werner.tangle
             assert row["linear_entropy"] == werner.linear_entropy
             assert row["witness"] == werner.witness_value

@@ -11,6 +11,7 @@ import spdc_werner.source
 from spdc_werner.channel import pair_number_series, singlet_weight, two_photon_state
 from spdc_werner.source import (
     GainChannelParams,
+    WernerDescriptor,
     mean_photons_per_mode,
     n_pair_singlet,
     transmitted_photons_per_mode,
@@ -190,6 +191,94 @@ class TestTransmittedPhotonsPastOverflow:
     def test_bitwise_the_product_where_sinh_squared_is_finite(self, g, eta):
         level = transmitted_photons_per_mode(GainChannelParams(g=g, eta=eta))
         assert level.hex() == (eta * math.sinh(g) ** 2).hex()
+
+
+EPS = 2.0**-52
+
+
+def decimal_margin(g: float, eta: float) -> Decimal:
+    """p - 1/3 = 2(1 - x) / (3(1 + 2x)), x = ((1-eta) tanh g)^2, in 400-digit
+    decimal arithmetic from the exact doubles: enough to resolve 1 - x where
+    eta is subnormal and exp(-2g) is as small as 1e-340."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        e = (-2 * Decimal(g)).exp()
+        x = ((1 - Decimal(eta)) * (1 - e) / (1 + e)) ** 2
+        return 2 * (1 - x) / (3 * (1 + 2 * x))
+
+
+def relative_error(value: float, reference: Decimal) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(abs(Decimal(value) / reference - 1))
+
+
+class TestEntanglementMargin:
+    """WernerDescriptor.at takes delta = p - 1/3 through 1 - x as a sum of
+    non-negative terms, so it keeps its digits where p rounds to 1/3."""
+
+    # g -> 0, g -> inf, eta -> 0 and eta -> 1, and the demo point
+    EDGES = [(g, eta) for g in (5e-324, 1e-170, 1e-8, 1.313, 8.0, 20.0, 30.0, 400.0, 1e300)
+             for eta in (1e-300, 1e-100, 5e-17, 1e-6, 0.016, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53)]
+
+    @pytest.mark.parametrize("g, eta", EDGES)
+    def test_margin_within_a_few_ulps_at_the_edges(self, g, eta):
+        werner = WernerDescriptor.at(GainChannelParams(g=g, eta=eta))
+        delta = decimal_margin(g, eta)
+        # delta and -3 delta / 4 within 4 ulps (2.6 seen over 20,000 draws);
+        # the square doubles the relative error (5.5 ulps seen)
+        assert relative_error(werner.delta, delta) <= 4 * EPS
+        assert relative_error(werner.witness_value, -3 * delta / 4) <= 4 * EPS
+        tangle = 9 * delta * delta / 4
+        if tangle >= Decimal(sys.float_info.min):
+            assert relative_error(werner.tangle, tangle) <= 8 * EPS
+        else:  # the stated limit: below delta of about 1e-154 the tangle underflows
+            assert werner.tangle < sys.float_info.min
+        assert werner.is_entangled
+
+    @pytest.mark.parametrize("g, eta, margin", [(20.0, 5e-17, "2.6e-17"),
+                                                (30.0, 1e-300, "7.8e-27")])
+    def test_entangled_where_p_rounds_to_one_third(self, g, eta, margin):
+        params = GainChannelParams(g=g, eta=eta)
+        werner = WernerDescriptor.at(params)
+        assert werner.p == singlet_weight(params) == 1.0 / 3.0
+        assert not WernerDescriptor(werner.p).is_entangled
+        assert werner.is_entangled and werner.witness_value < 0.0 < werner.tangle
+        assert f"{werner.delta:.1e}" == margin
+        assert relative_error(werner.delta, decimal_margin(g, eta)) <= 4 * EPS
+
+    def test_margin_underflows_past_the_smallest_subnormal(self):
+        # the stated limit: delta is 2.2e-324 here and rounds to 0
+        assert decimal_margin(400.0, 5e-324) < Decimal(5e-324)
+        werner = WernerDescriptor.at(GainChannelParams(g=400.0, eta=5e-324))
+        assert werner.delta == 0.0 and not werner.is_entangled
+        # a zero margin's witness is +0.0, as (1 - 3p)/4 gave it
+        assert math.copysign(1.0, werner.witness_value) == 1.0
+
+    @settings(deadline=None)
+    @given(g=st.one_of(st.sampled_from([5e-324, 1e-8, 19.0, 30.0, 372.0, 400.0, 1e300]),
+                       st.floats(min_value=5e-324, max_value=1e300)),
+           eta=st.one_of(st.sampled_from([5e-324, 1.5e-323, 1e-300, 5e-17, 1.0 - 2.0**-53]),
+                         st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)))
+    @example(g=20.0, eta=5e-17)
+    @example(g=30.0, eta=1e-300)
+    @example(g=400.0, eta=1.5e-323)  # the margin is 1.3 times the smallest subnormal
+    def test_entangled_wherever_the_margin_is_representable(self, g, eta):
+        params = GainChannelParams(g=g, eta=eta)
+        werner = WernerDescriptor.at(params)
+        if decimal_margin(g, eta) > Decimal("4.9e-324"):
+            assert werner.is_entangled
+        # p keeps singlet_weight's expression, bit for bit
+        assert werner.p.hex() == singlet_weight(params).hex()
+
+    @pytest.mark.parametrize("p", [-1.0 / 3.0, 0.0, 1.0 / 3.0, 0.4, 1.0])
+    def test_from_p_alone_the_margin_is_p_minus_one_third(self, p):
+        # as bench/gate.py builds it
+        werner = WernerDescriptor(p)
+        assert werner.delta == p - 1.0 / 3.0
+        assert werner.is_entangled == (p > 1.0 / 3.0)
+        assert werner.witness_value == pytest.approx((1.0 - 3.0 * p) / 4.0, abs=1e-16)
+        assert werner.tangle == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0) ** 2, abs=1e-16)
 
 
 def test_module_loads_alone_without_numpy():

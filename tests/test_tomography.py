@@ -15,6 +15,7 @@ from spdc_werner.metrics import (
 from spdc_werner.source import GainChannelParams
 from spdc_werner.tomography import (
     CountRecord,
+    MLReconstruction,
     ProjectorSetting,
     _cholesky_quadratic_forms,
     _design,
@@ -738,6 +739,132 @@ class TestHessianOnDemand:
         result = ml_reconstruction(records)
         assert result.n_iterations > 0
         assert result.stop_reason == "relative decrease below 1e-12"
+
+
+def _floored_start(records, total_per_setting):
+    """The objective, the floored linear start (not normalized), the flux and
+    the frame that ``ml_reconstruction`` builds from the same records."""
+    design, counts, n_total = _tomography_data(records, total_per_setting)
+    eigenvalues, frame = np.linalg.eigh(tomography._linear_estimate(design, counts, n_total))
+    start = np.zeros(16)
+    start[:4] = np.sqrt(np.maximum(eigenvalues, 1e-4))
+    evaluate = _negative_log_likelihood(frame.conj().T @ design.projectors @ frame,
+                                        counts, n_total)
+    return evaluate, start, n_total, frame
+
+
+def _searched_reconstruction(records, total_per_setting):
+    """ML as it ran before the early return: every call enters
+    ``_newton.minimize`` from the floored start, with the same tolerances,
+    and the state is built from the point the search returns."""
+    evaluate, start, n_total, frame = _floored_start(records, total_per_setting)
+    result = tomography._newton.minimize(evaluate, start, gtol=1e-9 * n_total,
+                                         ftol=1e-12, max_iter=2000)
+    assert result.converged
+    factor = _triangular_from_params(result.x) @ frame.conj().T
+    gram = factor.conj().T @ factor
+    return MLReconstruction(state=DensityMatrix(gram / gram.trace().real),
+                            log_likelihood=-result.value,
+                            n_iterations=result.iterations,
+                            stop_reason=result.message)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that gains one entry per ``ml_reconstruction`` call that enters
+    the Newton search."""
+    calls = []
+    minimize = tomography._newton.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(tomography._newton, "minimize", counted)
+    return calls
+
+
+class TestEarlyReturn:
+    """A start that already fits every count comes back unsearched, with the
+    state, iterations and stop reason of the search's 0-step exit."""
+
+    @staticmethod
+    def assert_equals_the_search(result, records, total_per_setting):
+        reference = _searched_reconstruction(records, total_per_setting)
+        assert np.array_equal(result.state.entries, reference.state.entries)
+        assert result.n_iterations == reference.n_iterations
+        assert result.stop_reason == reference.stop_reason
+        assert abs(result.log_likelihood - reference.log_likelihood) <= (
+            1e-15 * abs(reference.log_likelihood))
+
+    @pytest.mark.parametrize("given_flux", [False, True], ids=["flux-estimated", "flux-given"])
+    def test_results_equal_the_search_from_the_same_start(self, given_flux, searches):
+        early = 0
+        for records, total in _round_trip_datasets(seed=31, n_sets=800):
+            given = total if given_flux else None
+            searches.clear()
+            result = ml_reconstruction(records, given)
+            if not searches:
+                early += 1
+                # the loop's own first stop test holds where it was skipped
+                evaluate, start, n_total, _ = _floored_start(records, given)
+                _, grad, _ = evaluate(start / np.linalg.norm(start))
+                assert np.max(np.abs(grad)) <= 1e-9 * n_total
+                assert (result.n_iterations, result.stop_reason) == (
+                    0, "gradient within tolerance")
+            self.assert_equals_the_search(result, records, given)
+        if not given_flux:
+            # 677 of the 800 returned early when this test was written: every
+            # positive-definite linear estimate, and every call of 0 steps
+            assert early >= 600
+
+    @pytest.mark.parametrize("misfit, early, steps", [
+        (1e-12, True, 0),    # inside the 1.5e-11 bound
+        (1e-10, False, 0),   # outside it, but the gradient, 1.3e-10 N, passes
+        (1e-9, False, 1),    # the gradient, 1.3e-9 N, fails the 1e-9 N test
+        (1e-8, False, 1),
+    ])
+    def test_bound_on_counts_that_miss_by_a_common_factor(self, misfit, early, steps,
+                                                          searches):
+        # exact counts, and a given flux above their total by the factor
+        # 1 + misfit: every fitted count misses its count by that relative
+        # amount, and the gradient at the start is about 1.3 misfit * N
+        records = noiseless_records(werner_state(0.6), standard_tomography_settings(),
+                                    1_200_000)
+        flux = 1_200_000 * (1.0 + misfit)
+        result = ml_reconstruction(records, flux)
+        assert (not searches, result.n_iterations) == (early, steps)
+        self.assert_equals_the_search(result, records, flux)
+
+    def test_search_runs_where_the_floor_binds(self, searches):
+        # eigenvalues 5e-5, positive but below the 1e-4 floor: the floored
+        # start no longer fits the counts, although the estimate does
+        records = noiseless_records(werner_state(0.9998), standard_tomography_settings(),
+                                    4_000_000)
+        assert 0 < np.linalg.eigvalsh(linear_reconstruction(records))[0] < 1e-4
+        result = ml_reconstruction(records)
+        assert searches and result.n_iterations > 0
+        self.assert_equals_the_search(result, records, None)
+
+    def test_search_runs_where_the_flux_is_given(self, searches):
+        # the CI entry point's data: 0 steps with the flux estimated, 2 given
+        truth = two_photon_state(GainChannelParams(g=1.313, eta=0.016))
+        records = simulate_counts(truth, standard_tomography_settings(), 100_000, seed=7)
+        assert ml_reconstruction(records).n_iterations == 0
+        assert not searches  # returned early
+        searches.clear()
+        result = ml_reconstruction(records, 100_000)
+        assert searches and result.n_iterations == 2
+        self.assert_equals_the_search(result, records, 100_000)
+
+    def test_search_runs_where_a_complete_basis_count_is_zero(self, searches):
+        truth = two_photon_state(GainChannelParams(g=1.313, eta=0.016))
+        records = [CountRecord(r.setting, 0) if r.setting.label == "HH" else r
+                   for r in simulate_counts(truth, standard_tomography_settings(),
+                                            100_000, seed=7)]
+        result = ml_reconstruction(records)
+        assert searches and result.n_iterations > 0
+        self.assert_equals_the_search(result, records, None)
 
 
 class TestSettingsOncePerProcess:
