@@ -12,9 +12,9 @@ standard-library ``source``. The oracles that check the closed form are
 imported from the modules that define them: ``channel``, ``fock``,
 ``source`` and ``errors``. They are the n-pair source state, the
 beam-splitter Fock expansion over eight slots with its coincidence block
-traced onto the four transmitted ones, that brute force's
-``CapacityError``, and the pair-number series, which reports each point's
-``ConvergenceError`` rather than raising it.
+traced onto the four transmitted ones, and that brute force's
+``CapacityError``. The pair-number series, summed term by term, is a
+reference in the tests only.
 """
 
 __version__ = "0.1.0"

@@ -13,8 +13,8 @@ class PhysicalityError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iterative computation did not reach its tolerance.
 
-    Carries a ``diagnostics`` dict (tail bounds, iteration counts, optimizer
-    messages) for error reporting.
+    Carries a ``diagnostics`` dict (iteration counts, the final objective,
+    optimizer messages) for error reporting.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -11,7 +11,6 @@ import numpy as np
 
 from spdc_werner.calibration import fit_gain, synthetic_calibration_points
 from spdc_werner.channel import (
-    pair_number_series,
     post_select_two_photon,
     singlet_weight,
     transmitted_reduced_state,
@@ -34,6 +33,8 @@ from spdc_werner.tomography import (
     witness_from_counts,
     witness_settings,
 )
+
+from series_reference import pair_number_series
 
 
 def _verdict(criterion: str, ok: bool, detail: str):

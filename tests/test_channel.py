@@ -6,12 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spdc_werner import channel
 from spdc_werner.channel import (
     BRUTE_FORCE_MAX_PAIRS,
     COINCIDENCE_OCCUPATIONS,
     apply_beamsplitters,
-    pair_number_series,
     post_select_two_photon,
     singlet_weight,
     transmitted_reduced_state,
@@ -22,6 +20,9 @@ from spdc_werner.errors import CapacityError, ConvergenceError
 from spdc_werner.fock import TWO_PHOTON_BASIS, DensityMatrix, partial_trace
 from spdc_werner.metrics import singlet_weight_extract, werner_state
 from spdc_werner.source import GainChannelParams, n_pair_singlet
+
+import series_reference
+from series_reference import pair_number_series
 
 
 def eight_slot_reduced_state(n, eta):
@@ -387,11 +388,12 @@ class TestGainSummedState:
     def test_insufficient_truncation_reports_tail_bound(self, monkeypatch):
         # (g=1.0, eta=0.001) needs 100 terms; a cap at the first truncation
         # leaves the tail bound above tolerance.
-        monkeypatch.setattr(channel, "_SERIES_HARD_CAP", channel.SERIES_MIN_TERMS)
+        monkeypatch.setattr(series_reference, "_SERIES_HARD_CAP",
+                            series_reference.SERIES_MIN_TERMS)
         error = pair_number_series([GainChannelParams(g=1.0, eta=0.001)]).error(0)
         assert isinstance(error, ConvergenceError)
-        assert error.diagnostics["n_terms"] == channel.SERIES_MIN_TERMS
-        assert error.diagnostics["relative_tail_bound"] > channel.SERIES_TAIL_TOL
+        assert error.diagnostics["n_terms"] == series_reference.SERIES_MIN_TERMS
+        assert error.diagnostics["relative_tail_bound"] > series_reference.SERIES_TAIL_TOL
 
 
 # The edge grid: g from far below to far above saturation, eta from
@@ -505,7 +507,7 @@ class TestPairNumberSeries:
                   [(0.3, 0.01), (2.0, 0.1), (3.0, 0.01), (6.0, 0.001)]]
         whole = pair_number_series(points)
         # rows split across chunks, and single rows split along n
-        monkeypatch.setattr(channel, "_SERIES_CHUNK", 64)
+        monkeypatch.setattr(series_reference, "_SERIES_CHUNK", 64)
         chunked = pair_number_series(points)
         np.testing.assert_array_equal(chunked.n_terms, whole.n_terms)
         np.testing.assert_allclose(chunked.p, whole.p, rtol=0, atol=1e-14)
@@ -531,15 +533,15 @@ class TestPairNumberSeries:
     def test_skipped_partial_sums_never_change_the_outcome(
         self, monkeypatch, one_minus_x, n, reported
     ):
-        monkeypatch.setattr(channel, "_SERIES_HARD_CAP", n)
+        monkeypatch.setattr(series_reference, "_SERIES_HARD_CAP", n)
         summed_rows = []
-        add_terms = channel._add_terms
+        add_terms = series_reference._add_terms
 
         def spy(sums, x, rows, *args):
             summed_rows.extend(rows.tolist())
             add_terms(sums, x, rows, *args)
 
-        monkeypatch.setattr(channel, "_add_terms", spy)
+        monkeypatch.setattr(series_reference, "_add_terms", spy)
         g = math.atanh(math.sqrt(1.0 - one_minus_x))
         params = GainChannelParams(g=g, eta=1e-300)
         series = pair_number_series([params])
@@ -553,8 +555,8 @@ class TestPairNumberSeries:
             3.0 * np.sum(k * k * (k + 1.0) * x ** (k - 1.0))
             for k in np.array_split(np.arange(1.0, n + 1.0), max(1, n // 2**18))
         )
-        bound = channel._series_tail_bound(np.array([x]), n)[0]
-        assert bound / trace > channel.SERIES_TAIL_TOL
+        bound = series_reference._series_tail_bound(np.array([x]), n)[0]
+        assert bound / trace > series_reference.SERIES_TAIL_TOL
         assert series.error(0) is not None
 
     @given(
@@ -577,7 +579,7 @@ class TestPairNumberSeries:
     def test_gain_where_x_underflows_to_zero(self, g):
         # x = ((1-eta) tanh g)^2 is 0.0; the single-pair term remains
         series = pair_number_series([GainChannelParams(g=g, eta=0.5)])
-        assert series.n_terms[0] == channel.SERIES_MIN_TERMS
+        assert series.n_terms[0] == series_reference.SERIES_MIN_TERMS
         assert series.p[0] == 1.0
 
     @pytest.mark.parametrize("g,eta", [(0.0, 0.1), (0.5, 0.0), (0.5, 1.0)])

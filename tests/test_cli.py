@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 
 import spdc_werner
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
-from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS, pair_number_series
+from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS
 from spdc_werner import channel, cli, fock
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
@@ -23,6 +22,8 @@ from spdc_werner.metrics import (
     witness_expectation,
 )
 from spdc_werner.source import GainChannelParams
+
+from series_reference import SERIES_TAIL_TOL, pair_number_series
 
 DEMO_CSV = str(Path(__file__).resolve().parents[1] / "data" / "calibration_demo.csv")
 
@@ -74,7 +75,7 @@ class TestSweep:
         assert "error" in capsys.readouterr().err
 
     def test_each_point_is_built_once(self, monkeypatch, capsys):
-        # building a point is its one check; the series check reuses it
+        # building a point is its one check
         built = []
         post_init = GainChannelParams.__post_init__
 
@@ -108,38 +109,40 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert [(row["g"], row["eta"]) for row in rows] == [(1.0, 0.01)]
 
-    def test_edge_grid_fails_only_the_series_check_at_high_gain_low_loss(
-        self, tmp_path, capsys
-    ):
+    def test_edge_grid_gives_every_row(self, tmp_path, capsys):
         gs = [1e-8, 1e-3, 0.5, 2.0, 8.0, 15.0, 30.0]
         etas = [1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-12]
         out = tmp_path / "edge.csv"
         assert run(["sweep", "--g", ",".join(map(repr, gs)),
-                    "--eta", ",".join(map(repr, etas)), "--out", str(out)]) == 1
-        failing = {(g, eta) for g in (8.0, 15.0, 30.0) for eta in (1e-12, 1e-6)}
-        err_lines = capsys.readouterr().err.strip().splitlines()
-        assert len(err_lines) == len(failing)
-        for line in err_lines:
-            g_text, eta_text, message = re.fullmatch(
-                r"error: g=(\S+) eta=(\S+): (.*)", line).groups()
-            assert (float(g_text), float(eta_text)) in failing
-            assert message.startswith("series check truncated at 5000000 terms")
+                    "--eta", ",".join(map(repr, etas)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         rows = [tuple(float(x) for x in line.split(",")[:2])
                 for line in out.read_text().strip().splitlines()[1:]]
-        assert rows == [(g, eta) for g in gs for eta in etas
-                        if (g, eta) not in failing]
+        assert rows == [(g, eta) for g in gs for eta in etas]
 
-    def test_saturated_ratio_is_one_error_line(self, capsys):
-        # tanh(30) and 1 - 1e-20 round to 1.0, so x = 1 and no tail bound exists
-        assert run(["sweep", "--g", "30", "--eta", "1e-20"]) == 1
+    def test_saturated_ratio_keeps_the_margin(self, tmp_path):
+        # tanh(30) and 1 - 1e-20 round to 1.0, so x = 1 and p is exactly
+        # 1/3; the margin, about 4.4e-21, keeps the witness negative
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--g", "30", "--eta", "1e-20", "--format", "json",
+                    "--out", str(out)]) == 0
+        [row] = json.loads(out.read_text())
+        assert row["p_theory"] == row["p_series"] == 1.0 / 3.0
+        assert row["witness"] < 0.0
+
+    @pytest.mark.parametrize("g,eta", [(20.0, 5e-17), (30.0, 1e-300)])
+    def test_entangled_where_p_rounds_to_one_third(self, g, eta, capsys):
+        # x rounds to 1 here, so the truncated series has no tail bound;
+        # the margin is 2.6e-17 at (20, 5e-17) and 7.8e-27 at (30, 1e-300)
+        assert run(["sweep", "--g", repr(g), "--eta", repr(eta), "--format", "json"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == "g,eta,p_theory,p_series,tangle,linear_entropy,witness\n"
-        assert captured.err == (
-            "error: g=30.0 eta=1e-20: series check truncated at 5000000 terms; "
-            "relative tail bound inf exceeds tolerance 1.0e-12\n"
-        )
+        assert captured.err == ""
+        [row] = json.loads(captured.out)
+        assert (row["g"], row["eta"]) == (g, eta)
+        assert row["witness"] < 0.0
+        assert abs(row["p_series"] - row["p_theory"]) <= 1e-15 * row["p_theory"]
 
-    def test_rows_match_series_check_and_werner_metrics(self, tmp_path):
+    def test_rows_match_series_sum_and_werner_metrics(self, tmp_path):
         gs = [0.05, 0.7, 2.5, 8.0]
         etas = [0.005, 0.3, 0.9]
         out = tmp_path / "sweep.json"
@@ -149,10 +152,13 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert [(r["g"], r["eta"]) for r in rows] == [(g, e) for g in gs for e in etas]
         for row in rows:
-            series = pair_number_series([GainChannelParams(g=row["g"], eta=row["eta"])])
+            params = GainChannelParams(g=row["g"], eta=row["eta"])
+            werner = WernerDescriptor.at(params)
+            # p_series is the series' exact sum, written through the margin
+            assert row["p_series"] == 1.0 / 3.0 + werner.delta
+            series = pair_number_series([params])
             assert series.error(0) is None
-            assert row["p_series"] == series.p[0]
-            werner = WernerDescriptor.at(GainChannelParams(g=row["g"], eta=row["eta"]))
+            assert abs(row["p_series"] - series.p[0]) <= SERIES_TAIL_TOL * series.p[0]
             assert row["p_theory"] == werner.p
             assert row["tangle"] == werner.tangle
             assert row["linear_entropy"] == werner.linear_entropy

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spdc_werner.source
-from spdc_werner.channel import pair_number_series, singlet_weight, two_photon_state
+from spdc_werner.channel import singlet_weight, two_photon_state
 from spdc_werner.source import (
     GainChannelParams,
     WernerDescriptor,
@@ -99,7 +99,7 @@ class TestDomain:
         # every consumer takes the point as given
         assert 1.0 / 3.0 <= singlet_weight(params) <= 1.0
         two_photon_state(params)
-        pair_number_series([params])
+        assert WernerDescriptor.at(params).delta >= 0.0
         assert transmitted_photons_per_mode(params) >= 0.0
 
 
