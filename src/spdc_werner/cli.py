@@ -18,34 +18,20 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 
-# calibration is imported by ``fit`` alone. The other modules stay imported
-# here: the benchmark's tracer looks each module it wraps up in sys.modules
-# when it installs, and its worker imports only spdc_werner, calibration and
-# this module.
-from .channel import (
-    post_select_two_photon,
-    transmitted_reduced_state,
-    two_photon_block_closed,
-    two_photon_state,
-)
+# At load this module imports only the standard library, ``source`` and
+# ``errors``: ``sweep``, ``--version``, ``--help`` and usage errors need
+# nothing else, so none of them loads numpy. ``fit`` imports calibration, and
+# the other subcommands import channel, metrics and tomography through
+# ``_numerical``, always the three together: the benchmark's tracer looks
+# every module it wraps up in sys.modules when it installs, and its derive
+# pass runs no numerical subcommand but ``oracle-check``.
 from .errors import ConvergenceError, FitError
-from .metrics import metrics_report
 from .source import (
     GainChannelParams,
     WernerDescriptor,
     transmitted_photons_per_mode,
-)
-from .tomography import (
-    ml_reconstruction,
-    read_count_records,
-    simulate_counts,
-    standard_tomography_settings,
-    witness_settings,
-    write_count_records,
 )
 
 HL_WARN_THRESHOLD = 0.1
@@ -104,6 +90,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _numerical():
+    """The numpy modules, ``(channel, metrics, tomography)``, imported together."""
+    from . import channel, metrics, tomography
+
+    return channel, metrics, tomography
+
+
 def _warn_hl(params: GainChannelParams) -> None:
     level = transmitted_photons_per_mode(params)
     if level > HL_WARN_THRESHOLD:
@@ -141,8 +134,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    channel, _, _ = _numerical()
     params = GainChannelParams(g=args.g, eta=args.eta)
-    rho = two_photon_state(params)
+    rho = channel.two_photon_state(params)
     _warn_hl(params)
     payload = rho.to_dict()
     payload["g"] = args.g
@@ -154,11 +148,14 @@ def _cmd_matrix(args) -> int:
 def _cmd_oracle_check(args) -> int:
     # Every block is computed before the first line is printed, so bad
     # input leaves no partial output.
+    import numpy as np
+
+    channel, _, _ = _numerical()
     rows = []
     for n in args.n:
         for eta in args.eta:
-            brute = post_select_two_photon(transmitted_reduced_state(n, eta))
-            closed = two_photon_block_closed(n, eta)
+            brute = channel.post_select_two_photon(channel.transmitted_reduced_state(n, eta))
+            closed = channel.two_photon_block_closed(n, eta)
             dev = float(np.max(np.abs(brute.entries - closed.entries)))
             rows.append((n, eta, dev, dev <= ORACLE_TOL))
     for n, eta, dev, ok in rows:
@@ -169,31 +166,33 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_tomo_simulate(args) -> int:
+    channel, _, tomography = _numerical()
     params = GainChannelParams(g=args.g, eta=args.eta)
-    rho = two_photon_state(params)
+    rho = channel.two_photon_state(params)
     _warn_hl(params)
     settings = (
-        witness_settings() if args.settings == "witness"
-        else standard_tomography_settings()
+        tomography.witness_settings() if args.settings == "witness"
+        else tomography.standard_tomography_settings()
     )
-    records = simulate_counts(rho, settings, args.counts_per_setting, args.seed)
-    write_count_records(records, _resolve_out(args.out))
+    records = tomography.simulate_counts(rho, settings, args.counts_per_setting, args.seed)
+    tomography.write_count_records(records, _resolve_out(args.out))
     return 0
 
 
 def _cmd_tomo_reconstruct(args) -> int:
     if (args.g is None) != (args.eta is None):
         raise ValueError("--g and --eta must be given together")
+    channel, metrics, tomography = _numerical()
     reference = None
     if args.g is not None:
-        reference = two_photon_state(GainChannelParams(g=args.g, eta=args.eta))
-    records = read_count_records(args.input)
-    result = ml_reconstruction(records, total_per_setting=args.counts_per_setting)
+        reference = channel.two_photon_state(GainChannelParams(g=args.g, eta=args.eta))
+    records = tomography.read_count_records(args.input)
+    result = tomography.ml_reconstruction(records, total_per_setting=args.counts_per_setting)
     payload = {
         "state": result.state.to_dict(),
         "log_likelihood": result.log_likelihood,
         "iterations": result.n_iterations,
-        "metrics": metrics_report(result.state, reference=reference),
+        "metrics": metrics.metrics_report(result.state, reference=reference),
     }
     _emit(_dump_json(payload), _resolve_out(args.out))
     return 0

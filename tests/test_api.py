@@ -59,6 +59,13 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert fresh_python(f"import spdc_werner\n{LOADED}") == ["[]"]
 
 
+def test_cli_import_loads_only_the_closed_form():
+    # sweep, --version and --help need nothing more; the numpy modules load
+    # inside the subcommands that use them
+    lines = fresh_python(f"import spdc_werner.cli\n{LOADED}")
+    assert lines == ["['spdc_werner.cli', 'spdc_werner.errors', 'spdc_werner.source']"]
+
+
 def test_dir_lists_the_exports_before_they_load():
     lines = fresh_python("\n".join([
         "import spdc_werner",

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import spdc_werner
 from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
 from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS
-from spdc_werner import channel, cli, fock
+from spdc_werner import channel, cli, fock, tomography
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
 from spdc_werner.metrics import (
@@ -351,8 +352,9 @@ class TestTomo:
         def refuse(*args, **kwargs):
             raise AssertionError("counts read or fitted before the reference")
 
-        monkeypatch.setattr(cli, "read_count_records", refuse)
-        monkeypatch.setattr(cli, "ml_reconstruction", refuse)
+        # the handler imports tomography when it runs and reads both there
+        monkeypatch.setattr(tomography, "read_count_records", refuse)
+        monkeypatch.setattr(tomography, "ml_reconstruction", refuse)
         assert run(["tomo", "reconstruct", "--input", "counts.csv",
                     "--g", "1", "--eta", "1"]) == 1
         assert capsys.readouterr().err == (
@@ -550,13 +552,13 @@ class TestLazyScipyImport:
                      "if m == 'scipy' or m.startswith('scipy.')))")
 
     @staticmethod
-    def python(code, cwd):
+    def python(code, cwd, stdin=None):
         # a fresh interpreter: this test process has imported scipy already
         env = {k: v for k, v in os.environ.items() if k != "SPDC_WERNER_OUTDIR"}
         src = str(Path(spdc_werner.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
-                              text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, input=stdin,
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
@@ -637,3 +639,84 @@ class TestLazyCalibrationImport:
                 if line.startswith("calibration loaded after")] == [
             ["sweep", "False"], ["matrix", "False"], ["oracle-check", "False"],
             ["tomo", "False"], ["tomo", "False"], ["fit", "True"]]
+
+
+class TestLazyNumpyImport:
+    """``sweep``, ``--version``, ``--help`` and usage errors load no numpy;
+    the subcommands that need it import it when they run."""
+
+    # stdout, stderr and exit code of each call, then the files it wrote
+    RUN_CALLS = "\n".join([
+        "import contextlib, io, json, sys",
+        "from pathlib import Path",
+        "from spdc_werner.cli import main",
+        "results = []",
+        "for argv in json.loads(sys.stdin.read()):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        try:",
+        "            rc = main(argv)",
+        "        except SystemExit as exc:",
+        "            rc = exc.code",
+        "    results.append([out.getvalue(), err.getvalue(), rc])",
+        "files = {p.name: p.read_text() for p in sorted(Path('.').iterdir())}",
+        "print(json.dumps([results, files]))",
+        "print(sorted(m for m in sys.modules if sys.modules[m] is not None",
+        "             and (m == 'numpy' or m.startswith(('numpy.', 'spdc_werner.')))))",
+    ])
+    CALLS = [
+        ["sweep", "--g", "0.5,1.0", "--eta", "0.016"],
+        ["sweep", "--g", "0.5,1.0", "--eta", "0.016", "--format", "json"],
+        ["sweep", "--g", "0.5,1.0", "--eta", "0.016", "--out", "sweep.csv"],
+        ["sweep", "--g", "0.5,1.0", "--eta", "0.016", "--format", "json",
+         "--out", "sweep.json"],
+        ["sweep", "--g", "0.5,-1", "--eta", "0.016"],
+        ["--version"],
+        ["--help"],
+        ["sweep", "--g", "0.5"],
+    ]
+
+    def test_closed_form_calls_run_where_numpy_cannot_be_imported(self, tmp_path):
+        (tmp_path / "open").mkdir()
+        (tmp_path / "blocked").mkdir()
+        calls = json.dumps(self.CALLS)
+        result_open, loaded_open = TestLazyScipyImport.python(
+            self.RUN_CALLS, tmp_path / "open", calls)
+        result_blocked, loaded_blocked = TestLazyScipyImport.python(
+            "import sys; sys.modules['numpy'] = None\n" + self.RUN_CALLS,
+            tmp_path / "blocked", calls)
+        assert result_blocked == result_open
+        results, files = json.loads(result_blocked)
+        assert [rc for *_, rc in results] == [0, 0, 0, 0, 1, 0, 0, 2]
+        assert results[2][:2] == results[3][:2] == ["", ""]
+        assert files == {"sweep.csv": results[0][0], "sweep.json": results[1][0]}
+        stdout, stderr, _ = results[4]
+        assert stdout.splitlines()[1:] == results[0][0].splitlines()[1:2]
+        assert stderr.startswith("error: g=-1.0 eta=0.016: ")
+        assert stderr.count("\n") == 1
+        assert results[5][0] == f"{spdc_werner.__version__}\n"
+        assert results[6][0].startswith("usage: spdc-werner ")
+        assert "the following arguments are required: --eta" in results[7][1]
+        expected = "['spdc_werner.cli', 'spdc_werner.errors', 'spdc_werner.source']"
+        assert loaded_open == loaded_blocked == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--g", "1.313", "--eta", "0.016", "--out", "matrix.json"],
+        ["oracle-check", "--n", "1,2"],
+        ["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
+         "--counts-per-setting", "1000", "--seed", "1", "--out", "simulated.csv"],
+        ["tomo", "reconstruct", "--input", "counts.csv", "--out", "report.json"],
+    ], ids=["matrix", "oracle-check", "tomo-simulate", "tomo-reconstruct"])
+    def test_numerical_calls_load_every_traced_module(self, argv, tmp_path):
+        # The benchmark's tracer looks every module it wraps up in sys.modules
+        # when it installs, and a traced derive pass runs only oracle-check of
+        # these: so each of them loads all the numpy modules, not only the
+        # ones it uses.
+        assert run(["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
+                    "--counts-per-setting", "1000", "--seed", "1",
+                    "--out", str(tmp_path / "counts.csv")]) == 0
+        lines = TestLazyScipyImport.python(self.RUN_CALLS, tmp_path, json.dumps([argv]))
+        (_, stderr, rc), = json.loads(lines[0])[0]
+        assert (rc, stderr) == (0, "")
+        assert {"spdc_werner.channel", "spdc_werner.fock", "spdc_werner.metrics",
+                "spdc_werner.tomography", "numpy"} <= set(ast.literal_eval(lines[1]))
