@@ -8,7 +8,9 @@ entanglement metrics, and gain calibration from detector rates.
 The top level exports that chain. Each name is imported from its defining
 module on first use (PEP 562), so ``import spdc_werner`` loads neither numpy
 nor any submodule, and the closed form, ``singlet_weight``, loads only the
-standard-library ``source``. The oracles that check the closed form are
+standard-library ``source``. The first export read from a numpy module
+imports all four of them (``channel``, ``fock``, ``metrics``,
+``tomography``). The oracles that check the closed form are
 imported from the modules that define them: ``channel``, ``fock``,
 ``source`` and ``errors``. They are the n-pair source state, the
 beam-splitter Fock expansion over eight slots with its coincidence block
@@ -39,6 +41,11 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)
+# The modules that import numpy load together, here and in the CLI's numerical
+# subcommands: the benchmark's tracer looks every module it wraps up in
+# sys.modules when it installs, and its caller may have read only one export.
+# Once the tracer imports what it wraps, each module can load alone.
+_NUMPY_MODULES = ("channel", "fock", "metrics", "tomography")
 
 
 def __getattr__(name):
@@ -48,7 +55,10 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    module = _MODULE_OF[name]
+    for other in _NUMPY_MODULES if module in _NUMPY_MODULES else ():
+        import_module(f"{__name__}.{other}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
 

@@ -23,10 +23,8 @@ from . import __version__
 # At load this module imports only the standard library, ``source`` and
 # ``errors``: ``sweep``, ``--version``, ``--help`` and usage errors need
 # nothing else, so none of them loads numpy. ``fit`` imports calibration, and
-# the other subcommands import channel, metrics and tomography through
-# ``_numerical``, always the three together: the benchmark's tracer looks
-# every module it wraps up in sys.modules when it installs, and its derive
-# pass runs no numerical subcommand but ``oracle-check``.
+# the other subcommands import all of the package's numpy modules through
+# ``_numerical``, for the reason given at ``spdc_werner._NUMPY_MODULES``.
 from .errors import ConvergenceError, FitError
 from .source import (
     GainChannelParams,
@@ -91,7 +89,7 @@ def _positive_int(text: str) -> int:
 
 
 def _numerical():
-    """The numpy modules, ``(channel, metrics, tomography)``, imported together."""
+    """``(channel, metrics, tomography)``; importing them imports ``fock`` too."""
     from . import channel, metrics, tomography
 
     return channel, metrics, tomography

@@ -59,11 +59,19 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert fresh_python(f"import spdc_werner\n{LOADED}") == ["[]"]
 
 
-def test_cli_import_loads_only_the_closed_form():
-    # sweep, --version and --help need nothing more; the numpy modules load
-    # inside the subcommands that use them
-    lines = fresh_python(f"import spdc_werner.cli\n{LOADED}")
-    assert lines == ["['spdc_werner.cli', 'spdc_werner.errors', 'spdc_werner.source']"]
+@pytest.mark.parametrize("name", ["two_photon_state", "DensityMatrix", "fidelity",
+                                  "ml_reconstruction"])
+def test_a_numpy_export_loads_every_numpy_module(name):
+    # bench/tests reads sw.ml_reconstruction alone before it installs the
+    # tracer, which looks every module it wraps up in sys.modules
+    lines = fresh_python("\n".join([
+        "import spdc_werner",
+        f"spdc_werner.{name}",
+        "print(sorted(m for m in sys.modules if m.startswith('spdc_werner.')))",
+    ]))
+    loaded = set(ast.literal_eval(lines[0]))
+    assert {f"spdc_werner.{m}" for m in ("channel", "fock", "metrics", "tomography")} <= loaded
+    assert "spdc_werner.calibration" not in loaded
 
 
 def test_dir_lists_the_exports_before_they_load():
