@@ -22,7 +22,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -272,6 +272,18 @@ def _profiled_fit(profile: _ProfiledCost) -> np.ndarray:
     return np.concatenate([[g], profile.etas(u)])
 
 
+def _reject_first(points: Sequence[CalibrationPoint], bad: np.ndarray,
+                  problem: Callable[[CalibrationPoint, int], str]) -> None:
+    """Raise ``FitError`` at the first point i where bad holds: the message
+    names the point and goes on with problem(points[i], i)."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        i = flagged[0]
+        pt = points[i]
+        raise FitError(f"point {i + 1} (power {pt.pump_power}, detector {pt.detector}) "
+                       + problem(pt, i))
+
+
 def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> CalibrationFit:
     """Least-squares fit of (gain scale, efficiencies) to rate-power data.
 
@@ -322,28 +334,13 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
         raise FitError("no calibration points")
     power = np.array([pt.pump_power for pt in points])
     rate = np.array([pt.rate for pt in points])
-    saturated = np.flatnonzero(rate >= repetition_rate)
-    if saturated.size:
-        pt = points[saturated[0]]
-        raise FitError(
-            f"point {saturated[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
-            f"has rate {pt.rate} at or above the repetition rate {repetition_rate}, "
-            "which the model never reaches"
-        )
-    dark = np.flatnonzero((power == 0) & (rate > 0))
-    if dark.size:
-        pt = points[dark[0]]
-        raise FitError(
-            f"point {dark[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
-            f"has rate {pt.rate} > 0, but the model gives 0 at zero power"
-        )
-    silent = np.flatnonzero((power > 0) & (rate == 0))
-    if silent.size:
-        pt = points[silent[0]]
-        raise FitError(
-            f"point {silent[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
-            "has rate 0 at a positive power, but the model gives more than 0 there"
-        )
+    _reject_first(points, rate >= repetition_rate, lambda pt, i: (
+        f"has rate {pt.rate} at or above the repetition rate {repetition_rate}, "
+        "which the model never reaches"))
+    _reject_first(points, (power == 0) & (rate > 0), lambda pt, i: (
+        f"has rate {pt.rate} > 0, but the model gives 0 at zero power"))
+    _reject_first(points, (power > 0) & (rate == 0), lambda pt, i: (
+        "has rate 0 at a positive power, but the model gives more than 0 there"))
     detector_index = np.searchsorted(detectors, [pt.detector for pt in points])
     for i, det in enumerate(detectors):
         mine = detector_index == i
@@ -360,14 +357,9 @@ def fit_gain(points: Sequence[CalibrationPoint], repetition_rate: float) -> Cali
     # bound. Inside the bounds a rate above it keeps a relative residual of at
     # least (rate - ceiling) / ceiling in size, whose square can overflow.
     ceiling = repetition_rate * np.tanh(_TOP_GAIN * s) ** 2
-    above = np.flatnonzero(rate > ceiling)
-    if above.size:
-        pt = points[above[0]]
-        raise FitError(
-            f"point {above[0] + 1} (power {pt.pump_power}, detector {pt.detector}) "
-            f"has rate {pt.rate} above the most the model gives at that power, "
-            f"{ceiling[above[0]]:g} (efficiency 1, g_max = {_TOP_GAIN:g})"
-        )
+    _reject_first(points, rate > ceiling, lambda pt, i: (
+        f"has rate {pt.rate} above the most the model gives at that power, "
+        f"{ceiling[i]:g} (efficiency 1, g_max = {_TOP_GAIN:g})"))
     profile = _ProfiledCost(s, rate, detector_index, repetition_rate)
     x = _profiled_fit(profile)
     residuals, jac = profile.residuals_and_jacobian(x[0], x[1:])

@@ -70,22 +70,21 @@ def _dump_json(obj) -> str:
 
 
 def _parse_list(kind):
-    """argparse type: a non-empty comma-separated list of ``kind`` values."""
+    """argparse type: a comma-separated list of ``kind`` values, none empty."""
     def parse(text: str) -> list:
-        values = [kind(part) for part in text.split(",") if part.strip()]
-        if not values:
-            raise argparse.ArgumentTypeError("empty value list")
-        return values
-    # argparse names the type in its "invalid ... value" usage errors
-    parse.__name__ = f"_parse_{kind.__name__}s"
+        return [kind(part) for part in text.split(",")]
+    parse.__name__ = f"_parse_{kind.__name__}s"  # named in argparse's usage errors
     return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's usage error reads "invalid int value"
+    return parse
 
 
 def _numerical():
@@ -251,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = tomo_sub.add_parser("simulate", help="draw counts from a theory state")
     simulate.add_argument("--g", type=float, required=True)
     simulate.add_argument("--eta", type=float, required=True)
-    simulate.add_argument("--counts-per-setting", type=_positive_int, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
+    simulate.add_argument("--counts-per-setting", type=_int_at_least(1), required=True)
+    simulate.add_argument("--seed", type=_int_at_least(0), required=True)
     simulate.add_argument("--settings", choices=("tomography", "witness"),
                           default="tomography")
     simulate.add_argument("--out", required=True)
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     reconstruct = tomo_sub.add_parser("reconstruct",
                                       help="maximum-likelihood state estimate")
     reconstruct.add_argument("--input", required=True, help="counts CSV")
-    reconstruct.add_argument("--counts-per-setting", type=_positive_int, default=None,
+    reconstruct.add_argument("--counts-per-setting", type=_int_at_least(1), default=None,
                              help="known flux per setting (default: estimated)")
     reconstruct.add_argument("--g", type=float, default=None,
                              help="reference gain for fidelity")

@@ -66,15 +66,12 @@ def test_criterion_2_werner_limit_identity():
     for g in (0.1, 0.3, 0.5, 1.0, 1.5):
         for eta in (0.001, 0.01, 0.05):
             params = GainChannelParams(g=g, eta=eta)
-            series = pair_number_series([params])
-            assert series.error(0) is None
+            series = pair_number_series(params)
             reference = werner_state(singlet_weight(params)).entries.real
             for entry, (i, j) in (("corner", (0, 0)), ("middle", (1, 1)), ("off", (1, 2))):
-                worst = max(worst, abs(getattr(series, entry)[0] - reference[i, j]))
-            weights.append(series.p[0])
-    saturated_series = pair_number_series([GainChannelParams(g=20.0, eta=1e-4)])
-    assert saturated_series.error(0) is None
-    saturated = saturated_series.p[0]
+                worst = max(worst, abs(getattr(series, entry) - reference[i, j]))
+            weights.append(series.p)
+    saturated = pair_number_series(GainChannelParams(g=20.0, eta=1e-4)).p
     ok = (
         worst <= 1e-8
         and all(p > 1.0 / 3.0 for p in weights)

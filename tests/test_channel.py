@@ -16,7 +16,7 @@ from spdc_werner.channel import (
     two_photon_block_closed,
     two_photon_state,
 )
-from spdc_werner.errors import CapacityError, ConvergenceError
+from spdc_werner.errors import CapacityError
 from spdc_werner.fock import TWO_PHOTON_BASIS, DensityMatrix, partial_trace
 from spdc_werner.metrics import singlet_weight_extract, werner_state
 from spdc_werner.source import GainChannelParams, n_pair_singlet
@@ -385,16 +385,6 @@ class TestGainSummedState:
         with pytest.raises(ValueError):
             two_photon_state(GainChannelParams(g=0.0, eta=0.01))
 
-    def test_insufficient_truncation_reports_tail_bound(self, monkeypatch):
-        # (g=1.0, eta=0.001) needs 100 terms; a cap at the first truncation
-        # leaves the tail bound above tolerance.
-        monkeypatch.setattr(series_reference, "_SERIES_HARD_CAP",
-                            series_reference.SERIES_MIN_TERMS)
-        error = pair_number_series([GainChannelParams(g=1.0, eta=0.001)]).error(0)
-        assert isinstance(error, ConvergenceError)
-        assert error.diagnostics["n_terms"] == series_reference.SERIES_MIN_TERMS
-        assert error.diagnostics["relative_tail_bound"] > series_reference.SERIES_TAIL_TOL
-
 
 # The edge grid: g from far below to far above saturation, eta from
 # near-total loss to near-lossless.
@@ -438,11 +428,10 @@ class TestClosedFormRoute:
 def assert_series_is_werner(params, atol):
     """The series at params converges, and its corner, middle and off
     entries are those of the Werner state of ``singlet_weight`` within atol."""
-    series = pair_number_series([params])
-    assert series.error(0) is None
+    series = pair_number_series(params)
     reference = werner_state(singlet_weight(params)).entries.real
     for entry, (i, j) in (("corner", (0, 0)), ("middle", (1, 1)), ("off", (1, 2))):
-        assert abs(getattr(series, entry)[0] - reference[i, j]) <= atol
+        assert abs(getattr(series, entry) - reference[i, j]) <= atol
 
 
 class TestPairNumberSeries:
@@ -466,98 +455,23 @@ class TestPairNumberSeries:
         ],
     )
     def test_truncation_rule_unchanged(self, g, eta, n_terms):
-        series = pair_number_series([GainChannelParams(g=g, eta=eta)])
-        assert series.n_terms[0] == n_terms
-        assert series.error(0) is None
+        assert pair_number_series(GainChannelParams(g=g, eta=eta)).n_terms == n_terms
 
     @pytest.mark.parametrize("g", [200.0, 800.0])
     def test_gain_past_cosh_overflow(self, g):
         assert_series_is_werner(GainChannelParams(g=g, eta=0.5), atol=1e-12)
 
-    def test_hard_cap_is_exact(self):
-        error = pair_number_series([GainChannelParams(g=8.0, eta=1e-6)]).error(0)
-        assert isinstance(error, ConvergenceError)
-        assert error.diagnostics["n_terms"] == 5_000_000
-        assert error.diagnostics["relative_tail_bound"] > 1e-12
-        assert "series check" in str(error)
-
-    def test_point_summed_up_to_the_hard_cap(self):
-        # at 1 - x = 1e-5 the tail bound is above 1e-12 after 3,276,800 terms,
-        # the last doubling below the cap, and below it at the cap: the loop
-        # sums this point up to exactly 5,000,000 terms and stops there
+    def test_slowly_converging_point_matches_werner(self):
+        # at 1 - x = 1e-5 the tail bound falls below 1e-12 of the trace only
+        # after 17 doublings, summed in blocks of bounded size
         params = GainChannelParams(g=math.atanh(math.sqrt(1.0 - 1e-5)), eta=1e-300)
-        assert pair_number_series([params]).n_terms[0] == 5_000_000
+        assert pair_number_series(params).n_terms == 6_553_600
         assert_series_is_werner(params, atol=1e-12)
 
-    def test_grid_matches_pointwise_calls(self):
-        points = [GainChannelParams(g=g, eta=eta) for g, eta in
-                  [(0.05, 0.3), (0.7, 0.01), (2.5, 0.9), (15.0, 1e-6), (0.7, 0.3)]]
-        series = pair_number_series(points)
-        assert series.error(3) is not None
-        for i, params in enumerate(points):
-            single = pair_number_series([params])
-            assert single.n_terms[0] == series.n_terms[i]
-            assert single.relative_tail_bound[0] == series.relative_tail_bound[i]
-            for entry in ("corner", "middle", "off", "p"):
-                np.testing.assert_array_equal(getattr(single, entry)[0],
-                                              getattr(series, entry)[i])
-
-    def test_bounded_chunks_give_the_same_sums(self, monkeypatch):
-        points = [GainChannelParams(g=g, eta=eta) for g, eta in
-                  [(0.3, 0.01), (2.0, 0.1), (3.0, 0.01), (6.0, 0.001)]]
-        whole = pair_number_series(points)
-        # rows split across chunks, and single rows split along n
-        monkeypatch.setattr(series_reference, "_SERIES_CHUNK", 64)
-        chunked = pair_number_series(points)
-        np.testing.assert_array_equal(chunked.n_terms, whole.n_terms)
-        np.testing.assert_allclose(chunked.p, whole.p, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(
-            chunked.relative_tail_bound, whole.relative_tail_bound, rtol=1e-12
-        )
-
-    # With the cap at n, points with x = 1 - one_minus_x on both sides of
-    # the pre-check that reports a point at the cap without summing it.
-    @pytest.mark.parametrize(
-        "one_minus_x,n,reported",
-        [
-            pytest.param(0.1, 50, True, id="0.1-50"),
-            pytest.param(0.1, 3200, False, id="0.1-3200"),
-            pytest.param(0.01, 3200, True, id="0.01-3200"),
-            pytest.param(1e-3, 3200, True, id="0.001-3200"),
-            pytest.param(1e-3, 204800, False, id="0.001-204800"),
-            pytest.param(1e-4, 204800, True, id="0.0001-204800"),
-            pytest.param(1e-4, 5_000_000, False, id="0.0001-5000000"),
-            pytest.param(2e-6, 5_000_000, True, id="2e-06-5000000"),
-        ],
-    )
-    def test_skipped_partial_sums_never_change_the_outcome(
-        self, monkeypatch, one_minus_x, n, reported
-    ):
-        monkeypatch.setattr(series_reference, "_SERIES_HARD_CAP", n)
-        summed_rows = []
-        add_terms = series_reference._add_terms
-
-        def spy(sums, x, rows, *args):
-            summed_rows.extend(rows.tolist())
-            add_terms(sums, x, rows, *args)
-
-        monkeypatch.setattr(series_reference, "_add_terms", spy)
-        g = math.atanh(math.sqrt(1.0 - one_minus_x))
-        params = GainChannelParams(g=g, eta=1e-300)
-        series = pair_number_series([params])
-        assert bool(summed_rows) is not reported
-        if not reported:
-            return
-        # summed to the cap with plain numpy, the point fails as reported
-        assert series.n_terms[0] == n
-        x = params.gamma_tilde**2
-        trace = sum(
-            3.0 * np.sum(k * k * (k + 1.0) * x ** (k - 1.0))
-            for k in np.array_split(np.arange(1.0, n + 1.0), max(1, n // 2**18))
-        )
-        bound = series_reference._series_tail_bound(np.array([x]), n)[0]
-        assert bound / trace > series_reference.SERIES_TAIL_TOL
-        assert series.error(0) is not None
+    def test_divergent_point_rejected(self):
+        # (1 - 1e-17) tanh(20) rounds to 1: x = 1, where no truncation converges
+        with pytest.raises(ValueError, match="diverges"):
+            pair_number_series(GainChannelParams(g=20.0, eta=1e-17))
 
     @given(
         g=st.floats(min_value=0.01, max_value=3.0),
@@ -570,31 +484,20 @@ class TestPairNumberSeries:
         # the series sees eta only through x = ((1-eta) tanh g)^2, which
         # stays far from underflow at any eta
         params = GainChannelParams(g=g, eta=eta)
-        series = pair_number_series([params])
-        assert series.error(0) is None
-        p = singlet_weight(params)
-        assert abs(series.p[0] - p) <= 5e-12
+        assert abs(pair_number_series(params).p - singlet_weight(params)) <= 5e-12
 
     @pytest.mark.parametrize("g", [1e-170, 1e-300])
     def test_gain_where_x_underflows_to_zero(self, g):
         # x = ((1-eta) tanh g)^2 is 0.0; the single-pair term remains
-        series = pair_number_series([GainChannelParams(g=g, eta=0.5)])
-        assert series.n_terms[0] == series_reference.SERIES_MIN_TERMS
-        assert series.p[0] == 1.0
+        series = pair_number_series(GainChannelParams(g=g, eta=0.5))
+        assert series.n_terms == series_reference.SERIES_MIN_TERMS
+        assert series.p == 1.0
 
     @pytest.mark.parametrize("g,eta", [(0.0, 0.1), (0.5, 0.0), (0.5, 1.0)])
     def test_invalid_points_rejected(self, g, eta):
         # the series takes GainChannelParams, which cannot hold these points
         with pytest.raises(ValueError):
-            pair_number_series([GainChannelParams(g=0.3, eta=0.1),
-                                GainChannelParams(g=g, eta=eta)])
-
-    def test_truncation_and_tolerance_are_fixed(self):
-        params = GainChannelParams(g=0.3, eta=0.1)
-        for knob in ({"n_max": 60}, {"tail_tol": 1e-6}):
-            with pytest.raises(TypeError):
-                pair_number_series([params], **knob)
-        assert not hasattr(pair_number_series([params]), "tail_tol")
+            pair_number_series(GainChannelParams(g=g, eta=eta))
 
 
 # The smallest transmittivity the domain holds: 1 - 5e-324 rounds to 1, so

@@ -62,9 +62,11 @@ class TestSweep:
         assert rows[0]["p_theory"] == pytest.approx(rows[0]["p_series"], abs=1e-8)
 
     def test_empty_grid_is_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            run(["sweep", "--g", "", "--eta", "0.01"])
-        assert err.value.code == 2
+        # an empty field is an invalid value, not one point fewer
+        for grid in ("", "1,,2", "1,"):
+            with pytest.raises(SystemExit) as err:
+                run(["sweep", "--g", grid, "--eta", "0.01"])
+            assert err.value.code == 2
 
     def test_failing_row_continues_and_flags(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -157,9 +159,8 @@ class TestSweep:
             werner = WernerDescriptor.at(params)
             # p_series is the series' exact sum, written through the margin
             assert row["p_series"] == 1.0 / 3.0 + werner.delta
-            series = pair_number_series([params])
-            assert series.error(0) is None
-            assert abs(row["p_series"] - series.p[0]) <= SERIES_TAIL_TOL * series.p[0]
+            series_p = pair_number_series(params).p
+            assert abs(row["p_series"] - series_p) <= SERIES_TAIL_TOL * series_p
             assert row["p_theory"] == werner.p
             assert row["tangle"] == werner.tangle
             assert row["linear_entropy"] == werner.linear_entropy
@@ -299,6 +300,10 @@ class TestOracleCheck:
         assert 4 in widths and 8 not in widths
 
 
+SIMULATE = ["simulate", "--g", "0.5", "--eta", "0.01", "--out", "c.csv"]
+RECONSTRUCT = ["reconstruct", "--input", "c.csv"]
+
+
 class TestTomo:
     def test_simulate_then_reconstruct(self, tmp_path):
         counts = tmp_path / "counts.csv"
@@ -329,17 +334,21 @@ class TestTomo:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("command", [
-        ["simulate", "--g", "0.5", "--eta", "0.01", "--seed", "1", "--out", "c.csv"],
-        ["reconstruct", "--input", "c.csv"],
-    ], ids=["simulate", "reconstruct"])
+    # an integer option below its minimum: --counts-per-setting below 1, --seed below 0
+    @pytest.mark.parametrize("command,option,value", [
+        pytest.param(SIMULATE + ["--seed", "1"], "--counts-per-setting", "0", id="simulate-0"),
+        pytest.param(SIMULATE + ["--seed", "1"], "--counts-per-setting", "-1", id="simulate--1"),
+        pytest.param(RECONSTRUCT, "--counts-per-setting", "0", id="reconstruct-0"),
+        pytest.param(RECONSTRUCT, "--counts-per-setting", "-1", id="reconstruct--1"),
+        pytest.param(SIMULATE + ["--counts-per-setting", "1"], "--seed", "-1",
+                     id="simulate-seed--1"),
+    ])
     def test_nonpositive_counts_per_setting_is_usage_error(
-        self, command, value, tmp_path, monkeypatch
+        self, command, option, value, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("SPDC_WERNER_OUTDIR", str(tmp_path))
         with pytest.raises(SystemExit) as err:
-            run(["tomo"] + command + ["--counts-per-setting", value])
+            run(["tomo"] + command + [option, value])
         assert err.value.code == 2
         assert not list(tmp_path.iterdir())
 
