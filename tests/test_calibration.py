@@ -513,6 +513,37 @@ class TestFitGain:
                     f"model gives at that power, {ceiling} (efficiency 1, g_max = 40)")):
                 fit_gain(points, REPETITION_RATE)
 
+    @pytest.mark.parametrize("first, second", [
+        pytest.param((1e-12, "0.0004"), (1e-160, "4e-152"), id="1e-12-first"),
+        pytest.param((1e-160, "4e-152"), (1e-12, "0.0004"), id="1e-160-first")])
+    def test_first_point_above_the_model_named_with_its_own_ceiling(self, first, second):
+        points = read_calibration_csv(DEMO_CSV) + [
+            CalibrationPoint(power, 1.0, 1) for power, _ in (first, second)]
+        power, ceiling = first
+        with pytest.raises(FitError, match="^" + re.escape(
+                f"point 25 (power {power}, detector 1) has rate 1.0 above the most the "
+                f"model gives at that power, {ceiling} (efficiency 1, g_max = 40)") + "$"):
+            fit_gain(points, REPETITION_RATE)
+
+    # point 25 fails a later check than point 26; the earlier check is reported
+    @pytest.mark.parametrize("point_25, point_26, message", [
+        pytest.param((0.0, 3.0), (0.5, REPETITION_RATE),
+                     f"point 26 (power 0.5, detector 1) has rate {REPETITION_RATE} at or "
+                     f"above the repetition rate {REPETITION_RATE}, which the model never "
+                     "reaches", id="saturated-before-dark"),
+        pytest.param((0.05, 0.0), (0.0, 3.0),
+                     "point 26 (power 0.0, detector 1) has rate 3.0 > 0, but the model "
+                     "gives 0 at zero power", id="dark-before-silent"),
+        pytest.param((1e-12, 1.0), (0.05, 0.0),
+                     "point 26 (power 0.05, detector 1) has rate 0 at a positive power, "
+                     "but the model gives more than 0 there", id="silent-before-ceiling"),
+    ])
+    def test_bad_point_checks_run_in_order(self, point_25, point_26, message):
+        points = read_calibration_csv(DEMO_CSV) + [
+            CalibrationPoint(power, rate, 1) for power, rate in (point_25, point_26)]
+        with pytest.raises(FitError, match="^" + re.escape(message) + "$"):
+            fit_gain(points, REPETITION_RATE)
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
     def test_result_does_not_depend_on_the_unit_of_power(self, scale):
         # at 1e-30 and below the fit used to return g_max 2.4% low and claim

@@ -473,6 +473,51 @@ class TestPairNumberSeries:
         with pytest.raises(ValueError, match="diverges"):
             pair_number_series(GainChannelParams(g=20.0, eta=1e-17))
 
+    # x from far below 1 (stops at the first truncation) to 1 - 1e-4
+    @pytest.mark.parametrize("one_minus_x", [0.9, 0.1, 0.01, 1e-3, 1e-4])
+    def test_stops_at_the_first_doubling_within_the_tail_bound(self, one_minus_x):
+        params = GainChannelParams(g=math.atanh(math.sqrt(1.0 - one_minus_x)), eta=1e-300)
+        x = params.gamma_tilde**2
+        series = pair_number_series(params)
+        n_terms = series.n_terms
+        doublings = math.log2(n_terms / series_reference.SERIES_MIN_TERMS)
+        assert doublings == int(doublings)
+
+        def power_sums(n_last):
+            # plain numpy: corner = sum n(n+1)(n-1) x^(n-1), -off = sum n(n+1)(n+2) x^(n-1)
+            n = np.arange(1.0, n_last + 1.0)
+            weights = n * (n + 1.0) * x ** (n - 1.0)
+            return np.sum(weights * (n - 1.0)), np.sum(weights * (n + 2.0))
+
+        corner_sum, minus_off = power_sums(n_terms)
+        trace = 2.0 * (2.0 * corner_sum + minus_off)
+        assert series.corner == pytest.approx(corner_sum / trace, rel=1e-13)
+        assert series.middle == pytest.approx((corner_sum + minus_off) / trace, rel=1e-13)
+        assert series.off == pytest.approx(-minus_off / trace, rel=1e-13)
+        # the tails left out, from the closed-form sums 6x/(1-x)^4 and 6/(1-x)^4
+        # (1 - x is exact for x >= 1/2), are within the tolerance of the trace
+        for whole, partial in ((6.0 * x, corner_sum), (6.0, minus_off)):
+            tail = whole / (1.0 - x) ** 4 - partial
+            assert tail <= series_reference.SERIES_TAIL_TOL * trace
+        # and the truncation before it did not pass the rule
+        if n_terms > series_reference.SERIES_MIN_TERMS:
+            corner_sum, minus_off = power_sums(n_terms // 2)
+            assert (series_reference._tail_bound(x, n_terms // 2)
+                    > series_reference.SERIES_TAIL_TOL * (2.0 * corner_sum + minus_off))
+
+    def test_bounded_chunks_give_the_same_sums(self, monkeypatch):
+        points = [GainChannelParams(g=g, eta=eta) for g, eta in
+                  [(0.3, 0.01), (2.0, 0.1), (3.0, 0.01), (6.0, 0.001)]]
+        whole = [pair_number_series(params) for params in points]
+        # every doubling's new terms split along n into many blocks
+        monkeypatch.setattr(series_reference, "_BLOCK", 64)
+        for params, reference in zip(points, whole):
+            chunked = pair_number_series(params)
+            assert chunked.n_terms == reference.n_terms
+            for entry in ("corner", "middle", "off", "p"):
+                assert getattr(chunked, entry) == pytest.approx(
+                    getattr(reference, entry), rel=0, abs=1e-14)
+
     @given(
         g=st.floats(min_value=0.01, max_value=3.0),
         eta=st.floats(min_value=5e-324, max_value=1e-150),
@@ -498,6 +543,13 @@ class TestPairNumberSeries:
         # the series takes GainChannelParams, which cannot hold these points
         with pytest.raises(ValueError):
             pair_number_series(GainChannelParams(g=g, eta=eta))
+
+    def test_truncation_and_tolerance_are_fixed(self):
+        params = GainChannelParams(g=0.3, eta=0.1)
+        for knob in ({"n_max": 60}, {"tail_tol": 1e-6}):
+            with pytest.raises(TypeError):
+                pair_number_series(params, **knob)
+        assert not hasattr(pair_number_series(params), "tail_tol")
 
 
 # The smallest transmittivity the domain holds: 1 - 5e-324 rounds to 1, so

@@ -352,6 +352,15 @@ class TestTomo:
         assert err.value.code == 2
         assert not list(tmp_path.iterdir())
 
+    def test_integer_options_accept_their_minimum(self, tmp_path, monkeypatch):
+        # --counts-per-setting 1 and --seed 0 are the smallest values allowed
+        monkeypatch.delenv("SPDC_WERNER_OUTDIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run(["tomo"] + SIMULATE + ["--counts-per-setting", "1", "--seed", "0"]) == 0
+        assert run(["tomo"] + RECONSTRUCT + ["--counts-per-setting", "1",
+                                             "--out", "r.json"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.csv", "r.json"]
+
     def test_reconstruct_missing_file(self, tmp_path, capsys):
         assert run(["tomo", "reconstruct",
                     "--input", str(tmp_path / "nope.csv")]) == 1
