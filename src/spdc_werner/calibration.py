@@ -83,6 +83,7 @@ class CalibrationPoint:
             )
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be finite and non-negative, got {self.rate}")
+        _csv.require_int("detector", self.detector)
         if self.detector not in (1, 2):
             raise ValueError(f"detector must be 1 or 2, got {self.detector}")
 

@@ -66,7 +66,9 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Every JSON output is strict JSON: a NaN or infinity raises
+    ``ValueError``, which ``main`` reports before any file is written."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_list(kind):

@@ -84,6 +84,9 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
+        _csv.require_int("counts", self.counts)
+        if self.seed is not None:
+            _csv.require_int("seed", self.seed)
         if self.counts < 0:
             raise ValueError(f"counts must be non-negative, got {self.counts}")
         if self.counts > 2**53:  # beyond it float64 counts are not exact

@@ -267,9 +267,12 @@ class TestTransmittedPhotons:
 
 
 class TestCalibrationPoint:
-    def test_invalid_detector_rejected(self):
-        with pytest.raises(ValueError):
-            CalibrationPoint(0.5, 100.0, 3)
+    # a detector that is not an integer would be written to a file that does
+    # not read back
+    @pytest.mark.parametrize("detector", [3, 1.0, True], ids=["3", "1.0", "True"])
+    def test_invalid_detector_rejected(self, detector):
+        with pytest.raises(ValueError, match="^detector must be"):
+            CalibrationPoint(0.5, 100.0, detector)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

@@ -468,10 +468,14 @@ class TestPairNumberSeries:
         assert pair_number_series(params).n_terms == 6_553_600
         assert_series_is_werner(params, atol=1e-12)
 
-    def test_divergent_point_rejected(self):
-        # (1 - 1e-17) tanh(20) rounds to 1: x = 1, where no truncation converges
-        with pytest.raises(ValueError, match="diverges"):
-            pair_number_series(GainChannelParams(g=20.0, eta=1e-17))
+    # (1 - eta) tanh(g) rounds to 1 at each point: x = 1, where no truncation
+    # converges. The series' own rejection: GainChannelParams holds the points.
+    @pytest.mark.parametrize("g,eta", [(20.0, 1e-17), (20.0, 5e-17), (30.0, 1e-300)])
+    def test_divergent_point_rejected(self, g, eta):
+        params = GainChannelParams(g=g, eta=eta)
+        assert params.gamma_tilde == 1.0
+        with pytest.raises(ValueError, match="^the pair-number series diverges at x = 1.0$"):
+            pair_number_series(params)
 
     # x from far below 1 (stops at the first truncation) to 1 - 1e-4
     @pytest.mark.parametrize("one_minus_x", [0.9, 0.1, 0.01, 1e-3, 1e-4])
@@ -537,12 +541,6 @@ class TestPairNumberSeries:
         series = pair_number_series(GainChannelParams(g=g, eta=0.5))
         assert series.n_terms == series_reference.SERIES_MIN_TERMS
         assert series.p == 1.0
-
-    @pytest.mark.parametrize("g,eta", [(0.0, 0.1), (0.5, 0.0), (0.5, 1.0)])
-    def test_invalid_points_rejected(self, g, eta):
-        # the series takes GainChannelParams, which cannot hold these points
-        with pytest.raises(ValueError):
-            pair_number_series(GainChannelParams(g=g, eta=eta))
 
     def test_truncation_and_tolerance_are_fixed(self):
         params = GainChannelParams(g=0.3, eta=0.1)

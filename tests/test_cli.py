@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +11,13 @@ import numpy as np
 import pytest
 
 import spdc_werner
-from spdc_werner.calibration import synthetic_calibration_points, write_calibration_csv
+from spdc_werner.calibration import (
+    fit_gain,
+    synthetic_calibration_points,
+    write_calibration_csv,
+)
 from spdc_werner.channel import BRUTE_FORCE_MAX_PAIRS
-from spdc_werner import channel, cli, fock, tomography
+from spdc_werner import calibration, channel, cli, fock, metrics, tomography
 from spdc_werner.cli import main
 from spdc_werner.fock import DensityMatrix
 from spdc_werner.metrics import (
@@ -455,6 +461,18 @@ class TestErrorPath:
         (["fit", "--input", "dark.csv", "--rate", "250000"],
          "point 25 (power 0.0, detector 1) has rate 3.0 > 0, but the model gives 0 "
          "at zero power"),
+        # a zero rate at a positive power has a relative residual of 1 whatever
+        # the parameters; it used to inflate the covariance
+        (["fit", "--input", "zero-rate.csv", "--rate", "250000"],
+         "point 25 (power 0.05, detector 1) has rate 0 at a positive power, but the "
+         "model gives more than 0 there"),
+        # far above the model's ceiling, the point's residual used to overflow
+        (["fit", "--input", "above.csv", "--rate", "250000"],
+         "point 25 (power 1e-250, detector 1) has rate 1.0 above the most the model "
+         "gives at that power, 4e-242 (efficiency 1, g_max = 40)"),
+        # every relative residual is 1 to rounding, every Jacobian entry far below it
+        (["fit", "--input", DEMO_CSV, "--rate", "1e185"],
+         "the data do not determine the parameters: "),
         # above the high-loss warning threshold: the input is rejected before
         # any warning about it is printed
         (["matrix", "--g", "1.313", "--eta", "1"], "transmittivity"),
@@ -478,7 +496,8 @@ class TestErrorPath:
             "tomo-reconstruct-lone-g", "tomo-reconstruct-lone-eta", "matrix-nan-gain",
             "matrix-inf-gain",
             "fit-nan-rate", "fit-inf-rate", "fit-rate-below-data", "fit-rate-1e300",
-            "fit-rate-1e20", "fit-dark-rate",
+            "fit-rate-1e20", "fit-dark-rate", "fit-zero-rate", "fit-above-the-model",
+            "fit-rate-1e185",
             "matrix-no-warning",
             "tomo-simulate-no-warning", "tomo-simulate-1e19-counts",
             "tomo-simulate-1e20-counts", "tomo-reconstruct-2**53+1-counts",
@@ -506,7 +525,9 @@ class TestErrorPath:
         tomo = Path("tomo.csv").read_text().splitlines()
         for name, counts in (("big.csv", 2**53 + 1), ("huge.csv", 10**400)):
             Path(name).write_text("\n".join([tomo[0], f"HH,H,H,{counts},1", *tomo[2:]]) + "\n")
-        Path("dark.csv").write_text(Path(DEMO_CSV).read_text() + "0,3,1\n")
+        for name, row in (("dark.csv", "0,3,1"), ("zero-rate.csv", "0.05,0,1"),
+                          ("above.csv", "1e-250,1,1")):
+            Path(name).write_text(Path(DEMO_CSV).read_text() + row + "\n")
         write_calibration_csv(
             synthetic_calibration_points(1.313, {1: 0.016}, 250000.0,
                                          np.linspace(0.1, 1.0, 6)),
@@ -520,6 +541,36 @@ class TestErrorPath:
         assert names in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    # each JSON writer, with one value of its payload made NaN or infinite
+    @pytest.mark.parametrize("argv, spoil", [
+        (["sweep", "--g", "0.5", "--eta", "0.016", "--format", "json"],
+         lambda mp: mp.setattr(WernerDescriptor, "witness_value", math.nan)),
+        (["matrix", "--g", "1.313", "--eta", "0.016"],
+         lambda mp: mp.setattr(DensityMatrix, "to_dict", lambda self: {"re": [math.inf]})),
+        (["tomo", "reconstruct", "--input", "counts.csv"],
+         lambda mp: mp.setattr(metrics, "metrics_report",
+                               lambda rho, reference=None: {"p": math.nan})),
+        (["fit", "--input", DEMO_CSV, "--rate", "250000"],
+         lambda mp: mp.setattr(calibration, "fit_gain", lambda points, repetition_rate:
+                               dataclasses.replace(fit_gain(points, repetition_rate),
+                                                   g_max=-math.inf))),
+    ], ids=["sweep", "matrix", "tomo-reconstruct", "fit"])
+    def test_non_finite_json_is_one_error_line(self, argv, spoil, tmp_path, monkeypatch,
+                                               capsys):
+        # JSON has no NaN or infinity: the payload is refused before any
+        # output, rather than written as a token strict parsers reject
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPDC_WERNER_OUTDIR", raising=False)
+        assert run(["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
+                    "--counts-per-setting", "1000", "--seed", "1", "--out", "counts.csv"]) == 0
+        spoil(monkeypatch)
+        assert run(argv + ["--out", "out.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["counts.csv"]
 
     def test_nan_tolerance_fails(self, monkeypatch, capsys):
         # the row status and the exit code come from the same comparison

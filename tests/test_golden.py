@@ -1,8 +1,9 @@
 """Golden outputs: the command line's exit code, stdout and stderr, byte for byte.
 
 Each case runs ``spdc_werner.cli.main`` on one argument list in this
-process, with RuntimeWarnings raised as errors as in CI's entry-point step,
-and compares its record with ``tests/golden/<case>.txt``. A record holds
+process, with RuntimeWarnings raised as errors, so that an overflow or an
+invalid value on the way fails the case however its output reads, and
+compares its record with ``tests/golden/<case>.txt``. A record holds
 the exit code, stdout, stderr and, for ``tomo simulate``, the counts file
 written to ``--out``; a part above 64 KB is stored as its SHA-256.
 ``tests/golden/VERSIONS`` names the platform, Python and numpy the files

@@ -847,7 +847,8 @@ class TestEarlyReturn:
         self.assert_equals_the_search(result, records, None)
 
     def test_search_runs_where_the_flux_is_given(self, searches):
-        # the CI entry point's data: 0 steps with the flux estimated, 2 given
+        # the tomo-reconstruct golden cases' data: 0 steps with the flux
+        # estimated, 2 given
         truth = two_photon_state(GainChannelParams(g=1.313, eta=0.016))
         records = simulate_counts(truth, standard_tomography_settings(), 100_000, seed=7)
         assert ml_reconstruction(records).n_iterations == 0
@@ -1072,6 +1073,16 @@ class TestCountRecordCSV:
         with pytest.raises(ValueError, match=r":2: malformed row: counts must be at most 2\*\*53"):
             read_count_records(path)
 
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            CountRecord(setting=ProjectorSetting("H", "H"), counts=-1)
+    # a count or a seed that is not an integer would be written to a file
+    # that does not read back
+    @pytest.mark.parametrize("counts, seed, message", [
+        (-1, None, "counts must be non-negative"),
+        (2.5, None, "counts must be an integer"),
+        (float("nan"), None, "counts must be an integer"),
+        (True, None, "counts must be an integer"),
+        (1, 2.5, "seed must be an integer"),
+        (1, True, "seed must be an integer"),
+    ], ids=["-1", "2.5", "nan", "True", "seed-2.5", "seed-True"])
+    def test_negative_counts_rejected(self, counts, seed, message):
+        with pytest.raises(ValueError, match=message):
+            CountRecord(setting=ProjectorSetting("H", "H"), counts=counts, seed=seed)
