@@ -44,7 +44,9 @@ __all__ = sorted(_MODULE_OF)
 # The modules that import numpy load together, here and in the CLI's numerical
 # subcommands: the benchmark's tracer looks every module it wraps up in
 # sys.modules when it installs, and its caller may have read only one export.
-# Once the tracer imports what it wraps, each module can load alone.
+# Once the tracer imports what it wraps, each module can load alone, and the
+# checks that pin the group in tests/test_imports.py change with it: the first
+# use of `fidelity` and `test_first_numpy_export_loads_the_group`.
 _NUMPY_MODULES = ("channel", "fock", "metrics", "tomography")
 
 

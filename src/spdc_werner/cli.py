@@ -89,6 +89,9 @@ def _int_at_least(minimum: int):
     return parse
 
 
+# When each subcommand loads only the modules it uses, the matrix,
+# oracle-check, tomo-simulate, tomo-reconstruct and tomo-reconstruct-flux rows
+# of tests/test_imports.py's ``test_numerical_subcommand_loads`` change with it.
 def _numerical():
     """``(channel, metrics, tomography)``; importing them imports ``fock`` too."""
     from . import channel, metrics, tomography

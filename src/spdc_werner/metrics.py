@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import PhysicalityError
-from .fock import DensityMatrix, has_negative_eigenvalue
+from .fock import HERMITICITY_TOL, DensityMatrix, has_negative_eigenvalue
 from .source import WernerDescriptor
 
 # Single-photon polarization kets. D/F are the +/- diagonal states, L/R the
@@ -196,12 +196,23 @@ def is_entangled_ppt(rho: DensityMatrix) -> bool:
     return has_negative_eigenvalue(vals)
 
 
+def _require_normalized(state: DensityMatrix, name: str) -> None:
+    trace = float(state.entries.trace().real)
+    if abs(trace - 1.0) > HERMITICITY_TOL:
+        raise ValueError(f"{name} must have trace 1 within {HERMITICITY_TOL:g}, got {trace!r}")
+
+
 def metrics_report(rho: DensityMatrix, reference: DensityMatrix | None = None) -> dict:
     """Scalar metrics of a normalized two-photon state, JSON-ready.
 
     When ``reference`` is given the report includes the fidelity against it.
-    The concurrence and the fidelity share one sqrt(rho).
+    The concurrence and the fidelity share one sqrt(rho). Both states must
+    have trace 1 within 1e-12 (``fock.HERMITICITY_TOL``), else ``ValueError``:
+    p, the linear entropy and the fidelity are those of a normalized state.
     """
+    _require_normalized(rho, "rho")
+    if reference is not None:
+        _require_normalized(reference, "reference")
     sqrt_rho = _sqrtm_psd(rho.entries)
     c, tau = _concurrence_tangle(rho.entries, sqrt_rho)
     report = {

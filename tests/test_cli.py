@@ -1,16 +1,12 @@
-import ast
 import dataclasses
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import spdc_werner
 from spdc_werner.calibration import (
     fit_gain,
     synthetic_calibration_points,
@@ -611,181 +607,3 @@ class TestFit:
         write_calibration_csv(points, csv_path)
         assert run(["fit", "--input", str(csv_path), "--rate", "250000"]) == 1
         assert "error" in capsys.readouterr().err
-
-
-class TestLazyScipyImport:
-    """No subcommand imports scipy: the optimizers of ``fit`` and ``tomo
-    reconstruct`` are numpy code, and scipy is a test dependency only."""
-
-    PRINT_SCIPY_MODULES = ("import sys; print(sorted(m for m in sys.modules "
-                     "if m == 'scipy' or m.startswith('scipy.')))")
-
-    @staticmethod
-    def python(code, cwd, stdin=None):
-        # a fresh interpreter: this test process has imported scipy already
-        env = {k: v for k, v in os.environ.items() if k != "SPDC_WERNER_OUTDIR"}
-        src = str(Path(spdc_werner.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, input=stdin,
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()
-
-    def test_commands_that_do_not_optimize(self, tmp_path):
-        code = "\n".join([
-            "import spdc_werner, spdc_werner.cli",
-            self.PRINT_SCIPY_MODULES,
-            "for argv in [",
-            "    ['sweep', '--g', '0.1,1', '--eta', '0.01', '--out', 'sweep.csv'],",
-            "    ['matrix', '--g', '1.313', '--eta', '0.016', '--out', 'matrix.json'],",
-            "    ['oracle-check', '--n', '1,2'],",
-            "    ['tomo', 'simulate', '--g', '1.313', '--eta', '0.016',",
-            "     '--counts-per-setting', '1000', '--seed', '1', '--out', 'counts.csv'],",
-            "]:",
-            "    assert spdc_werner.cli.main(argv) == 0, argv",
-            self.PRINT_SCIPY_MODULES,
-        ])
-        lines = self.python(code, tmp_path)
-        assert lines[0] == "[]"
-        assert lines[-1] == "[]"
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "counts.csv", "matrix.json", "sweep.csv"]
-
-    def test_import_does_no_work(self, tmp_path):
-        # the import stays cheap: numpy.random is not loaded, and the settings
-        # and the witness operator are built on first use, not at import
-        code = "\n".join([
-            "import sys",
-            "import spdc_werner, spdc_werner.cli",
-            "from spdc_werner import metrics, tomography",
-            "print('numpy.random' in sys.modules)",
-            "print([f.cache_info().currsize for f in (",
-            "    tomography._settings_by_letters, tomography.standard_tomography_settings,",
-            "    tomography.witness_settings, metrics._witness, tomography._design)])",
-        ])
-        assert self.python(code, tmp_path) == ["False", "[0, 0, 0, 0, 0]"]
-
-    @pytest.mark.parametrize("argv", [
-        ["fit", "--input", DEMO_CSV, "--rate", "250000"],
-        ["tomo", "reconstruct", "--input", "counts.csv"],
-        ["tomo", "reconstruct", "--input", "counts.csv", "--counts-per-setting", "1000"],
-    ], ids=["fit", "tomo-reconstruct", "tomo-reconstruct-flux"])
-    def test_commands_that_optimize(self, argv, tmp_path):
-        assert run(["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
-                    "--counts-per-setting", "1000", "--seed", "1",
-                    "--out", str(tmp_path / "counts.csv")]) == 0
-        code = "\n".join([
-            "import spdc_werner.cli",
-            f"assert spdc_werner.cli.main({argv!r}) == 0",
-            self.PRINT_SCIPY_MODULES,
-        ])
-        assert self.python(code, tmp_path)[-1] == "[]"
-        # and they run where scipy cannot be imported at all
-        self.python("import sys; sys.modules['scipy'] = None\n" + code, tmp_path)
-
-
-class TestLazyCalibrationImport:
-    """Only ``fit`` loads ``spdc_werner.calibration``."""
-
-    def test_only_fit_loads_calibration(self, tmp_path):
-        code = "\n".join([
-            "import sys",
-            "import spdc_werner.cli",
-            "for argv in [",
-            "    ['sweep', '--g', '0.1,1', '--eta', '0.01', '--out', 'sweep.csv'],",
-            "    ['matrix', '--g', '1.313', '--eta', '0.016', '--out', 'matrix.json'],",
-            "    ['oracle-check', '--n', '1,2'],",
-            "    ['tomo', 'simulate', '--g', '1.313', '--eta', '0.016',",
-            "     '--counts-per-setting', '1000', '--seed', '1', '--out', 'counts.csv'],",
-            "    ['tomo', 'reconstruct', '--input', 'counts.csv', '--out', 'report.json'],",
-            f"    ['fit', '--input', {DEMO_CSV!r}, '--rate', '250000', '--out', 'fit.json'],",
-            "]:",
-            "    assert spdc_werner.cli.main(argv) == 0, argv",
-            "    print('calibration loaded after', argv[0], 'spdc_werner.calibration' in sys.modules)",
-        ])
-        lines = TestLazyScipyImport.python(code, tmp_path)
-        assert [line.rsplit(" ", 2)[1:] for line in lines
-                if line.startswith("calibration loaded after")] == [
-            ["sweep", "False"], ["matrix", "False"], ["oracle-check", "False"],
-            ["tomo", "False"], ["tomo", "False"], ["fit", "True"]]
-
-
-class TestLazyNumpyImport:
-    """``sweep``, ``--version``, ``--help`` and usage errors load no numpy;
-    the subcommands that need it import it when they run."""
-
-    # stdout, stderr and exit code of each call, then the files it wrote
-    RUN_CALLS = "\n".join([
-        "import contextlib, io, json, sys",
-        "from pathlib import Path",
-        "from spdc_werner.cli import main",
-        "results = []",
-        "for argv in json.loads(sys.stdin.read()):",
-        "    out, err = io.StringIO(), io.StringIO()",
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
-        "        try:",
-        "            rc = main(argv)",
-        "        except SystemExit as exc:",
-        "            rc = exc.code",
-        "    results.append([out.getvalue(), err.getvalue(), rc])",
-        "files = {p.name: p.read_text() for p in sorted(Path('.').iterdir())}",
-        "print(json.dumps([results, files]))",
-        "print(sorted(m for m in sys.modules if sys.modules[m] is not None",
-        "             and (m == 'numpy' or m.startswith(('numpy.', 'spdc_werner.')))))",
-    ])
-    CALLS = [
-        ["sweep", "--g", "0.5,1.0", "--eta", "0.016"],
-        ["sweep", "--g", "0.5,1.0", "--eta", "0.016", "--format", "json"],
-        ["sweep", "--g", "0.5,1.0", "--eta", "0.016", "--out", "sweep.csv"],
-        ["sweep", "--g", "0.5,1.0", "--eta", "0.016", "--format", "json",
-         "--out", "sweep.json"],
-        ["sweep", "--g", "0.5,-1", "--eta", "0.016"],
-        ["--version"],
-        ["--help"],
-        ["sweep", "--g", "0.5"],
-    ]
-
-    def test_closed_form_calls_run_where_numpy_cannot_be_imported(self, tmp_path):
-        (tmp_path / "open").mkdir()
-        (tmp_path / "blocked").mkdir()
-        calls = json.dumps(self.CALLS)
-        result_open, loaded_open = TestLazyScipyImport.python(
-            self.RUN_CALLS, tmp_path / "open", calls)
-        result_blocked, loaded_blocked = TestLazyScipyImport.python(
-            "import sys; sys.modules['numpy'] = None\n" + self.RUN_CALLS,
-            tmp_path / "blocked", calls)
-        assert result_blocked == result_open
-        results, files = json.loads(result_blocked)
-        assert [rc for *_, rc in results] == [0, 0, 0, 0, 1, 0, 0, 2]
-        assert results[2][:2] == results[3][:2] == ["", ""]
-        assert files == {"sweep.csv": results[0][0], "sweep.json": results[1][0]}
-        stdout, stderr, _ = results[4]
-        assert stdout.splitlines()[1:] == results[0][0].splitlines()[1:2]
-        assert stderr.startswith("error: g=-1.0 eta=0.016: ")
-        assert stderr.count("\n") == 1
-        assert results[5][0] == f"{spdc_werner.__version__}\n"
-        assert results[6][0].startswith("usage: spdc-werner ")
-        assert "the following arguments are required: --eta" in results[7][1]
-        expected = "['spdc_werner.cli', 'spdc_werner.errors', 'spdc_werner.source']"
-        assert loaded_open == loaded_blocked == expected
-
-    @pytest.mark.parametrize("argv", [
-        ["matrix", "--g", "1.313", "--eta", "0.016", "--out", "matrix.json"],
-        ["oracle-check", "--n", "1,2"],
-        ["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
-         "--counts-per-setting", "1000", "--seed", "1", "--out", "simulated.csv"],
-        ["tomo", "reconstruct", "--input", "counts.csv", "--out", "report.json"],
-    ], ids=["matrix", "oracle-check", "tomo-simulate", "tomo-reconstruct"])
-    def test_numerical_calls_load_every_traced_module(self, argv, tmp_path):
-        # The benchmark's tracer looks every module it wraps up in sys.modules
-        # when it installs, and a traced derive pass runs only oracle-check of
-        # these: so each of them loads all the numpy modules, not only the
-        # ones it uses.
-        assert run(["tomo", "simulate", "--g", "1.313", "--eta", "0.016",
-                    "--counts-per-setting", "1000", "--seed", "1",
-                    "--out", str(tmp_path / "counts.csv")]) == 0
-        lines = TestLazyScipyImport.python(self.RUN_CALLS, tmp_path, json.dumps([argv]))
-        (_, stderr, rc), = json.loads(lines[0])[0]
-        assert (rc, stderr) == (0, "")
-        assert {"spdc_werner.channel", "spdc_werner.fock", "spdc_werner.metrics",
-                "spdc_werner.tomography", "numpy"} <= set(ast.literal_eval(lines[1]))

@@ -17,12 +17,7 @@ from spdc_werner.fock import (
 )
 from spdc_werner.source import n_pair_singlet
 
-
-def random_density(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    m /= m.trace().real
-    return DensityMatrix(m)
+from helpers import random_density
 
 
 def double_loop_partial_trace(projector):

@@ -19,6 +19,8 @@ from spdc_werner.metrics import (
     witness_operator,
 )
 
+from helpers import random_density
+
 WERNER_GRID = [0.0, 0.2, 1.0 / 3.0, 0.4, 0.6, 0.8, 1.0]
 
 
@@ -26,12 +28,6 @@ def random_unitary(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_two_qubit_density(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real)
 
 
 def random_product_density(rng):
@@ -170,7 +166,7 @@ class TestWitness:
         rng = np.random.default_rng(31)
         before = metrics._witness.cache_info()
         for _ in range(20):
-            rho = random_two_qubit_density(rng)
+            rho = random_density(rng)
             assert witness_expectation(rho) == float(
                 np.trace(witness_operator() @ rho.entries).real)
         after = metrics._witness.cache_info()
@@ -205,7 +201,7 @@ class TestFidelity:
     def test_self_fidelity(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            dm = random_two_qubit_density(rng)
+            dm = random_density(rng)
             assert fidelity(dm, dm) == pytest.approx(1.0, abs=1e-9)
 
     def test_singlet_against_fully_mixed(self):
@@ -225,8 +221,8 @@ class TestFidelity:
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            a = random_two_qubit_density(rng)
-            b = random_two_qubit_density(rng)
+            a = random_density(rng)
+            b = random_density(rng)
             f_ab = fidelity(a, b)
             f_ba = fidelity(b, a)
             assert f_ab == pytest.approx(f_ba, abs=1e-9)
@@ -254,7 +250,7 @@ class TestLocalUnitaryInvariance:
     def test_concurrence_and_entropy_invariant(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
-            dm = random_two_qubit_density(rng)
+            dm = random_density(rng)
             u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             rotated = DensityMatrix(u @ dm.entries @ u.conj().T)
             c0, _ = concurrence_tangle(dm)
@@ -290,7 +286,7 @@ class TestMetricsReport:
         """Random full-rank, pure and product states, and Werner states on
         both sides of p = 1/3."""
         for _ in range(20):
-            yield random_two_qubit_density(rng)
+            yield random_density(rng)
             ket = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             yield DensityMatrix(np.outer(ket, ket.conj()) / (ket.conj() @ ket).real)
             yield random_product_density(rng)
@@ -329,6 +325,21 @@ class TestMetricsReport:
         assert report["witness"] == pytest.approx(-0.2, abs=1e-12)
         assert report["ppt_entangled"] is True
         assert report["fidelity_vs_theory"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("argument", ["rho", "reference"])
+    @pytest.mark.parametrize("scale", [0.0324, 1.0 + 2e-12, 2.0])
+    def test_unnormalized_state_rejected(self, argument, scale):
+        # a post-selected block is unnormalized: two_photon_block_closed(2, 0.1)
+        # has trace 0.0324 and read p = 0.0216 and a linear entropy of 1.33 as
+        # rho, and a fidelity of 0.032 as the reference
+        states = {"rho": werner_state(0.6), "reference": werner_state(0.6)}
+        states[argument] = DensityMatrix(scale * states[argument].entries)
+        with pytest.raises(ValueError, match=f"^{argument} must have trace 1 within 1e-12, "):
+            metrics_report(**states)
+
+    def test_trace_within_the_tolerance_accepted(self):
+        rho = DensityMatrix((1.0 + 5e-13) * werner_state(0.6).entries)
+        assert metrics_report(rho, reference=rho)["p"] == pytest.approx(0.6)
 
 
 def random_rank2(rng, trace):

@@ -3,6 +3,8 @@ import pytest
 
 from spdc_werner import _newton
 
+from helpers import counting_hessians
+
 # a symmetric matrix with eigenvalues 1, 2, 4 and 7, rotated by a Householder
 # reflection so that no eigenvector is a coordinate axis
 _V = np.array([1.0, 2.0, 3.0, 4.0])
@@ -121,24 +123,9 @@ def test_relative_decrease_rule():
     assert result.iterations < 200
 
 
-def counting_hessians(evaluate):
-    """``evaluate`` whose Hessian callables record each call in ``calls``."""
-    calls = []
-
-    def counted(x):
-        value, grad, hessian = evaluate(x)
-
-        def recorded():
-            calls.append(x.copy())
-            return hessian()
-
-        return value, grad, recorded
-
-    return counted, calls
-
-
 def test_no_hessian_where_the_start_passes():
-    evaluate, calls = counting_hessians(rayleigh(CURVATURE))
+    calls = []
+    evaluate = counting_hessians(rayleigh(CURVATURE), calls)
     result = _newton.minimize(evaluate, eigenvector(CURVATURE, 0), gtol=1e-12, ftol=0.0,
                               max_iter=10)
     assert result.iterations == 0
@@ -150,7 +137,8 @@ def test_one_hessian_per_point_stepped_from():
     # way; the Hessian is built once at each point the loop steps from, and
     # never at a rejected trial point or at the point where it stops
     recorded, trials = recording(rayleigh(CURVATURE))
-    evaluate, calls = counting_hessians(recorded)
+    calls = []
+    evaluate = counting_hessians(recorded, calls)
     result = _newton.minimize(evaluate, on_sphere(eigenvector(CURVATURE, 3) + 1e-3),
                               gtol=1e-10, ftol=0.0, max_iter=200)
     assert result.message == "gradient within tolerance"
@@ -161,7 +149,8 @@ def test_one_hessian_per_point_stepped_from():
 
 
 def test_no_hessian_at_the_iteration_limit():
-    evaluate, calls = counting_hessians(rayleigh(CURVATURE))
+    calls = []
+    evaluate = counting_hessians(rayleigh(CURVATURE), calls)
     result = _newton.minimize(evaluate, on_sphere([1.0, 1.0, 1.0, 1.0]),
                               gtol=0.0, ftol=0.0, max_iter=3)
     assert result.iterations == 3

@@ -1,13 +1,10 @@
 import math
-import subprocess
 import sys
 from decimal import Decimal, localcontext
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import spdc_werner.source
 from spdc_werner.channel import singlet_weight, two_photon_state
 from spdc_werner.source import (
     GainChannelParams,
@@ -279,23 +276,3 @@ class TestEntanglementMargin:
         assert werner.is_entangled == (p > 1.0 / 3.0)
         assert werner.witness_value == pytest.approx((1.0 - 3.0 * p) / 4.0, abs=1e-16)
         assert werner.tangle == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0) ** 2, abs=1e-16)
-
-
-def test_module_loads_alone_without_numpy():
-    # the closed form through the package, in a fresh interpreter, loads
-    # source alone, with the standard library only
-    src = str(Path(spdc_werner.source.__file__).resolve().parents[1])
-    code = "\n".join([
-        "import sys",
-        f"sys.path.insert(0, {src!r})",
-        "import spdc_werner",
-        "p = spdc_werner.singlet_weight(spdc_werner.GainChannelParams(g=1.313, eta=0.016))",
-        "print(sorted(m for m in sys.modules if m.startswith('spdc_werner.')))",
-        "print('numpy' in sys.modules)",
-        "print(p.hex())",
-    ])
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    expected = singlet_weight(GainChannelParams(g=1.313, eta=0.016)).hex()
-    assert proc.stdout.splitlines() == ["['spdc_werner.source']", "False", expected]

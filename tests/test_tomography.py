@@ -33,6 +33,8 @@ from spdc_werner.tomography import (
     write_count_records,
 )
 
+from helpers import counting_hessians, random_density
+
 
 def noiseless_records(state, settings, total):
     """Counts equal to the exact expected values (asserted integral)."""
@@ -567,13 +569,6 @@ def _reference_counts(rho, settings, total, seed):
     return counts
 
 
-def _random_state(rng):
-    """A full-rank two-qubit state with random complex coherences."""
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    gram = m @ m.conj().T
-    return DensityMatrix(gram / gram.trace().real)
-
-
 class TestAgainstPerCallRoute:
     """The cached design, the batched trace and the vector Poisson draw
     against the per-call route they replaced."""
@@ -585,7 +580,7 @@ class TestAgainstPerCallRoute:
         rng = np.random.default_rng(17)
         for seed in range(200):
             if seed % 2:
-                rho = _random_state(rng)
+                rho = random_density(rng)
             else:
                 rho = two_photon_state(GainChannelParams(g=rng.uniform(0.05, 2.0),
                                                          eta=rng.uniform(0.005, 0.5)))
@@ -597,7 +592,7 @@ class TestAgainstPerCallRoute:
     def test_born_probability_equals_one_trace(self):
         rng = np.random.default_rng(18)
         for _ in range(50):
-            rho = _random_state(rng)
+            rho = random_density(rng)
             for setting in standard_tomography_settings():
                 p = float(np.trace(rho.entries @ setting.projector()).real)
                 assert born_probability(rho, setting) == min(1.0, max(0.0, p))
@@ -658,34 +653,20 @@ def _eager_negative_log_likelihood(projectors, counts, n_total):
     return evaluate
 
 
-def _counting_hessians(calls):
-    """``_negative_log_likelihood`` whose Hessian callables record each call."""
-    original = tomography._negative_log_likelihood
-
-    def factory(*args):
-        evaluate = original(*args)
-
-        def counted(t):
-            value, grad, hessian = evaluate(t)
-
-            def recorded():
-                calls.append(t.copy())
-                return hessian()
-
-            return value, grad, recorded
-
-        return counted
-
-    return factory
-
-
 class TestHessianOnDemand:
     """ML asks for the Hessian only where the Newton loop steps, and gives
     the results of the evaluation that built it every time."""
 
-    def test_positive_definite_start_builds_no_hessian(self, monkeypatch):
+    @pytest.fixture
+    def hessian_calls(self, monkeypatch):
+        """The points at which ML builds a Hessian, in order."""
         calls = []
-        monkeypatch.setattr(tomography, "_negative_log_likelihood", _counting_hessians(calls))
+        original = tomography._negative_log_likelihood
+        monkeypatch.setattr(tomography, "_negative_log_likelihood",
+                            lambda *args: counting_hessians(original(*args), calls))
+        return calls
+
+    def test_positive_definite_start_builds_no_hessian(self, hessian_calls):
         zero_step = 0
         for records, total in _round_trip_datasets(seed=23, n_sets=60):
             if np.linalg.eigvalsh(linear_reconstruction(records))[0] <= 0:
@@ -695,20 +676,18 @@ class TestHessianOnDemand:
                 0, "gradient within tolerance")
             zero_step += 1
         assert zero_step >= 30
-        assert calls == []
+        assert hessian_calls == []
 
     @pytest.mark.parametrize("given_flux", [False, True], ids=["flux-estimated", "flux-given"])
-    def test_one_hessian_per_step(self, given_flux, monkeypatch):
-        calls = []
-        monkeypatch.setattr(tomography, "_negative_log_likelihood", _counting_hessians(calls))
+    def test_one_hessian_per_step(self, given_flux, hessian_calls):
         steps = 0
         for records, total in _round_trip_datasets(seed=24, n_sets=60):
-            calls.clear()
+            hessian_calls.clear()
             result = ml_reconstruction(records, total if given_flux else None)
             # where no step lowers the objective, the Hessian of the point it
             # stops at was built for the step it tried
             stuck = result.stop_reason == "no step lowers the objective beyond its rounding"
-            assert len(calls) == result.n_iterations + stuck
+            assert len(hessian_calls) == result.n_iterations + stuck
             steps += result.n_iterations
         assert steps > 0
 
