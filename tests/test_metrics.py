@@ -327,7 +327,7 @@ class TestMetricsReport:
         assert report["fidelity_vs_theory"] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("argument", ["rho", "reference"])
-    @pytest.mark.parametrize("scale", [0.0324, 1.0 + 2e-12, 2.0])
+    @pytest.mark.parametrize("scale", [0.0324, 1.0 - 2e-12, 1.0 + 2e-12, 2.0])
     def test_unnormalized_state_rejected(self, argument, scale):
         # a post-selected block is unnormalized: two_photon_block_closed(2, 0.1)
         # has trace 0.0324 and read p = 0.0216 and a linear entropy of 1.33 as
@@ -337,8 +337,10 @@ class TestMetricsReport:
         with pytest.raises(ValueError, match=f"^{argument} must have trace 1 within 1e-12, "):
             metrics_report(**states)
 
-    def test_trace_within_the_tolerance_accepted(self):
-        rho = DensityMatrix((1.0 + 5e-13) * werner_state(0.6).entries)
+    @pytest.mark.parametrize("scale", [1.0 - 5e-13, 1.0 + 5e-13])
+    def test_trace_within_the_tolerance_accepted(self, scale):
+        # the tolerance is on |Tr - 1|, on both sides of 1
+        rho = DensityMatrix(scale * werner_state(0.6).entries)
         assert metrics_report(rho, reference=rho)["p"] == pytest.approx(0.6)
 
 
